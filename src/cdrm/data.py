@@ -8,6 +8,7 @@ the regression target as the next state.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -263,6 +264,8 @@ def load_csv(path) -> TransitionDataset:
         bounds = np.array([[float(lo), float(hi)] for lo, hi in pairs])
     except ValueError as exc:
         raise DatasetFormatError(f"bad bounds header: {exc}", line=2) from None
+    if not np.all(np.isfinite(bounds)):
+        raise DatasetFormatError("bounds must be finite", line=2)
     if len(bounds) != d_total:
         raise DatasetFormatError(f"expected {d_total} bounds entries, got {len(bounds)}", line=2)
     rows = []
@@ -275,8 +278,12 @@ def load_csv(path) -> TransitionDataset:
                 f"expected {d_total} values per row, got {len(parts)}", line=lineno
             )
         try:
-            rows.append([float(v) for v in parts])
+            row = [float(v) for v in parts]
         except ValueError as exc:
             raise DatasetFormatError(str(exc), line=lineno) from None
+        # float() accepts "nan" and "inf", and NaN slips past the bounds check
+        if not all(math.isfinite(v) for v in row):
+            raise DatasetFormatError("values must be finite", line=lineno)
+        rows.append(row)
     tuples = np.array(rows) if rows else np.empty((0, d_total))
     return TransitionDataset(tuples, dims=dims, bounds=bounds)

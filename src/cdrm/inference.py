@@ -11,6 +11,7 @@ half comes from the query's kernel density under the training inputs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +30,13 @@ class ValidSet:
 
     An incoming sample within dedup_tol (componentwise, so L-infinity for
     a scalar tolerance) of a stored member is discarded regardless of
-    score; first-seen members are never displaced. Inserts go through a
-    cell hash with one cell per tolerance box, so only the 3^d adjacent
-    cells are ever compared against.
+    score; first-seen members are never displaced. Samples are hashed to
+    integer cells, floor(x / width) with one cell per tolerance box (width
+    1 on zero-tolerance dims, where only exact equality counts), and a
+    sample is compared only against members in the 3^d cells adjacent to
+    its own, its own included. That adjacent-cell rule is part of the
+    definition: `insert` applies it one sample at a time, and
+    `collect_valid` applies the same rule to a whole trace at once.
     """
 
     def __init__(self, dedup_tol):
@@ -66,35 +71,27 @@ class ValidSet:
             self._prepare(d)
         return self._width
 
-    def _is_duplicate(self, xt: tuple, cell: tuple) -> bool:
-        tol = self._tol
-        cells = self._cells
-        flat = self._flat
-        for off in self._offsets:
-            key = tuple(c + o for c, o in zip(cell, off))
-            for idx in cells.get(key, ()):
-                yt = flat[idx]
-                if all(abs(a - b) <= t for a, b, t in zip(xt, yt, tol)):
-                    return True
-        return False
-
-    def _insert_fast(self, xt: tuple, cell: tuple, score: float) -> bool:
-        if self._is_duplicate(xt, cell):
-            return False
+    def _append(self, xt: tuple, cell: tuple, score: float):
         self.samples.append(np.array(xt))
         self.scores.append(score)
         self._flat.append(xt)
         self._cells.setdefault(cell, []).append(len(self._flat) - 1)
-        return True
 
     def insert(self, x: np.ndarray, score: float) -> bool:
-        """Add x unless a stored member sits within dedup_tol of it."""
+        """Add x unless a stored member in an adjacent cell sits within dedup_tol of it."""
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         if self._tol is None:
             self._prepare(x.size)
         xt = tuple(x.tolist())
         cell = tuple(np.floor(x / self._width).astype(np.int64).tolist())
-        return self._insert_fast(xt, cell, float(score))
+        tol, cells, flat = self._tol, self._cells, self._flat
+        for off in self._offsets:
+            key = tuple(c + o for c, o in zip(cell, off))
+            for idx in cells.get(key, ()):
+                if all(abs(a - b) <= t for a, b, t in zip(xt, flat[idx], tol)):
+                    return False
+        self._append(xt, cell, float(score))
+        return True
 
     def max_score(self) -> float:
         if not self.scores:
@@ -116,21 +113,92 @@ def collect_valid(trace: ChainTrace, alpha: float, dedup_tol) -> ValidSet:
 
     Scans the post-update batches (the initialization batch is not a
     chain product and is skipped); within a batch, samples are offered in
-    index order, so insertion order is (step, sample index).
+    index order, so insertion order is (step, sample index). The result
+    is the valid set that `ValidSet.insert` builds from the same samples
+    in that order, members and scores bit for bit, but the Python work
+    scales with the members kept rather than the candidates offered; see
+    `_first_seen_members`.
     """
     free = np.asarray(trace.free_dims)
     valid = ValidSet(dedup_tol)
     width = valid.cell_width(free.size)
+    rows, row_scores = [], []
     for batch, scores in zip(trace.samples[1:], trace.scores[1:]):
         scores = np.asarray(scores, dtype=np.float64)
         keep = np.flatnonzero(scores > alpha)
-        if keep.size == 0:
-            continue
-        sub = batch[keep][:, free]
-        cells = np.floor(sub / width).astype(np.int64)
-        for xt, ct, sc in zip(sub.tolist(), cells.tolist(), scores[keep].tolist()):
-            valid._insert_fast(tuple(xt), tuple(ct), sc)
+        if keep.size:
+            rows.append(batch[keep][:, free])
+            row_scores.append(scores[keep])
+    if not rows:
+        return valid
+    points = np.concatenate(rows)
+    cells = np.floor(points / width).astype(np.int64)
+    kept = _first_seen_members(points, cells, np.array(valid._tol))
+    members = (
+        points[kept].tolist(),
+        cells[kept].tolist(),
+        np.concatenate(row_scores)[kept].tolist(),
+    )
+    # Free the candidate arrays before the members are stored. Whether the
+    # next chain re-faults its per-step temporaries (glibc trimming the heap
+    # top between steps, ~27k minor faults a query) depends on where
+    # long-lived blocks sit on the heap; members stored while these arrays
+    # were live made it more frequent in infer_data benchmark runs.
+    del rows, row_scores, points, cells
+    for xt, cell, score in zip(*members):
+        valid._append(tuple(xt), tuple(cell), score)
     return valid
+
+
+def _first_seen_members(points: np.ndarray, cells: np.ndarray, tol: np.ndarray) -> list[int]:
+    """Indices of the candidates sequential insertion would keep, in order.
+
+    Candidates are grouped by cell with one stable sort on an integer cell
+    key. The first candidate is kept; each kept member then marks dead
+    every candidate within tol in the 3^d cells adjacent to its own, and
+    the next candidate still live is the next member. A candidate that
+    is live when reached has no earlier member within tol in an adjacent
+    cell, which is exactly the test `ValidSet.insert` makes, so both keep
+    the same candidates. The adjacency relation is symmetric, so marking
+    forward from members is the same test as looking back from candidates.
+    """
+    n, d = cells.shape
+    low = cells.min(axis=0) - 1  # pad one cell each side so neighbour keys stay in range
+    extent = (cells.max(axis=0) - low + 2).tolist()
+    if math.prod(extent) < 2**63:
+        # Row-major key over the padded box: one int64 per cell, and the
+        # three cells along the last dim are consecutive keys, so each of
+        # the 3^(d-1) neighbour columns is one searchsorted range.
+        strides = np.array([math.prod(extent[k + 1 :]) for k in range(d)], dtype=np.int64)
+        key = (cells - low) @ strides
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        columns = np.array(list(itertools.product((-1, 0, 1), repeat=d - 1)), dtype=np.int64)
+        column_offsets = columns @ strides[:-1]
+
+        def near(i):
+            centre = key[i] + column_offsets
+            starts = np.searchsorted(sorted_key, centre - 1, side="left").tolist()
+            stops = np.searchsorted(sorted_key, centre + 1, side="right").tolist()
+            return np.concatenate([order[a:b] for a, b in zip(starts, stops)])
+
+    else:
+        # Cells too spread out for an int64 key: test adjacency directly.
+        def near(i):
+            later = np.arange(i + 1, n)
+            return later[np.all(np.abs(cells[later] - cells[i]) <= 1, axis=1)]
+
+    alive = np.ones(n + 1, dtype=bool)  # alive[n] is a sentinel that ends the scan
+    kept = []
+    i = 0
+    while i < n:
+        kept.append(i)
+        # Marks earlier candidates too (i itself included); they are already
+        # decided, and the scan only looks forward.
+        group = near(i)
+        alive[group[np.all(np.abs(points[group] - points[i]) <= tol, axis=1)]] = False
+        i += 1 + int(alive[i + 1 :].argmax())
+    return kept
 
 
 def predict(valid: ValidSet) -> np.ndarray:
@@ -197,6 +265,8 @@ def infer(
         )
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(a))):
         raise InvalidInputError("query must be finite")
+    if not 0.0 <= alpha <= 1.0:  # also false for NaN
+        raise InvalidInputError(f"alpha must be a finite value in [0, 1], got {alpha}")
     cfg = cfg or default_inference_config(model)
     tol = default_dedup_tol(model) if dedup_tol is None else dedup_tol
 

@@ -148,6 +148,16 @@ class TestTrain:
         code, _, _ = train_tiny(capsys, tiny_toy_csv, tmp_path / "m.json", "--epochs", "two")
         assert code == 2
 
+    def test_non_finite_csv_value_is_usage_error(self, capsys, tmp_path, tiny_toy_csv):
+        bad = tmp_path / "nan.csv"
+        lines = tiny_toy_csv.read_text().splitlines()
+        lines[4] = lines[4].split(",")[0] + ",nan"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, stderr = train_tiny(capsys, bad, tmp_path / "m.json")
+        assert code == 2
+        assert "line 5" in stderr
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_data_file_is_runtime_error(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.json")
@@ -188,6 +198,16 @@ class TestInfer:
             "--samples", "16", "--steps", "3",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("alpha", ["2", "-0.1", "nan"])
+    def test_alpha_outside_unit_interval_is_usage_error(self, capsys, model_path, alpha):
+        code, stdout, stderr = run_cli(
+            capsys, "infer", "--model", str(model_path), "--query", "-0.7",
+            "--samples", "16", "--steps", "3", "--alpha", alpha,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "alpha" in stderr
 
     def test_missing_model_file_is_runtime_error(self, capsys, tmp_path):
         code, _, _ = run_cli(

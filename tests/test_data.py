@@ -250,6 +250,22 @@ class TestCsvRoundTrip:
             load_csv(p)
         assert e.value.line == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        # NaN compares false against the bounds, so it must be caught here
+        p = tmp_path / "bad.csv"
+        p.write_text(f"# dims=1,0,1\n# bounds=0.0:1.0,0.0:1.0\n0.1,0.2\n0.3,{value}\n")
+        with pytest.raises(DatasetFormatError) as e:
+            load_csv(p)
+        assert e.value.line == 4
+
+    def test_non_finite_bounds_rejected(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("# dims=1,0,1\n# bounds=0.0:1.0,nan:1.0\n0.1,0.2\n")
+        with pytest.raises(DatasetFormatError) as e:
+            load_csv(p)
+        assert e.value.line == 2
+
     def test_empty_payload_allowed(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("# dims=1,0,1\n# bounds=0.0:1.0,0.0:1.0\n")

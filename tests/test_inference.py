@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
-from cdrm import kde
+from cdrm import kde, langevin
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from cdrm.errors import EmptyValidSetError, InvalidInputError, UnpreparedModelError
 from cdrm.inference import (
     DEDUP_RANGE_FRACTION,
+    DEFAULT_ALPHA,
     ValidSet,
     aleatoric,
     collect_valid,
@@ -16,7 +19,7 @@ from cdrm.inference import (
     predict,
 )
 from cdrm.langevin import ChainTrace, LangevinConfig
-from cdrm.model import CdrmModel
+from cdrm.model import CdrmModel, score_fn
 from cdrm.nnet import MlpNetwork
 
 
@@ -151,6 +154,129 @@ class TestCollectValid:
         assert valid.samples[0].shape == (1,)
 
 
+    def test_later_candidate_kept_after_its_cells_first_is_rejected(self):
+        # 0.12 and 0.19 share cell 1; 0.12 is within tol of the member 0.05
+        # in cell 0 and is dropped, but 0.19 is not and must still be kept,
+        # so a cell cannot be settled by its first candidate alone
+        trace = ChainTrace(
+            [np.zeros((3, 1)), np.array([[0.05], [0.12], [0.19]])],
+            [np.zeros(3), np.array([0.9, 0.8, 0.7])],
+            np.array([0.9]),
+            np.array([0]),
+        )
+        valid = collect_valid(trace, alpha=0.5, dedup_tol=0.1)
+        assert [float(s[0]) for s in valid.samples] == [0.05, 0.19]
+        assert valid.scores == [0.9, 0.7]
+
+
+def insert_oracle(trace, alpha, dedup_tol):
+    """The valid set built by one `ValidSet.insert` per above-alpha sample."""
+    free = np.asarray(trace.free_dims)
+    valid = ValidSet(dedup_tol)
+    for batch, scores in zip(trace.samples[1:], trace.scores[1:]):
+        for x, score in zip(batch, scores):
+            if score > alpha:
+                valid.insert(x[free], score)
+    return valid
+
+
+def assert_same_valid_set(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got.samples, want.samples):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.scores == want.scores
+    assert all(type(v) is float for v in got.scores)
+
+
+TOLERANCES = [0.0, 0.05, 0.1, 1 / 3, 1e-9]
+
+
+@st.composite
+def dedup_cases(draw):
+    """A chain trace whose free coordinates crowd cell boundaries and tolerances.
+
+    Coordinates are multiples of half a cell width, optionally one
+    tolerance further on, either moved by one ulp or not; the rest are
+    repeats of earlier points and plain uniform floats. A 1e-9 tolerance
+    with coordinates near +-1000 makes the cell box too large for an
+    int64 key.
+    """
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        tol = draw(st.sampled_from(TOLERANCES))
+        tol_vec = np.full(d, tol)
+    else:
+        tol = np.array(draw(st.lists(st.sampled_from(TOLERANCES), min_size=d, max_size=d)))
+        tol_vec = tol
+    width = np.where(tol_vec > 0, tol_vec, 1.0)
+    n = draw(st.integers(1, 10))
+    steps = draw(st.integers(1, 4))
+    frozen = draw(st.integers(0, 1))
+
+    def coordinate(k):
+        if draw(st.integers(0, 4)) == 0:
+            return draw(st.floats(-1.0, 1.0))
+        value = draw(st.integers(-3, 3)) * draw(st.sampled_from([width[k], width[k] / 2]))
+        value += draw(st.sampled_from([0.0, 0.0, 1000.0, -1000.0]))
+        value += draw(st.sampled_from([0.0, tol_vec[k]]))
+        ulps = draw(st.sampled_from([0, 0, 1, -1]))
+        return np.nextafter(value, ulps * np.inf) if ulps else value
+
+    seen = []
+    samples = [np.zeros((n, frozen + d))]
+    scores = [np.ones(n)]
+    for _ in range(steps):
+        batch = np.zeros((n, frozen + d))
+        for row in range(n):
+            if seen and draw(st.integers(0, 3)) == 0:
+                batch[row, frozen:] = seen[draw(st.integers(0, len(seen) - 1))]
+            else:
+                batch[row, frozen:] = [coordinate(k) for k in range(d)]
+            seen.append(batch[row, frozen:].copy())
+        samples.append(batch)
+        levels = st.sampled_from([0.2, 0.5, 0.7, 0.9])  # alpha is 0.5: equal is not above
+        scores.append(np.array(draw(st.lists(levels, min_size=n, max_size=n))))
+    per_step_max = np.array([s.max() for s in scores[1:]])
+    trace = ChainTrace(samples, scores, per_step_max, np.arange(frozen, frozen + d))
+    extra = [np.array([coordinate(k) for k in range(d)]) for _ in range(draw(st.integers(0, 4)))]
+    return trace, tol, extra
+
+
+class TestCollectValidMatchesInsert:
+    """`collect_valid` must build exactly the valid set sequential insertion builds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dedup_cases())
+    def test_same_members_scores_and_order(self, case):
+        trace, tol, extra = case
+        got = collect_valid(trace, alpha=0.5, dedup_tol=tol)
+        want = insert_oracle(trace, 0.5, tol)
+        assert_same_valid_set(got, want)
+        # the collected set keeps working as a ValidSet: later inserts agree
+        for x in extra:
+            assert got.insert(x, 0.6) == want.insert(x, 0.6)
+        assert_same_valid_set(got, want)
+
+    def test_wide_cell_box_matches_insert(self):
+        # 1e-9 cells over +-1000 in three dims overflow an int64 key
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-1000.0, 1000.0, size=(40, 3))
+        pts[20:] = pts[:20] + rng.uniform(-2e-9, 2e-9, size=(20, 3))
+        trace = ChainTrace([pts, pts], [np.ones(40), np.ones(40)], np.array([1.0]), np.arange(3))
+        got = collect_valid(trace, alpha=0.5, dedup_tol=1e-9)
+        assert 20 <= len(got) < 40
+        assert_same_valid_set(got, insert_oracle(trace, 0.5, 1e-9))
+
+    def test_chain_trace_matches_insert(self):
+        m = ramp_model()
+        cfg = small_chain(steps=30, n=64)
+        trace = langevin.run(score_fn(m), cfg.resolved(), np.array([0.2, 0.0]), seed=4)
+        tol = default_dedup_tol(m)
+        got = collect_valid(trace, DEFAULT_ALPHA, tol)
+        assert len(got) > 10
+        assert_same_valid_set(got, insert_oracle(trace, DEFAULT_ALPHA, tol))
+
+
 class TestSummaries:
     def test_predict_takes_argmax_earliest_tie(self):
         vs = ValidSet(0.0)
@@ -269,6 +395,17 @@ class TestInfer:
         assert res.au is None
         assert res.eu == 1.0
         assert res.valid_count == 0
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, 2.0, np.nan, np.inf, -np.inf])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        m = ramp_model()
+        with pytest.raises(InvalidInputError, match="alpha"):
+            infer(m, [0.0], [], cfg=small_chain(), alpha=alpha)
+
+    def test_alpha_zero_accepted(self):
+        m = ramp_model()
+        res = infer(m, [0.0], [], cfg=small_chain(), alpha=0.0, seed=3)
+        assert res.valid_count > 0
 
     def test_empty_action_block_accepted_as_empty_array(self):
         m = ramp_model()
