@@ -23,6 +23,27 @@ from .model import CdrmModel, score_fn
 
 DEFAULT_ALPHA = 0.5
 DEDUP_RANGE_FRACTION = 1e-3
+# Largest |floor(x / width)| a dedup cell may take: neighbour cells and the
+# differences between cell indices then stay inside int64.
+MAX_CELL_INDEX = 2.0**62
+
+
+def _dedup_tol_array(dedup_tol) -> np.ndarray:
+    tol = np.atleast_1d(np.asarray(dedup_tol, dtype=np.float64))
+    if tol.ndim != 1 or not np.all(np.isfinite(tol)) or np.any(tol < 0):
+        raise InvalidInputError("dedup_tol must be a finite non-negative scalar or vector")
+    return tol
+
+
+def _cell_index(points: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """floor(points / width) as int64; rejects cells beyond +-MAX_CELL_INDEX."""
+    cells = np.floor(points / width)
+    if not np.all(np.abs(cells) < MAX_CELL_INDEX):  # also false for NaN
+        raise InvalidInputError(
+            "dedup cell index floor(x / dedup_tol) is out of range: "
+            "dedup_tol too small for these samples, or a sample is not finite"
+        )
+    return cells.astype(np.int64)
 
 
 class ValidSet:
@@ -36,13 +57,14 @@ class ValidSet:
     sample is compared only against members in the 3^d cells adjacent to
     its own, its own included. That adjacent-cell rule is part of the
     definition: `insert` applies it one sample at a time, and
-    `collect_valid` applies the same rule to a whole trace at once.
+    `collect_valid` applies the same rule to a whole trace at once. Both
+    reject a tolerance that is NaN or infinite, and a sample whose cell
+    index lies beyond +-MAX_CELL_INDEX (a tolerance far too small for the
+    sample's magnitude), with InvalidInputError.
     """
 
     def __init__(self, dedup_tol):
-        self.dedup_tol = np.atleast_1d(np.asarray(dedup_tol, dtype=np.float64))
-        if self.dedup_tol.ndim != 1 or np.any(self.dedup_tol < 0):
-            raise InvalidInputError("dedup_tol must be a non-negative scalar or vector")
+        self.dedup_tol = _dedup_tol_array(dedup_tol)
         self.samples: list[np.ndarray] = []
         self.scores: list[float] = []
         self._flat: list[tuple] = []  # tuple mirror of samples, for cheap compares
@@ -83,7 +105,7 @@ class ValidSet:
         if self._tol is None:
             self._prepare(x.size)
         xt = tuple(x.tolist())
-        cell = tuple(np.floor(x / self._width).astype(np.int64).tolist())
+        cell = tuple(_cell_index(x, self._width).tolist())
         tol, cells, flat = self._tol, self._cells, self._flat
         for off in self._offsets:
             key = tuple(c + o for c, o in zip(cell, off))
@@ -122,29 +144,20 @@ def collect_valid(trace: ChainTrace, alpha: float, dedup_tol) -> ValidSet:
     free = np.asarray(trace.free_dims)
     valid = ValidSet(dedup_tol)
     width = valid.cell_width(free.size)
-    rows, row_scores = [], []
-    for batch, scores in zip(trace.samples[1:], trace.scores[1:]):
-        scores = np.asarray(scores, dtype=np.float64)
-        keep = np.flatnonzero(scores > alpha)
-        if keep.size:
-            rows.append(batch[keep][:, free])
-            row_scores.append(scores[keep])
-    if not rows:
+    scores = np.asarray(trace.scores, dtype=np.float64)[1:]
+    above = scores > alpha
+    if not above.any():
         return valid
-    points = np.concatenate(rows)
-    cells = np.floor(points / width).astype(np.int64)
+    # One mask over (step, index); row-major selection keeps that order.
+    points = np.asarray(trace.samples)[1:][above][:, free]
+    cells = _cell_index(points, width)
     kept = _first_seen_members(points, cells, np.array(valid._tol))
-    members = (
-        points[kept].tolist(),
-        cells[kept].tolist(),
-        np.concatenate(row_scores)[kept].tolist(),
-    )
-    # Free the candidate arrays before the members are stored. Whether the
-    # next chain re-faults its per-step temporaries (glibc trimming the heap
-    # top between steps, ~27k minor faults a query) depends on where
-    # long-lived blocks sit on the heap; members stored while these arrays
-    # were live made it more frequent in infer_data benchmark runs.
-    del rows, row_scores, points, cells
+    members = (points[kept].tolist(), cells[kept].tolist(), scores[above][kept].tolist())
+    # Free the candidate arrays before the members are stored: members
+    # stored while these arrays were live sat higher on the heap, and before
+    # the chain kept one workspace that made the next chain's per-step
+    # temporaries page-fault more often in infer_data benchmark runs.
+    del points, cells
     for xt, cell, score in zip(*members):
         valid._append(tuple(xt), tuple(cell), score)
     return valid
@@ -268,7 +281,7 @@ def infer(
     if not 0.0 <= alpha <= 1.0:  # also false for NaN
         raise InvalidInputError(f"alpha must be a finite value in [0, 1], got {alpha}")
     cfg = cfg or default_inference_config(model)
-    tol = default_dedup_tol(model) if dedup_tol is None else dedup_tol
+    tol = default_dedup_tol(model) if dedup_tol is None else _dedup_tol_array(dedup_tol)
 
     fixed = np.concatenate([s, a, np.zeros(d_next)])
     trace = langevin.run(score_fn(model), cfg.resolved(), fixed, seed)

@@ -18,7 +18,7 @@ from . import langevin
 from .errors import InvalidInputError, TrainingDivergenceError
 from .kde import KdeStats
 from .langevin import LangevinConfig, ScoreFn, SeedLike
-from .nnet import AdamState, MlpNetwork, adam_update, sigmoid
+from .nnet import AdamState, MlpNetwork, Workspace, adam_update, sigmoid
 
 # Pre-sigmoid clamp half-width: confines scores to [1e-6, 1 - 1e-6].
 LOGIT_CLIP = math.log((1.0 - 1e-6) / 1e-6)
@@ -90,14 +90,17 @@ def score(model: CdrmModel, s: np.ndarray, a: np.ndarray, s_next: np.ndarray) ->
     return float(score_batch(model, np.concatenate([s, a, s_next])[None, :])[0])
 
 
-def score_and_grad(model: CdrmModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def score_and_grad(
+    model: CdrmModel, x: np.ndarray, workspace: Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Scores and input gradients for a batch.
 
     The clamp contributes gradient 1 inside its range and 0 outside, so
-    saturated samples report an exactly zero gradient.
+    saturated samples report an exactly zero gradient. workspace is passed
+    on to the network's forward and input-gradient pass.
     """
     x = np.asarray(x, dtype=np.float64)
-    logits, dlogit = model.net.forward_and_grad_input_batch(x)
+    logits, dlogit = model.net.forward_and_grad_input_batch(x, workspace)
     in_range = np.abs(logits) < model.logit_clip
     rho = sigmoid(np.clip(logits, -model.logit_clip, model.logit_clip))
     grads = (rho * (1.0 - rho) * in_range)[:, None] * dlogit
@@ -105,8 +108,22 @@ def score_and_grad(model: CdrmModel, x: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def score_fn(model: CdrmModel) -> ScoreFn:
-    """Closure shape the Langevin sampler consumes."""
-    return lambda batch: score_and_grad(model, batch)
+    """Closure shape the Langevin sampler consumes.
+
+    The closure owns one network workspace, sized on its first call and
+    rebuilt when the batch row count changes, so a chain reuses the same
+    buffers on every step and they are freed with the closure.
+    """
+    workspace = None
+
+    def fn(batch):
+        nonlocal workspace
+        rows = len(batch)
+        if workspace is None or workspace.rows != rows:
+            workspace = Workspace(model.net.layer_dims, rows)
+        return score_and_grad(model, batch, workspace)
+
+    return fn
 
 
 def contrastive_loss(rho_pos: np.ndarray, rho_neg: np.ndarray, eps: float) -> float:

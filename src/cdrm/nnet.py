@@ -85,16 +85,25 @@ class MlpNetwork:
             )
         return x
 
-    def _forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Run the layer recurrence, keeping post-activation values per layer."""
+    def _forward_cached(
+        self, x: np.ndarray, out: list[np.ndarray] | None = None
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Run the layer recurrence, keeping post-activation values per layer.
+
+        out supplies one (n, width) array per layer to fill; fresh ones are
+        allocated when it is omitted.
+        """
+        if out is None:
+            out = [np.empty((x.shape[0], d)) for d in self.layer_dims[1:]]
         acts = [x]
-        a = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            a = z if i == last else np.tanh(z)
-            acts.append(a)
-        return a[:, 0], acts
+            z = np.matmul(acts[-1], w.T, out=out[i])
+            z += b
+            if i != last:
+                np.tanh(z, out=z)
+            acts.append(z)
+        return acts[-1][:, 0], acts
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """Logits for a batch of inputs, shape (n,)."""
@@ -112,16 +121,33 @@ class MlpNetwork:
         """d logit / d input for each row of x, shape (n, input_dim)."""
         return self.forward_and_grad_input_batch(x)[1]
 
-    def forward_and_grad_input_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Logits and input gradients from a single forward pass."""
+    def forward_and_grad_input_batch(
+        self, x: np.ndarray, workspace: "Workspace | None" = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Logits and input gradients from a single forward pass.
+
+        With a workspace sized for this network and batch, every
+        intermediate is written into its buffers and the returned arrays
+        are views into it, overwritten by the next call that uses it.
+        Without one, a fresh workspace is built for this call alone.
+        """
         x = self._check_batch(x)
-        logits, acts = self._forward_cached(x)
-        g = np.ones((x.shape[0], 1))
-        for i in range(len(self.weights) - 1, -1, -1):
-            g = g @ self.weights[i]
-            if i > 0:
-                g = g * (1.0 - acts[i] ** 2)
-        return logits, g
+        if workspace is None:
+            workspace = Workspace(self.layer_dims, x.shape[0])
+        elif workspace.layer_dims != tuple(self.layer_dims) or workspace.rows != x.shape[0]:
+            raise InvalidInputError(
+                f"workspace is sized for {workspace.rows} rows of {list(workspace.layer_dims)}, "
+                f"got {x.shape[0]} rows of {self.layer_dims}"
+            )
+        logits, acts = self._forward_cached(x, workspace.acts)
+        g = workspace.ones
+        for i in range(len(self.weights) - 1, 0, -1):
+            # g @ W[i] times 1 - a^2, written over acts[i], which is not read again
+            prod = np.matmul(g, self.weights[i], out=workspace.scratch(self.layer_dims[i]))
+            deriv = np.square(acts[i], out=acts[i])
+            np.subtract(1.0, deriv, out=deriv)
+            g = np.multiply(prod, deriv, out=deriv)
+        return logits, np.matmul(g, self.weights[0], out=workspace.input_grad)
 
     def grad_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -158,6 +184,30 @@ class MlpNetwork:
         if x.ndim != 1:
             raise InvalidInputError(f"expected a vector, got shape {x.shape}")
         return self.grad_params_batch(x[None, :], np.array([upstream]))
+
+
+class Workspace:
+    """Buffers for `forward_and_grad_input_batch` at one batch size.
+
+    acts[i] is the output of layer i (tanh applied in place on hidden
+    layers); the backward pass then overwrites each hidden output with the
+    gradient with respect to that layer's pre-activation, using one
+    hidden-width scratch array for the matmul in between. input_grad receives d logit / d input. A
+    workspace belongs to one caller; the network itself holds none, so a
+    network stays safe to share.
+    """
+
+    def __init__(self, layer_dims: list[int], rows: int):
+        self.layer_dims = tuple(layer_dims)
+        self.rows = rows
+        self.acts = [np.empty((rows, d)) for d in layer_dims[1:]]
+        self.input_grad = np.empty((rows, layer_dims[0]))
+        self.ones = np.ones((rows, 1))
+        self._scratch = np.empty(rows * max(layer_dims[1:-1], default=0))
+
+    def scratch(self, width: int) -> np.ndarray:
+        """A (rows, width) view of the shared scratch array."""
+        return self._scratch[: self.rows * width].reshape(self.rows, width)
 
 
 @dataclass

@@ -209,6 +209,17 @@ class TestInfer:
         assert stdout == ""
         assert "alpha" in stderr
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.1", "1e-300"])
+    def test_bad_dedup_tol_is_usage_error(self, capsys, model_path, tol):
+        # 1e-300 is finite but puts every sample's dedup cell beyond int64
+        code, stdout, stderr = run_cli(
+            capsys, "infer", "--model", str(model_path), "--query", "-0.7",
+            "--samples", "16", "--steps", "3", "--alpha", "0.1", "--dedup-tol", tol,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "dedup" in stderr
+
     def test_missing_model_file_is_runtime_error(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "infer", "--model", str(tmp_path / "nope.json"), "--query", "0.1"

@@ -82,6 +82,31 @@ class TestValidSet:
         with pytest.raises(InvalidInputError):
             ValidSet(-0.1)
 
+    @pytest.mark.parametrize(
+        "tol", [np.nan, np.inf, -np.inf, [0.1, np.nan]], ids=["nan", "inf", "-inf", "vector-nan"]
+    )
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(InvalidInputError, match="dedup_tol"):
+            ValidSet(tol)
+
+    @pytest.mark.parametrize(
+        "tol, x", [(1e-20, [1.0]), (1e-300, [-0.5]), (1e-18, [0.0, 9.3])], ids=["1e-20", "1e-300", "2d"]
+    )
+    def test_cell_index_beyond_int64_rejected(self, tol, x):
+        vs = ValidSet(tol)
+        with pytest.raises(InvalidInputError, match="cell index"):
+            vs.insert(np.array(x), 0.9)
+        assert len(vs) == 0
+
+    def test_small_tolerance_inside_int64_accepted(self):
+        vs = ValidSet(1e-15)  # cell index 1e15 < 2**62
+        assert vs.insert(np.array([1.0]), 0.9)
+        assert not vs.insert(np.array([1.0 + 5e-16]), 0.9)
+
+    def test_non_finite_sample_rejected(self):
+        with pytest.raises(InvalidInputError, match="cell index"):
+            ValidSet(0.1).insert(np.array([np.nan]), 0.9)
+
     def test_tolerance_width_mismatch_rejected(self):
         vs = ValidSet(np.array([0.1, 0.1, 0.1]))
         with pytest.raises(InvalidInputError):
@@ -167,6 +192,22 @@ class TestCollectValid:
         valid = collect_valid(trace, alpha=0.5, dedup_tol=0.1)
         assert [float(s[0]) for s in valid.samples] == [0.05, 0.19]
         assert valid.scores == [0.9, 0.7]
+
+
+    def test_stacked_trace_matches_list_trace(self):
+        listed = hand_trace()
+        stacked = ChainTrace(
+            np.stack(listed.samples), np.stack(listed.scores), listed.per_step_max, np.array([1])
+        )
+        got = collect_valid(stacked, alpha=0.5, dedup_tol=0.05)
+        want = collect_valid(listed, alpha=0.5, dedup_tol=0.05)
+        assert_same_valid_set(got, want)
+
+    @pytest.mark.parametrize("tol", [np.nan, 1e-20])
+    def test_bad_tolerance_rejected(self, tol):
+        # nan fails up front; 1e-20 puts the 0.5 candidate in cell 5e19
+        with pytest.raises(InvalidInputError):
+            collect_valid(hand_trace(), alpha=0.5, dedup_tol=tol)
 
 
 def insert_oracle(trace, alpha, dedup_tol):
@@ -401,6 +442,11 @@ class TestInfer:
         m = ramp_model()
         with pytest.raises(InvalidInputError, match="alpha"):
             infer(m, [0.0], [], cfg=small_chain(), alpha=alpha)
+
+    def test_nan_dedup_tol_rejected_before_the_chain(self):
+        m = ramp_model()
+        with pytest.raises(InvalidInputError, match="dedup_tol"):
+            infer(m, [0.0], [], cfg=small_chain(), dedup_tol=np.nan)
 
     def test_alpha_zero_accepted(self):
         m = ramp_model()

@@ -2,16 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrm.errors import InvalidInputError, SamplingFailureError
 from cdrm.langevin import (
-    ChainTrace,
     LangevinConfig,
+    _stream_states,
     derive_seed,
-    init_uniform,
     run,
     sample_rng,
-    step,
 )
 
 
@@ -72,26 +72,37 @@ def test_resolved_requires_dims_and_bounds():
 
 
 def test_init_uniform_within_bounds_and_deterministic():
-    cfg = full_cfg(n_samples=32)
-    a = init_uniform(cfg, seed=3)
-    b = init_uniform(cfg, seed=3)
+    cfg = full_cfg(n_samples=32, steps=0)
+    a = run(quadratic_score([0.0, 0.0]), cfg, None, seed=3).samples[0]
+    b = run(quadratic_score([0.0, 0.0]), cfg, None, seed=3).samples[0]
     assert np.array_equal(a, b)
     assert np.all(a >= -1.0) and np.all(a <= 1.0)
 
 
 def test_init_uniform_freezes_fixed_dims():
-    cfg = full_cfg(d=3, free_dims=[2], bounds=np.array([[-1.0, 1.0]]))
+    cfg = full_cfg(d=3, free_dims=[2], bounds=np.array([[-1.0, 1.0]]), steps=0)
     fixed = np.array([0.25, -0.5, 0.0])
-    batch = init_uniform(cfg, seed=0, fixed_values=fixed)
+    batch = run(quadratic_score([0.0, 0.0, 0.0]), cfg, fixed, seed=0).samples[0]
     assert np.all(batch[:, 0] == 0.25)
     assert np.all(batch[:, 1] == -0.5)
     assert np.ptp(batch[:, 2]) > 0
 
 
 def test_init_uniform_requires_fixed_values_when_frozen():
-    cfg = full_cfg(d=3, free_dims=[2], bounds=np.array([[-1.0, 1.0]]))
+    cfg = full_cfg(d=3, free_dims=[2], bounds=np.array([[-1.0, 1.0]]), steps=0)
     with pytest.raises(InvalidInputError):
-        init_uniform(cfg, seed=0)
+        run(quadratic_score([0.0, 0.0, 0.0]), cfg, None, seed=0)
+
+
+def test_fixed_values_must_cover_free_dims():
+    cfg = full_cfg(d=3, free_dims=[2], bounds=np.array([[-1.0, 1.0]]), steps=0)
+    with pytest.raises(InvalidInputError):
+        run(quadratic_score([0.0, 0.0]), cfg, np.array([0.1, 0.2]), seed=0)
+
+
+def test_bounds_width_must_be_finite():
+    with pytest.raises(InvalidInputError):
+        full_cfg(d=1, bounds=np.array([[-1e308, 1e308]]))
 
 
 def test_run_trace_shapes():
@@ -189,10 +200,14 @@ def test_nonfinite_gradient_raises():
 
 
 def test_step_single_update():
-    cfg = full_cfg(noise_scale=0.0)
-    batch = np.zeros((8, 2)) + 0.5
-    out = step(quadratic_score([0.0, 0.0]), batch, cfg, sample_rng(0, 0))
-    np.testing.assert_allclose(out, 0.5 + 0.05 * (-1.0), atol=1e-15)
+    # one noiseless step is x + step_size * grad, clipped, on every sample
+    cfg = full_cfg(steps=1, noise_scale=0.0)
+    fn = quadratic_score([0.0, 0.0])
+    trace = run(fn, cfg, None, seed=0)
+    x0 = trace.samples[0]
+    expect = np.clip(x0 + 0.05 * fn(x0)[1], -1.0, 1.0)
+    assert np.array_equal(trace.samples[1], expect)
+    assert np.array_equal(trace.scores[1], fn(expect)[0])
 
 
 def test_zero_steps_returns_init_only():
@@ -200,3 +215,61 @@ def test_zero_steps_returns_init_only():
     trace = run(quadratic_score([0.0, 0.0]), cfg, None, seed=0)
     assert len(trace.samples) == 1
     assert trace.per_step_max.shape == (0,)
+
+
+def test_run_streams_follow_sample_rng():
+    # stream i draws sample i's init, then its noise for every step
+    bounds = np.array([[-2.0, 0.5], [-10.0, 10.0]])
+    cfg = full_cfg(d=3, free_dims=[2, 0], bounds=bounds, steps=3, noise_scale=0.02, n_samples=5)
+    fixed = np.array([0.0, 0.75, 0.0])
+
+    def flat(batch):
+        return np.zeros(len(batch)), np.zeros_like(batch)
+
+    trace = run(flat, cfg, fixed, seed=(4, 2**63 + 5))
+    for i in range(cfg.n_samples):
+        rng = sample_rng((4, 2**63 + 5), i)
+        x = np.array(fixed)
+        x[[2, 0]] = rng.uniform(bounds[:, 0], bounds[:, 1])
+        assert np.array_equal(trace.samples[0, i], x)
+        noise = rng.normal(0.0, 0.02, size=(3, 2))
+        for l in range(3):
+            x[[2, 0]] = np.clip(x[[2, 0]] + 0.0 + noise[l], bounds[:, 0], bounds[:, 1])
+            assert np.array_equal(trace.samples[l + 1, i], x)
+
+
+def test_run_records_into_stacked_arrays():
+    cfg = full_cfg(steps=4, n_samples=6)
+    trace = run(quadratic_score([0.1, 0.0]), cfg, None, seed=2)
+    assert trace.samples.shape == (5, 6, 2)
+    assert trace.scores.shape == (5, 6)
+    assert np.array_equal(trace.per_step_max, trace.scores[1:].max(axis=1))
+
+
+seeds = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.just(0),
+    st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6).map(tuple),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=st.integers(1, 600), data=st.data())
+def test_batched_stream_states_match_sample_rng(seed, n, data):
+    states = _stream_states(seed, n)
+    assert len(states) == n
+    indices = {0, n - 1} | set(data.draw(st.lists(st.integers(0, n - 1), max_size=8)))
+    bitgen = np.random.PCG64(0)
+    batched = np.random.Generator(bitgen)
+    lows, highs = np.array([-1.0, 0.0, -3.5]), np.array([1.0, 0.0, 2.25])
+    for i in sorted(indices):
+        ref = sample_rng(seed, i)
+        assert states[i]["state"] == ref.bit_generator.state["state"]
+        bitgen.state = states[i]
+        assert np.array_equal(lows + (highs - lows) * batched.random(3), ref.uniform(lows, highs))
+        assert np.array_equal(batched.normal(0.0, 0.01, (4, 3)), ref.normal(0.0, 0.01, (4, 3)))
+    # every stream, not just the drawn indices, starts where sample_rng starts
+    assert [s["state"] for s in states] == [
+        sample_rng(seed, i).bit_generator.state["state"] for i in range(n)
+    ]

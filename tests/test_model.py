@@ -145,6 +145,23 @@ class TestScoreGradient:
         np.testing.assert_array_equal(grad_a, grad_b)
 
 
+    def test_score_fn_closure_survives_row_count_change(self):
+        # one closure, one workspace rebuilt when the batch size changes
+        m = CdrmModel(
+            net=MlpNetwork.initialize([2, 64, 128, 64, 1], seed=2),
+            input_bounds=np.tile([-1.0, 1.0], (2, 1)),
+            dims=(1, 0, 1),
+        )
+        fn = score_fn(m)
+        rng = np.random.default_rng(8)
+        for rows in [32, 32, 512, 1, 512]:
+            x = rng.uniform(-1, 1, size=(rows, 2))
+            rho_a, grad_a = fn(x)
+            rho_b, grad_b = score_and_grad(m, x)
+            assert rho_a.tobytes() == rho_b.tobytes()
+            assert grad_a.tobytes() == grad_b.tobytes()
+
+
 class TestContrastiveLoss:
     def test_hand_computed_value(self):
         rho_pos = np.array([0.9, 0.8])

@@ -119,6 +119,59 @@ class TestFormatErrors:
             load_model(path)
 
 
+def _edit_kde(path, field, value):
+    doc = json.loads(path.read_text())
+    doc["kde"][field] = value
+    path.write_text(json.dumps(doc))
+
+
+class TestKdeFields:
+    """Hand-edited density fields are refused at load, not in `kde.base_eu`."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bandwidth", 0.0),
+            ("bandwidth", -0.5),
+            ("bandwidth", float("nan")),
+            ("bandwidth", float("inf")),
+            ("sigma", 0.0),
+            ("sigma", -1.0),
+            ("sigma", float("nan")),
+            ("sigma", float("inf")),
+            ("mu", float("nan")),
+            ("mu", float("-inf")),
+        ],
+    )
+    def test_bad_scalar_rejected(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        save_model(path, make_model())
+        _edit_kde(path, field, value)
+        with pytest.raises(ModelFormatError, match=field):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_reference_point_rejected(self, tmp_path, bad):
+        path = tmp_path / "model.json"
+        save_model(path, make_model())
+        refs = make_model().kde_stats.reference_points.tolist()
+        refs[3][0] = bad
+        _edit_kde(path, "reference_points", refs)
+        with pytest.raises(ModelFormatError, match="finite"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "refs", [[[0.1, 0.2], [0.3, 0.4]], [0.1, 0.2], [], [[]]], ids=["wide", "flat", "empty", "zero-width"]
+    )
+    def test_reference_width_must_match_query_dims(self, tmp_path, refs):
+        # the model has d_s + d_a = 1, so reference points are (n, 1)
+        path = tmp_path / "model.json"
+        save_model(path, make_model())
+        _edit_kde(path, "reference_points", refs)
+        with pytest.raises(ModelFormatError, match="reference points"):
+            load_model(path)
+
+
 class TestProvenance:
     def test_same_config_same_fingerprint(self):
         a = provenance_for(TrainConfig(epochs=3, seed=9))

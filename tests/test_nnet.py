@@ -8,6 +8,7 @@ from cdrm.nnet import (
     AdamState,
     MlpNetwork,
     ParamGradient,
+    Workspace,
     adam_update,
     sigmoid,
 )
@@ -104,6 +105,37 @@ def test_forward_and_grad_consistent_with_separate_calls():
     logits, grads = net.forward_and_grad_input_batch(x)
     assert np.array_equal(logits, net.forward_batch(x))
     assert np.array_equal(grads, net.grad_input_batch(x))
+
+
+@pytest.mark.parametrize("rows", [1, 32, 512])
+def test_workspace_matches_fresh_path_bit_for_bit(rows):
+    net = MlpNetwork.initialize([2, 64, 128, 64, 1], seed=4)
+    rng = np.random.default_rng(rows)
+    ws = Workspace(net.layer_dims, rows)
+    for _ in range(3):  # repeated calls overwrite the same buffers
+        x = rng.uniform(-1, 1, (rows, 2))
+        want_logits, want_grads = net.forward_and_grad_input_batch(x)
+        got_logits, got_grads = net.forward_and_grad_input_batch(x, ws)
+        assert got_logits.tobytes() == want_logits.tobytes()
+        assert got_grads.tobytes() == want_grads.tobytes()
+        assert np.shares_memory(got_grads, ws.input_grad)
+
+
+def test_workspace_single_layer_network():
+    net = MlpNetwork.initialize([3, 1], seed=1)
+    x = np.random.default_rng(0).uniform(-1, 1, (4, 3))
+    logits, grads = net.forward_and_grad_input_batch(x, Workspace(net.layer_dims, 4))
+    assert logits.tobytes() == net.forward_batch(x).tobytes()
+    assert np.array_equal(grads, np.tile(net.weights[0], (4, 1)))
+
+
+def test_workspace_size_mismatch_rejected():
+    net = MlpNetwork.initialize([2, 8, 1], seed=0)
+    x = np.zeros((4, 2))
+    with pytest.raises(InvalidInputError):
+        net.forward_and_grad_input_batch(x, Workspace(net.layer_dims, 5))
+    with pytest.raises(InvalidInputError):
+        net.forward_and_grad_input_batch(x, Workspace([2, 9, 1], 4))
 
 
 def test_grad_params_matches_finite_difference():
