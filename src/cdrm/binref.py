@@ -135,7 +135,8 @@ def memory_report(d_s: int, d_a: int, b: int, d_next: int | None = None) -> Memo
     The joint scheme is what build() allocates: one cell per combination
     over all dimensions (next-state dims defaulting to d_s). The second
     figure is the d_s^2 * d_a * b^3 scaling estimate, reported alongside
-    for comparison; the two coincide at d_s = d_a = 1.
+    for comparison; the two coincide at d_s = d_a = 1. The estimate is 0
+    whenever d_a = 0, as for both generated datasets and every bench row.
     """
     if d_s < 1 or d_a < 0 or b < 1:
         raise InvalidInputError("dims must be positive and b >= 1")

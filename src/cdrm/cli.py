@@ -9,11 +9,12 @@ runtime failure, 2 usage or validation problem.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -30,8 +31,7 @@ from .errors import (
     UnpreparedModelError,
     UnsupportedVersionError,
 )
-from .inference import infer
-from .langevin import LangevinConfig
+from .inference import DEFAULT_ALPHA, default_inference_config, infer
 from .model import CdrmModel, TrainConfig, train
 from .nnet import MlpNetwork
 
@@ -55,48 +55,63 @@ _RUNTIME_ERRORS = (
     DegenerateDatasetError,
 )
 
+_ROOM_LAYOUT = data.RoomLayout()
+
+
+def _default(fn, name: str):
+    """Declared default of one parameter of fn."""
+    return inspect.signature(fn).parameters[name].default
+
+
+def _rect_text(rect: data.Rect) -> str:
+    return ",".join(f"{v:g}" for v in astuple(rect))
+
+
+# Room-layout keys, shared by `gen room` and `eval`.
+_LAYOUT_DEFAULTS = {
+    "noisy_region": _rect_text(_ROOM_LAYOUT.noisy_region),
+    "hidden_region": _rect_text(_ROOM_LAYOUT.hidden_region),
+    "noise_mean": _ROOM_LAYOUT.noise_mean,
+    "noise_std": _ROOM_LAYOUT.noise_std,
+}
+
+_TOY_KEYS = ("n_per_region", "sigma_eta", "multimodal", "seed")
+
+# Chain flag -> (LangevinConfig field, parser). A flag left unset keeps
+# the value of inference.default_inference_config.
+_CHAIN_FLAGS = {
+    "samples": ("n_samples", int),
+    "steps": ("steps", int),
+    "step_size": ("step_size", float),
+    "noise": ("noise_scale", float),
+}
+
 _DEFAULTS: dict[str, dict] = {
     "gen toy": {
         "out": None,
-        "n_per_region": 200,
-        "sigma_eta": 0.2,
-        "multimodal": False,
-        "seed": 0,
+        **{k: _default(data.gen_toy, k) for k in _TOY_KEYS},
     },
     "gen room": {
         "out": None,
         "steps": None,
-        "walk_step": 0.12,
-        "noisy_region": "0,0,0.3,0.3",
-        "hidden_region": "0.7,0.7,1,1",
-        "noise_mean": 1.0,
-        "noise_std": 0.5,
-        "seed": 0,
+        "walk_step": _default(data.gen_room, "walk_step"),
+        **_LAYOUT_DEFAULTS,
+        "seed": _default(data.gen_room, "seed"),
     },
     "train": {
         "data": None,
         "out": None,
         "loss_out": None,
-        "epochs": 100,
+        "epochs": 100,  # TrainConfig.epochs has no default of its own
         "hidden": "64,128,64",
-        "positive_batch": 32,
-        "negative_batch": 32,
-        "langevin_steps": 10,
-        "langevin_step_size": 0.1,
-        "langevin_noise": 0.01,
-        "learning_rate": 0.01,
-        "stability_eps": 1e-6,
         "bandwidth": "median",
-        "seed": 0,
+        **{f.name: f.default for f in fields(TrainConfig) if f.default is not MISSING},
     },
     "infer": {
         "model": None,
         "query": None,
-        "alpha": 0.5,
-        "samples": 512,
-        "steps": 50,
-        "step_size": 0.1,
-        "noise": 0.01,
+        "alpha": DEFAULT_ALPHA,
+        **dict.fromkeys(_CHAIN_FLAGS),
         "dedup_tol": None,
         "seed": 0,
     },
@@ -104,17 +119,10 @@ _DEFAULTS: dict[str, dict] = {
         "model": None,
         "out": None,
         "probes_out": None,
-        "grid": 40,
-        "alpha": 0.5,
-        "samples": 512,
-        "steps": 50,
-        "step_size": 0.1,
-        "noise": 0.01,
-        "noisy_region": "0,0,0.3,0.3",
-        "hidden_region": "0.7,0.7,1,1",
-        "noise_mean": 1.0,
-        "noise_std": 0.5,
-        "oracle_stub": False,
+        "grid": _default(metrics.evaluate_room, "grid_resolution"),
+        "alpha": DEFAULT_ALPHA,
+        **dict.fromkeys(_CHAIN_FLAGS),
+        **_LAYOUT_DEFAULTS,
         "seed": 0,
     },
     "oracle": {
@@ -122,11 +130,8 @@ _DEFAULTS: dict[str, dict] = {
         "data": None,
         "bins": 100,
         "grid_probes": 50,
-        "alpha": 0.5,
-        "samples": 512,
-        "steps": 50,
-        "step_size": 0.1,
-        "noise": 0.01,
+        "alpha": DEFAULT_ALPHA,
+        **dict.fromkeys(_CHAIN_FLAGS),
         "out": None,
         "seed": 0,
     },
@@ -141,6 +146,10 @@ _DEFAULTS: dict[str, dict] = {
         "seed": 0,
     },
 }
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 @dataclass
@@ -184,8 +193,19 @@ class RunConfig:
     def require(self, *names):
         for name in names:
             if self.values.get(name) is None:
-                flag = "--" + name.replace("_", "-")
-                raise InvalidInputError(f"{flag} is required for '{self.command}'")
+                raise InvalidInputError(f"{_flag(name)} is required for '{self.command}'")
+
+    def typed(self, *names) -> dict:
+        """Named knobs, each parsed as the type of its built-in default."""
+        defaults = _DEFAULTS[self.command]
+        return {name: type(defaults[name])(self.values[name]) for name in names}
+
+    def count(self, name: str) -> int:
+        """An integer knob that must be at least 1."""
+        value = int(self.values[name])
+        if value < 1:
+            raise InvalidInputError(f"{_flag(name)} must be >= 1, got {value}")
+        return value
 
 
 def _fmt(v) -> str:
@@ -245,35 +265,21 @@ def _layout(cfg: RunConfig) -> data.RoomLayout:
     )
 
 
-def _inference_config(cfg: RunConfig, model: CdrmModel) -> LangevinConfig:
-    free = model.next_state_dims
-    return LangevinConfig(
-        n_samples=int(cfg.samples),
-        steps=int(cfg.steps),
-        step_size=float(cfg.step_size),
-        noise_scale=float(cfg.noise),
-        direction="ascent",
-        free_dims=free,
-        bounds=model.input_bounds[free],
-    )
+def _chain_overrides(cfg: RunConfig) -> dict:
+    """LangevinConfig fields for the chain flags the user set."""
+    return {
+        field: parse(cfg.values[key])
+        for key, (field, parse) in _CHAIN_FLAGS.items()
+        if cfg.values[key] is not None
+    }
 
 
 def cmd_gen(cfg: RunConfig) -> int:
     cfg.require("out")
     if cfg.command == "gen toy":
-        dataset = data.gen_toy(
-            n_per_region=int(cfg.n_per_region),
-            sigma_eta=float(cfg.sigma_eta),
-            multimodal=bool(cfg.multimodal),
-            seed=int(cfg.seed),
-        )
-        meta = {
-            "command": "gen toy",
-            "n_per_region": int(cfg.n_per_region),
-            "sigma_eta": float(cfg.sigma_eta),
-            "multimodal": bool(cfg.multimodal),
-            "seed": int(cfg.seed),
-        }
+        params = cfg.typed(*_TOY_KEYS)
+        dataset = data.gen_toy(**params)
+        meta = {"command": "gen toy", **params}
     else:
         cfg.require("steps")
         layout = _layout(cfg)
@@ -305,17 +311,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if len(dataset) == 0:
         raise InvalidInputError("cannot train on an empty dataset")
     hidden = _ints(cfg.hidden)
-    train_cfg = TrainConfig(
-        epochs=int(cfg.epochs),
-        positive_batch=int(cfg.positive_batch),
-        negative_batch=int(cfg.negative_batch),
-        langevin_steps=int(cfg.langevin_steps),
-        langevin_step_size=float(cfg.langevin_step_size),
-        langevin_noise=float(cfg.langevin_noise),
-        learning_rate=float(cfg.learning_rate),
-        stability_eps=float(cfg.stability_eps),
-        seed=int(cfg.seed),
-    )
+    train_cfg = TrainConfig(**cfg.typed(*(f.name for f in fields(TrainConfig))))
     bandwidth = cfg.bandwidth
     if bandwidth != "median":
         bandwidth = float(bandwidth)
@@ -355,7 +351,7 @@ def cmd_infer(cfg: RunConfig) -> int:
         model,
         s,
         a,
-        cfg=_inference_config(cfg, model),
+        cfg=replace(default_inference_config(model), **_chain_overrides(cfg)),
         alpha=float(cfg.alpha),
         dedup_tol=tol,
         seed=int(cfg.seed),
@@ -370,54 +366,22 @@ def cmd_infer(cfg: RunConfig) -> int:
     return 0
 
 
-def _stub_evaluation(layout: data.RoomLayout, resolution: int) -> metrics.RoomEvaluation:
-    """Testing hook: scores every probe by its true label."""
-    records = []
-    for probe in metrics.probe_grid(resolution):
-        label = data.label_probe(layout, probe)
-        records.append(
-            metrics.ProbeRecord(
-                x=float(probe[0]),
-                y=float(probe[1]),
-                label=label.value,
-                au_score=float(label is data.RegionLabel.AU_POSITIVE),
-                eu_score=float(label is data.RegionLabel.EU_POSITIVE),
-                valid_count=0,
-            )
-        )
-    au = [
-        metrics.ScoredProbe(np.array([r.x, r.y]), r.au_score, int(r.au_score == 1.0))
-        for r in records
-    ]
-    eu = [
-        metrics.ScoredProbe(np.array([r.x, r.y]), r.eu_score, int(r.eu_score == 1.0))
-        for r in records
-    ]
-    return metrics.RoomEvaluation(
-        au_auroc=metrics.auroc(au),
-        au_auprc=metrics.auprc(au),
-        eu_auroc=metrics.auroc(eu),
-        eu_auprc=metrics.auprc(eu),
-        probes=records,
-    )
-
-
 def cmd_eval(cfg: RunConfig) -> int:
     cfg.require("model", "out")
     layout = _layout(cfg)
-    resolution = int(cfg.grid)
-    if cfg.oracle_stub:
-        evaluation = _stub_evaluation(layout, resolution)
-    else:
-        model = model_io.load_model(cfg.model)
-        evaluation = metrics.evaluate_room(
-            model,
-            layout=layout,
-            grid_resolution=resolution,
-            langevin_cfg=_inference_config(cfg, model),
-            alpha=float(cfg.alpha),
-            seed=int(cfg.seed),
+    model = model_io.load_model(cfg.model)
+    if model.dims != data.ROOM_DIMS:
+        raise InvalidInputError(
+            f"eval expects a room model with dims {data.ROOM_DIMS}, got {model.dims}"
         )
+    evaluation = metrics.evaluate_room(
+        model,
+        layout=layout,
+        grid_resolution=int(cfg.grid),
+        langevin_cfg=replace(default_inference_config(model), **_chain_overrides(cfg)),
+        alpha=float(cfg.alpha),
+        seed=int(cfg.seed),
+    )
     row = evaluation.row()
     _write_csv(
         cfg.out,
@@ -436,6 +400,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_oracle(cfg: RunConfig) -> int:
     cfg.require("model", "data")
+    n_probes = cfg.count("grid_probes")
     model = model_io.load_model(cfg.model)
     dataset = data.load_csv(cfg.data)
     d_s, d_a, _ = model.dims
@@ -443,8 +408,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
         raise InvalidInputError("oracle agreement suite expects a 1-D stateless dataset")
     grid = binref.build(dataset, int(cfg.bins))
     lo, hi = model.input_bounds[0]
-    probes = np.linspace(lo, hi, int(cfg.grid_probes))
-    chain_cfg = _inference_config(cfg, model)
+    probes = np.linspace(lo, hi, n_probes)
+    chain_cfg = replace(default_inference_config(model), **_chain_overrides(cfg))
     rows = []
     agreements = 0
     for i, x in enumerate(probes):
@@ -478,8 +443,8 @@ def cmd_bench(cfg: RunConfig) -> int:
     cfg.require("out")
     b_values = _ints(cfg.b_values)
     l_values = _ints(cfg.l_values)
-    reps = int(cfg.reps)
-    n_queries = int(cfg.bin_queries)
+    reps = cfg.count("reps")
+    n_queries = cfg.count("bin_queries")
     rng = np.random.default_rng(int(cfg.seed))
     n = int(cfg.dataset_size)
     tuples = rng.uniform(0.0, 1.0, size=(n, 2))
@@ -513,16 +478,9 @@ def cmd_bench(cfg: RunConfig) -> int:
         bin_ns[b] = statistics.median(samples)
 
     cdrm_ns = {}
+    bench_cfg = replace(default_inference_config(model), n_samples=int(cfg.samples))
     for L in l_values:
-        chain_cfg = LangevinConfig(
-            n_samples=int(cfg.samples),
-            steps=L,
-            step_size=0.1,
-            noise_scale=0.01,
-            direction="ascent",
-            free_dims=model.next_state_dims,
-            bounds=model.input_bounds[model.next_state_dims],
-        )
+        chain_cfg = replace(bench_cfg, steps=L)
         samples = []
         for rep in range(reps):
             t0 = time.perf_counter_ns()
@@ -558,7 +516,7 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 def _add_common(sub: argparse.ArgumentParser, keys: dict) -> None:
     for key, default in keys.items():
-        flag = "--" + key.replace("_", "-")
+        flag = _flag(key)
         if isinstance(default, bool):
             sub.add_argument(flag, dest=key, action="store_true", default=argparse.SUPPRESS)
         else:

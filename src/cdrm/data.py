@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DatasetFormatError, InvalidInputError, OutOfBoundsError
 
 TOY_GAP = (-0.33, 0.33)  # input interval generating no samples at all
+ROOM_DIMS = (2, 0, 1)  # (x, y) state, no action, sensed temperature
 
 
 @dataclass
@@ -223,7 +224,7 @@ def gen_room(
     k_high = float(kappa_col.max()) + 0.05
     return TransitionDataset(
         rows,
-        dims=(2, 0, 1),
+        dims=ROOM_DIMS,
         bounds=np.array([[0.0, 1.0], [0.0, 1.0], [k_low, k_high]]),
     )
 

@@ -7,7 +7,7 @@ score rank unreachable-region probes above everything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +109,6 @@ def probe_grid(grid_resolution: int) -> np.ndarray:
 
 def evaluate_room(
     model: CdrmModel,
-    kde_stats=None,
     layout: RoomLayout | None = None,
     grid_resolution: int = 40,
     langevin_cfg: LangevinConfig | None = None,
@@ -123,8 +122,6 @@ def evaluate_room(
     the evaluation is deterministic and independent of grid order.
     """
     layout = layout or RoomLayout()
-    if kde_stats is not None:
-        model = replace(model, kde_stats=kde_stats)
     cfg = langevin_cfg or default_inference_config(model)
     records: list[ProbeRecord] = []
     for i, probe in enumerate(probe_grid(grid_resolution)):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -37,21 +38,12 @@ def _nested(arr: np.ndarray):
 
 
 def provenance_for(cfg: TrainConfig) -> dict:
-    """Training-run fingerprint stored inside the model file."""
-    blob = json.dumps(
-        {
-            "epochs": cfg.epochs,
-            "positive_batch": cfg.positive_batch,
-            "negative_batch": cfg.negative_batch,
-            "langevin_steps": cfg.langevin_steps,
-            "langevin_step_size": cfg.langevin_step_size,
-            "langevin_noise": cfg.langevin_noise,
-            "learning_rate": cfg.learning_rate,
-            "stability_eps": cfg.stability_eps,
-            "seed": list(langevin.derive_seed(cfg.seed)),
-        },
-        sort_keys=True,
-    )
+    """Training-run fingerprint stored inside the model file.
+
+    The hash covers every TrainConfig field, with the seed expanded by
+    derive_seed, so a new field changes every fingerprint.
+    """
+    blob = json.dumps({**asdict(cfg), "seed": list(langevin.derive_seed(cfg.seed))}, sort_keys=True)
     return {
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
         "seed": list(langevin.derive_seed(cfg.seed)),

@@ -110,17 +110,6 @@ class MlpNetwork:
         x = self._check_batch(x)
         return self._forward_cached(x)[0]
 
-    def forward(self, x: np.ndarray) -> float:
-        """Logit for a single input vector."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise InvalidInputError(f"expected a vector, got shape {x.shape}")
-        return float(self.forward_batch(x[None, :])[0])
-
-    def grad_input_batch(self, x: np.ndarray) -> np.ndarray:
-        """d logit / d input for each row of x, shape (n, input_dim)."""
-        return self.forward_and_grad_input_batch(x)[1]
-
     def forward_and_grad_input_batch(
         self, x: np.ndarray, workspace: "Workspace | None" = None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -149,12 +138,6 @@ class MlpNetwork:
             g = np.multiply(prod, deriv, out=deriv)
         return logits, np.matmul(g, self.weights[0], out=workspace.input_grad)
 
-    def grad_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise InvalidInputError(f"expected a vector, got shape {x.shape}")
-        return self.grad_input_batch(x[None, :])[0]
-
     def grad_params_batch(self, x: np.ndarray, upstream: np.ndarray) -> "ParamGradient":
         """Gradient of sum_i upstream[i] * logit(x_i) w.r.t. every parameter.
 
@@ -178,12 +161,6 @@ class MlpNetwork:
             if i > 0:
                 g = (g @ self.weights[i]) * (1.0 - acts[i] ** 2)
         return ParamGradient(d_weights, d_biases)
-
-    def grad_params(self, x: np.ndarray, upstream: float) -> "ParamGradient":
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise InvalidInputError(f"expected a vector, got shape {x.shape}")
-        return self.grad_params_batch(x[None, :], np.array([upstream]))
 
 
 class Workspace:

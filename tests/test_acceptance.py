@@ -62,6 +62,10 @@ def probe(m, x, seed, alpha=ACCEPT_ALPHA):
     return inference.infer(m, np.array([x]), np.empty(0), alpha=alpha, seed=seed)
 
 
+def logit(net, x):
+    return float(net.forward_batch(x[None, :])[0])
+
+
 def test_c01_gradients_match_finite_differences(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
@@ -94,14 +98,14 @@ def test_c01_gradients_match_finite_differences(capsys):
                 xp, xm = x.copy(), x.copy()
                 xp[j] += h
                 xm[j] -= h
-                fd_in[j] = (net.forward(xp) - net.forward(xm)) / (2 * h)
-            an_in = net.grad_input(x)
+                fd_in[j] = (logit(net, xp) - logit(net, xm)) / (2 * h)
+            an_in = net.forward_and_grad_input_batch(x[None, :])[1][0]
             err_in = np.abs(fd_in - an_in).max() / max(
                 np.abs(fd_in).max(), np.abs(an_in).max(), 1e-12
             )
 
             picks = rng.choice(len(coords), size=min(40, len(coords)), replace=False)
-            grad = net.grad_params(x, 1.0)
+            grad = net.grad_params_batch(x[None, :], np.ones(1))
             fd_p, an_p = [], []
             for p in picks:
                 kind, li, idx = coords[p]
@@ -109,9 +113,9 @@ def test_c01_gradients_match_finite_differences(capsys):
                 garr = grad.weights[li] if kind == 0 else grad.biases[li]
                 old = arr[idx]
                 arr[idx] = old + h
-                fp = net.forward(x)
+                fp = logit(net, x)
                 arr[idx] = old - h
-                fm = net.forward(x)
+                fm = logit(net, x)
                 arr[idx] = old
                 fd_p.append((fp - fm) / (2 * h))
                 an_p.append(garr[idx])

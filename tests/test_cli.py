@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
-from cdrm import data, model_io
+from cdrm import data, inference, model_io
 from cdrm.cli import run
+from cdrm.model import TrainConfig
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +36,32 @@ def train_tiny(capsys, data_path, out_path, *extra):
         *extra,
     ]
     return run_cli(capsys, *args)
+
+
+@pytest.fixture
+def toy_model(capsys, tmp_path, tiny_toy_csv):
+    out = tmp_path / "model.json"
+    assert train_tiny(capsys, tiny_toy_csv, out)[0] == 0
+    return out
+
+
+@pytest.fixture
+def room_csv(capsys, tmp_path):
+    room = tmp_path / "room.csv"
+    assert run_cli(capsys, "gen", "room", "--out", str(room), "--steps", "30")[0] == 0
+    return room
+
+
+@pytest.fixture
+def room_model(capsys, tmp_path, room_csv):
+    out = tmp_path / "room_model.json"
+    code, _, _ = run_cli(
+        capsys, "train", "--data", str(room_csv), "--out", str(out),
+        "--epochs", "1", "--hidden", "8", "--positive-batch", "16",
+        "--negative-batch", "4", "--langevin-steps", "1",
+    )
+    assert code == 0
+    return out
 
 
 class TestGen:
@@ -144,6 +171,15 @@ class TestTrain:
         assert code == 2
         assert "empty" in stderr
 
+    def test_default_config_provenance(self, capsys, tmp_path, tiny_toy_csv):
+        out = tmp_path / "m.json"
+        code, _, _ = run_cli(
+            capsys, "train", "--data", str(tiny_toy_csv), "--out", str(out),
+            "--epochs", "1", "--hidden", "8",
+        )
+        assert code == 0
+        assert model_io.load_model(out).provenance == model_io.provenance_for(TrainConfig(epochs=1))
+
     def test_unparseable_flag_is_usage_error(self, capsys, tmp_path, tiny_toy_csv):
         code, _, _ = train_tiny(capsys, tiny_toy_csv, tmp_path / "m.json", "--epochs", "two")
         assert code == 2
@@ -166,16 +202,21 @@ class TestTrain:
 
 
 class TestInfer:
-    @pytest.fixture
-    def model_path(self, capsys, tmp_path, tiny_toy_csv):
-        out = tmp_path / "model.json"
-        assert train_tiny(capsys, tiny_toy_csv, out)[0] == 0
-        return out
+    def test_defaults_match_library(self, capsys, toy_model):
+        code, stdout, _ = run_cli(capsys, "infer", "--model", str(toy_model), "--query", "-0.7")
+        assert code == 0
+        result = inference.infer(model_io.load_model(toy_model), np.array([-0.7]), np.empty(0))
+        assert json.loads(stdout) == {
+            "prediction": None if result.prediction is None else list(result.prediction),
+            "eu": result.eu,
+            "au": result.au,
+            "valid_count": result.valid_count,
+        }
 
-    def test_prints_result_json(self, capsys, model_path):
+    def test_prints_result_json(self, capsys, toy_model):
         code, stdout, _ = run_cli(
             capsys, "infer",
-            "--model", str(model_path), "--query", "-0.7",
+            "--model", str(toy_model), "--query", "-0.7",
             "--samples", "16", "--steps", "3", "--alpha", "0.1",
         )
         assert code == 0
@@ -183,26 +224,26 @@ class TestInfer:
         assert set(out) == {"prediction", "eu", "au", "valid_count"}
         assert isinstance(out["valid_count"], int)
 
-    def test_deterministic_output(self, capsys, model_path):
+    def test_deterministic_output(self, capsys, toy_model):
         args = (
-            "infer", "--model", str(model_path), "--query", "-0.7",
+            "infer", "--model", str(toy_model), "--query", "-0.7",
             "--samples", "16", "--steps", "3", "--seed", "9",
         )
         _, out_a, _ = run_cli(capsys, *args)
         _, out_b, _ = run_cli(capsys, *args)
         assert out_a == out_b
 
-    def test_wrong_query_width_is_usage_error(self, capsys, model_path):
+    def test_wrong_query_width_is_usage_error(self, capsys, toy_model):
         code, _, _ = run_cli(
-            capsys, "infer", "--model", str(model_path), "--query", "0.1,0.2",
+            capsys, "infer", "--model", str(toy_model), "--query", "0.1,0.2",
             "--samples", "16", "--steps", "3",
         )
         assert code == 2
 
     @pytest.mark.parametrize("alpha", ["2", "-0.1", "nan"])
-    def test_alpha_outside_unit_interval_is_usage_error(self, capsys, model_path, alpha):
+    def test_alpha_outside_unit_interval_is_usage_error(self, capsys, toy_model, alpha):
         code, stdout, stderr = run_cli(
-            capsys, "infer", "--model", str(model_path), "--query", "-0.7",
+            capsys, "infer", "--model", str(toy_model), "--query", "-0.7",
             "--samples", "16", "--steps", "3", "--alpha", alpha,
         )
         assert code == 2
@@ -210,10 +251,10 @@ class TestInfer:
         assert "alpha" in stderr
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-0.1", "1e-300"])
-    def test_bad_dedup_tol_is_usage_error(self, capsys, model_path, tol):
+    def test_bad_dedup_tol_is_usage_error(self, capsys, toy_model, tol):
         # 1e-300 is finite but puts every sample's dedup cell beyond int64
         code, stdout, stderr = run_cli(
-            capsys, "infer", "--model", str(model_path), "--query", "-0.7",
+            capsys, "infer", "--model", str(toy_model), "--query", "-0.7",
             "--samples", "16", "--steps", "3", "--alpha", "0.1", "--dedup-tol", tol,
         )
         assert code == 2
@@ -228,13 +269,11 @@ class TestInfer:
 
 
 class TestOracle:
-    def test_agreement_report(self, capsys, tmp_path, tiny_toy_csv):
-        model_path = tmp_path / "model.json"
-        assert train_tiny(capsys, tiny_toy_csv, model_path)[0] == 0
+    def test_agreement_report(self, capsys, tmp_path, tiny_toy_csv, toy_model):
         out_csv = tmp_path / "oracle.csv"
         code, stdout, _ = run_cli(
             capsys, "oracle",
-            "--model", str(model_path), "--data", str(tiny_toy_csv),
+            "--model", str(toy_model), "--data", str(tiny_toy_csv),
             "--bins", "10", "--grid-probes", "6",
             "--samples", "16", "--steps", "3", "--out", str(out_csv),
         )
@@ -246,43 +285,48 @@ class TestOracle:
         assert lines[0] == "x,cdrm_nonempty,bin_nonempty,agree"
         assert len(lines) == 7
 
-    def test_requires_one_dimensional_stateless_model(self, capsys, tmp_path):
-        room = tmp_path / "room.csv"
-        run_cli(capsys, "gen", "room", "--out", str(room), "--steps", "30")
-        model_path = tmp_path / "room_model.json"
-        code, _, _ = run_cli(
-            capsys, "train", "--data", str(room), "--out", str(model_path),
-            "--epochs", "1", "--hidden", "8", "--positive-batch", "16",
-            "--negative-batch", "4", "--langevin-steps", "1",
-        )
-        assert code == 0
+    def test_requires_one_dimensional_stateless_model(self, capsys, room_csv, room_model):
         code, _, stderr = run_cli(
-            capsys, "oracle", "--model", str(model_path), "--data", str(room), "--bins", "4"
+            capsys, "oracle", "--model", str(room_model), "--data", str(room_csv), "--bins", "4"
         )
         assert code == 2
         assert "1-D" in stderr
 
 
 class TestEval:
-    def test_stub_scores_perfectly(self, capsys, tmp_path):
-        out = tmp_path / "eval.csv"
-        code, stdout, _ = run_cli(
-            capsys, "eval", "--model", "unused.json", "--out", str(out),
-            "--grid", "8", "--oracle-stub",
+    def eval_room(self, capsys, model, out):
+        return run_cli(
+            capsys, "eval", "--model", str(model), "--out", str(out),
+            "--grid", "5", "--samples", "16", "--steps", "3",
         )
+
+    def test_writes_metrics_and_probe_grid(self, capsys, tmp_path, room_model):
+        out = tmp_path / "eval.csv"
+        code, stdout, _ = self.eval_room(capsys, room_model, out)
         assert code == 0
         row = json.loads(stdout)
-        assert row == {"au_auroc": 1.0, "au_auprc": 1.0, "eu_auroc": 1.0, "eu_auprc": 1.0}
+        assert set(row) == {"au_auroc", "au_auprc", "eu_auroc", "eu_auprc"}
+        assert all(0.0 <= v <= 1.0 for v in row.values())
         header = out.read_text().splitlines()[0]
         assert header == "au_auroc,au_auprc,eu_auroc,eu_auprc"
         probe_lines = (tmp_path / "eval.csv.probes.csv").read_text().strip().splitlines()
-        assert len(probe_lines) == 8 * 8 + 1
+        assert probe_lines[0] == "x,y,label,au_score,eu_score,valid_count"
+        assert len(probe_lines) == 5 * 5 + 1
 
-    def test_stub_deterministic(self, capsys, tmp_path):
+    def test_deterministic_bytes(self, capsys, tmp_path, room_model):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(capsys, "eval", "--model", "u.json", "--out", str(a), "--grid", "5", "--oracle-stub")
-        run_cli(capsys, "eval", "--model", "u.json", "--out", str(b), "--grid", "5", "--oracle-stub")
+        _, out_a, _ = self.eval_room(capsys, room_model, a)
+        _, out_b, _ = self.eval_room(capsys, room_model, b)
+        assert out_a == out_b
         assert a.read_bytes() == b.read_bytes()
+        assert (tmp_path / "a.csv.probes.csv").read_bytes() == (tmp_path / "b.csv.probes.csv").read_bytes()
+
+    def test_toy_model_is_usage_error(self, capsys, tmp_path, toy_model):
+        code, stdout, stderr = self.eval_room(capsys, toy_model, tmp_path / "eval.csv")
+        assert code == 2
+        assert stdout == ""
+        assert "(2, 0, 1)" in stderr
+        assert not (tmp_path / "eval.csv").exists()
 
 
 class TestBench:
@@ -298,3 +342,19 @@ class TestBench:
         lines = out.read_text().strip().splitlines()
         assert lines[0].split(",")[:4] == ["b", "d_s", "d_a", "L"]
         assert len(lines) == 5
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("oracle", "--grid-probes"), ("bench", "--bin-queries"), ("bench", "--reps")],
+)
+def test_count_below_one_is_usage_error(capsys, tmp_path, tiny_toy_csv, toy_model, command, flag):
+    if command == "oracle":
+        args = ["oracle", "--model", str(toy_model), "--data", str(tiny_toy_csv), "--bins", "10"]
+    else:
+        args = ["bench", "--out", str(tmp_path / "bench.csv"), "--b-values", "4",
+                "--l-values", "2", "--samples", "8", "--dataset-size", "64"]
+    code, stdout, stderr = run_cli(capsys, *args, flag, "0")
+    assert code == 2
+    assert stdout == ""
+    assert flag in stderr

@@ -191,3 +191,11 @@ class TestProvenance:
     def test_fingerprint_survives_json(self):
         prov = provenance_for(TrainConfig(epochs=2, seed=1))
         assert prov == json.loads(json.dumps(prov))
+
+    def test_fingerprint_pinned(self):
+        # sha256 of the sorted-key JSON of every TrainConfig field, seed
+        # expanded by derive_seed; a model file's hash must not drift
+        prov = provenance_for(TrainConfig(epochs=3, seed=5))
+        assert prov["config_sha256"] == (
+            "e3e12d89d2b1cdc2a1f7020ecef6244058ed836687f72ad7f89444969700964f"
+        )
