@@ -97,8 +97,8 @@ def gen_toy(
     """
     if n_per_region < 1:
         raise InvalidInputError("n_per_region must be >= 1")
-    if sigma_eta < 0:
-        raise InvalidInputError("sigma_eta must be >= 0")
+    if not (math.isfinite(sigma_eta) and sigma_eta >= 0):
+        raise InvalidInputError(f"sigma_eta must be finite and >= 0, got {sigma_eta}")
     rng = np.random.default_rng(seed)
     x_clean = rng.uniform(-1.0, TOY_GAP[0], n_per_region)
     y_clean = np.sin(x_clean)
@@ -164,8 +164,10 @@ class RoomLayout:
                 raise InvalidInputError(f"{name} must lie within the room")
         if self.noisy_region.overlaps(self.hidden_region):
             raise InvalidInputError("noisy and hidden regions must be disjoint")
-        if self.noise_std <= 0:
-            raise InvalidInputError("noise_std must be positive")
+        if not math.isfinite(self.noise_mean):
+            raise InvalidInputError(f"noise_mean must be finite, got {self.noise_mean}")
+        if not (math.isfinite(self.noise_std) and self.noise_std > 0):
+            raise InvalidInputError(f"noise_std must be finite and positive, got {self.noise_std}")
 
 
 class RegionLabel(enum.Enum):
@@ -201,6 +203,8 @@ def gen_room(
     """
     if n_steps < 1:
         raise InvalidInputError("n_steps must be >= 1")
+    if not (math.isfinite(walk_step) and walk_step >= 0):
+        raise InvalidInputError(f"walk_step must be finite and >= 0, got {walk_step}")
     layout = layout or RoomLayout()
     rng = np.random.default_rng(seed)
     pos = rng.uniform(0.0, 1.0, 2)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kde, langevin
-from .errors import EmptyValidSetError, InvalidInputError, UnpreparedModelError
+from .errors import EmptyValidSetError, InvalidInputError, OutOfBoundsError, UnpreparedModelError
 from .langevin import ChainTrace, LangevinConfig, SeedLike
 from .model import CdrmModel, score_fn
 
@@ -141,15 +141,15 @@ def collect_valid(trace: ChainTrace, alpha: float, dedup_tol) -> ValidSet:
     scales with the members kept rather than the candidates offered; see
     `_first_seen_members`.
     """
-    free = np.asarray(trace.free_dims)
+    free = trace.free_dims
     valid = ValidSet(dedup_tol)
     width = valid.cell_width(free.size)
-    scores = np.asarray(trace.scores, dtype=np.float64)[1:]
+    scores = trace.scores[1:]
     above = scores > alpha
     if not above.any():
         return valid
     # One mask over (step, index); row-major selection keeps that order.
-    points = np.asarray(trace.samples)[1:][above][:, free]
+    points = trace.samples[1:][above][:, free]
     cells = _cell_index(points, width)
     kept = _first_seen_members(points, cells, np.array(valid._tol))
     members = (points[kept].tolist(), cells[kept].tolist(), scores[above][kept].tolist())
@@ -245,7 +245,6 @@ def default_inference_config(model: CdrmModel) -> LangevinConfig:
         steps=50,
         step_size=0.1,
         noise_scale=0.01,
-        direction="ascent",
         free_dims=free,
         bounds=model.input_bounds[free],
     )
@@ -266,7 +265,11 @@ def infer(
     dedup_tol: np.ndarray | None = None,
     seed: SeedLike = 0,
 ) -> InferenceResult:
-    """Full chain-collect-summarize pass for one query."""
+    """Full chain-collect-summarize pass for one query.
+
+    (s, a) must lie inside the model's input bounds, ends included; a query
+    outside them raises OutOfBoundsError instead of extrapolating the field.
+    """
     if model.kde_stats is None:
         raise UnpreparedModelError("model has no fitted density stats; train or fit first")
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
@@ -278,19 +281,22 @@ def infer(
         )
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(a))):
         raise InvalidInputError("query must be finite")
+    query, bounds = np.concatenate([s, a]), model.input_bounds[: d_s + d_a]
+    if np.any(query < bounds[:, 0]) or np.any(query > bounds[:, 1]):
+        raise OutOfBoundsError(
+            f"query {query.tolist()} lies outside the input bounds {bounds.tolist()}"
+        )
     if not 0.0 <= alpha <= 1.0:  # also false for NaN
         raise InvalidInputError(f"alpha must be a finite value in [0, 1], got {alpha}")
     cfg = cfg or default_inference_config(model)
     tol = default_dedup_tol(model) if dedup_tol is None else _dedup_tol_array(dedup_tol)
 
-    fixed = np.concatenate([s, a, np.zeros(d_next)])
-    trace = langevin.run(score_fn(model), cfg.resolved(), fixed, seed)
+    fixed = np.concatenate([query, np.zeros(d_next)])
+    trace = langevin.run(score_fn(model), cfg, fixed, seed)
     valid = collect_valid(trace, alpha, tol)
 
-    base = kde.base_eu(model.kde_stats, np.concatenate([s, a]))
-    eu = epistemic(valid, trace.per_step_max, base)
+    per_step_max = trace.per_step_max
+    eu = epistemic(valid, per_step_max, kde.base_eu(model.kde_stats, query))
     if len(valid) == 0:
-        return InferenceResult(None, eu, None, 0, trace.per_step_max)
-    return InferenceResult(
-        predict(valid), eu, aleatoric(valid), len(valid), trace.per_step_max
-    )
+        return InferenceResult(None, eu, None, 0, per_step_max)
+    return InferenceResult(predict(valid), eu, aleatoric(valid), len(valid), per_step_max)

@@ -3,9 +3,8 @@
 One sampler serves two callers: training evolves negatives over the full
 joint tuple, inference evolves next-state candidates with the query
 coordinates frozen. A score function maps a batch of points to scores and
-per-point input gradients; the chain follows the gradient (ascent or
-descent), adds Gaussian noise, and projects back into bounds after every
-step.
+per-point input gradients; the chain ascends the gradient, adds Gaussian
+noise, and projects back into bounds after every step.
 
 Reproducibility contract: each sample's initialization and noise come from
 its own stream, the generator `sample_rng(seed, i)` for sample index i.
@@ -19,7 +18,7 @@ across NumPy releases; if one ever changes, the differential test against
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,17 +132,15 @@ class LangevinConfig:
 
     free_dims lists the coordinates the chain updates; all others stay
     frozen at caller-supplied values. bounds has one (low, high) row per
-    free dimension. Both may be None in configs that act as knob bundles;
-    they must be resolved before running a chain.
+    free dimension.
     """
 
     n_samples: int
     steps: int
     step_size: float
     noise_scale: float
-    direction: str = "ascent"
-    free_dims: Sequence[int] | None = None
-    bounds: np.ndarray | None = None
+    free_dims: Sequence[int]
+    bounds: np.ndarray
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -154,31 +151,20 @@ class LangevinConfig:
             raise InvalidInputError("step_size must be positive")
         if self.noise_scale < 0:
             raise InvalidInputError("noise_scale must be non-negative")
-        if self.direction not in ("ascent", "descent"):
-            raise InvalidInputError(f"unknown direction {self.direction!r}")
-        if self.free_dims is not None:
-            self.free_dims = np.asarray(self.free_dims, dtype=np.intp)
-            if self.free_dims.size == 0:
-                raise InvalidInputError("free_dims must be non-empty")
-        if self.bounds is not None:
-            self.bounds = np.asarray(self.bounds, dtype=np.float64)
-            if self.bounds.ndim != 2 or self.bounds.shape[1] != 2:
-                raise InvalidInputError("bounds must have shape (n_free, 2)")
-            if not np.all(np.isfinite(self.bounds)):
-                raise InvalidInputError("bounds must be finite")
-            if np.any(self.bounds[:, 0] > self.bounds[:, 1]):
-                raise InvalidInputError("bounds must satisfy low <= high")
-            with np.errstate(over="ignore"):
-                width = self.bounds[:, 1] - self.bounds[:, 0]
-            if not np.all(np.isfinite(width)):
-                raise InvalidInputError("bounds must have a finite width")
-
-    def resolved(self) -> "LangevinConfig":
-        if self.free_dims is None or self.bounds is None:
-            raise InvalidInputError("config is missing free_dims/bounds")
-        if len(self.free_dims) != len(self.bounds):
-            raise InvalidInputError("free_dims and bounds disagree in length")
-        return self
+        self.free_dims = np.asarray(self.free_dims, dtype=np.intp)
+        if self.free_dims.ndim != 1 or self.free_dims.size == 0:
+            raise InvalidInputError("free_dims must be a non-empty list of indices")
+        self.bounds = np.asarray(self.bounds, dtype=np.float64)
+        if self.bounds.shape != (self.free_dims.size, 2):
+            raise InvalidInputError("bounds must have shape (len(free_dims), 2)")
+        if not np.all(np.isfinite(self.bounds)):
+            raise InvalidInputError("bounds must be finite")
+        if np.any(self.bounds[:, 0] > self.bounds[:, 1]):
+            raise InvalidInputError("bounds must satisfy low <= high")
+        with np.errstate(over="ignore"):
+            width = self.bounds[:, 1] - self.bounds[:, 0]
+        if not np.all(np.isfinite(width)):
+            raise InvalidInputError("bounds must have a finite width")
 
 
 @dataclass
@@ -187,15 +173,18 @@ class ChainTrace:
 
     samples has shape (L+1, n, d): samples[l] is the batch after l steps
     (samples[0] is the initialization); scores has shape (L+1, n) with the
-    matching score values. per_step_max holds the batch maximum for steps
-    1..L, the statistic downstream uncertainty estimates are built from.
-    Readers also accept per-step lists of batches in place of the arrays.
+    matching score values; free_dims lists the coordinates the chain moved.
     """
 
     samples: np.ndarray
     scores: np.ndarray
-    per_step_max: np.ndarray
-    free_dims: np.ndarray = field(default_factory=lambda: np.arange(0))
+    free_dims: np.ndarray
+
+    @property
+    def per_step_max(self) -> np.ndarray:
+        """Batch maximum for steps 1..L, the statistic downstream uncertainty
+        estimates are built from."""
+        return self.scores[1:].max(axis=1)
 
 
 def _base_row(free: np.ndarray, fixed_values: np.ndarray | None) -> np.ndarray:
@@ -257,18 +246,15 @@ def run(
     every dimension is free. Per-sample noise for the whole chain is drawn
     up front from each sample's own stream, so traces are bit-reproducible
     for a given seed regardless of batch size changes elsewhere. Each step
-    moves the free dims by step_size times the gradient (sign set by the
-    direction), adds the noise and clips into bounds, writing straight
-    into the preallocated trace.
+    moves the free dims by step_size times the gradient, adds the noise and
+    clips into bounds, writing straight into the preallocated trace.
     """
-    cfg = cfg.resolved()
     n, L, free = cfg.n_samples, cfg.steps, cfg.free_dims
     base = _base_row(free, fixed_values)
     samples = np.empty((L + 1, n, base.size))
     scores = np.empty((L + 1, n))
     samples[0] = base
     noise = _draw_streams(cfg, seed, samples[0])
-    coef = (1.0 if cfg.direction == "ascent" else -1.0) * cfg.step_size
     lows, highs = cfg.bounds[:, 0], cfg.bounds[:, 1]
     moved = np.empty((n, free.size))
     held = np.empty((n, free.size))
@@ -276,8 +262,8 @@ def run(
     scores[0], grads = score_fn(samples[0])
     for l in range(L):
         _check_grads(grads)
-        # batch[:, free] + coef * grads[:, free] + noise, clipped into bounds
-        np.multiply(grads[:, free], coef, out=moved)
+        # batch[:, free] + step_size * grads[:, free] + noise, clipped into bounds
+        np.multiply(grads[:, free], cfg.step_size, out=moved)
         np.take(samples[l], free, axis=1, out=held)
         np.add(held, moved, out=moved)
         moved += noise[l]
@@ -285,4 +271,4 @@ def run(
         samples[l + 1] = samples[l]
         samples[l + 1][:, free] = moved
         scores[l + 1], grads = score_fn(samples[l + 1])
-    return ChainTrace(samples, scores, scores[1:].max(axis=1), np.asarray(free))
+    return ChainTrace(samples, scores, free)

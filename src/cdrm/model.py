@@ -18,7 +18,7 @@ from . import langevin
 from .errors import InvalidInputError, TrainingDivergenceError
 from .kde import KdeStats
 from .langevin import LangevinConfig, ScoreFn, SeedLike
-from .nnet import AdamState, MlpNetwork, Workspace, adam_update, sigmoid
+from .nnet import AdamState, MlpNetwork, ParamGradient, Workspace, adam_update, sigmoid
 
 # Pre-sigmoid clamp half-width: confines scores to [1e-6, 1 - 1e-6].
 LOGIT_CLIP = math.log((1.0 - 1e-6) / 1e-6)
@@ -72,10 +72,15 @@ class CdrmModel:
         return np.arange(d_s + d_a, d_s + d_a + d_next)
 
 
+def _clamped_scores(logits: np.ndarray, clip: float) -> tuple[np.ndarray, np.ndarray]:
+    """sigmoid(logit clamped to +-clip), and the |logit| < clip mask where the
+    clamp has gradient 1 (0 elsewhere)."""
+    return sigmoid(np.clip(logits, -clip, clip)), np.abs(logits) < clip
+
+
 def score_batch(model: CdrmModel, x: np.ndarray) -> np.ndarray:
     """rho = sigmoid(clamped logit) for each row of x."""
-    logits = model.net.forward_batch(x)
-    return sigmoid(np.clip(logits, -model.logit_clip, model.logit_clip))
+    return _clamped_scores(model.net.forward_batch(x), model.logit_clip)[0]
 
 
 def score(model: CdrmModel, s: np.ndarray, a: np.ndarray, s_next: np.ndarray) -> float:
@@ -101,8 +106,7 @@ def score_and_grad(
     """
     x = np.asarray(x, dtype=np.float64)
     logits, dlogit = model.net.forward_and_grad_input_batch(x, workspace)
-    in_range = np.abs(logits) < model.logit_clip
-    rho = sigmoid(np.clip(logits, -model.logit_clip, model.logit_clip))
+    rho, in_range = _clamped_scores(logits, model.logit_clip)
     grads = (rho * (1.0 - rho) * in_range)[:, None] * dlogit
     return rho, grads
 
@@ -170,26 +174,42 @@ class TrainConfig:
             steps=self.langevin_steps,
             step_size=self.langevin_step_size,
             noise_scale=self.langevin_noise,
-            direction="ascent",
             free_dims=np.arange(model.d_total),
             bounds=model.input_bounds,
         )
 
 
-def generate_negatives(
-    model: CdrmModel,
-    n: int,
-    cfg: LangevinConfig,
-    seed: SeedLike,
-) -> np.ndarray:
+def generate_negatives(model: CdrmModel, cfg: LangevinConfig, seed: SeedLike) -> np.ndarray:
     """Final batch of an ascent chain from uniform initialization.
 
-    Returned positions are constants downstream; no gradient flows back
-    through the chain that produced them.
+    cfg is the chain `TrainConfig.negative_chain_config` builds, which
+    sets the batch size. Returned positions are constants downstream; no
+    gradient flows back through the chain that produced them.
     """
-    cfg = replace(cfg, n_samples=n).resolved()
-    trace = langevin.run(score_fn(model), cfg, None, seed)
-    return trace.samples[-1]
+    return langevin.run(score_fn(model), cfg, None, seed).samples[-1]
+
+
+def _loss_and_gradient(
+    model: CdrmModel, pos: np.ndarray, neg: np.ndarray, eps: float
+) -> tuple[float, ParamGradient]:
+    """Contrastive loss of one (pos, neg) batch pair and its gradient with
+    respect to every network parameter; a non-finite loss raises
+    TrainingDivergenceError before any gradient work."""
+    net = model.net
+    rho_pos, in_pos = _clamped_scores(net.forward_batch(pos), model.logit_clip)
+    rho_neg, in_neg = _clamped_scores(net.forward_batch(neg), model.logit_clip)
+    loss = contrastive_loss(rho_pos, rho_neg, eps)
+    if not np.isfinite(loss):
+        raise TrainingDivergenceError("non-finite loss")
+    # dL/dlogit for each batch; the clamp zeroes saturated samples.
+    up_pos = -(1.0 / len(pos)) / (rho_pos + eps) * rho_pos * (1.0 - rho_pos) * in_pos
+    up_neg = (1.0 / len(neg)) / (1.0 - rho_neg + eps) * rho_neg * (1.0 - rho_neg) * in_neg
+    grad = net.grad_params_batch(pos, up_pos)
+    grad_neg = net.grad_params_batch(neg, up_neg)
+    for i in range(len(grad.weights)):
+        grad.weights[i] += grad_neg.weights[i]
+        grad.biases[i] += grad_neg.biases[i]
+    return loss, grad
 
 
 def train(
@@ -218,7 +238,7 @@ def train(
 
     net = model.net
     adam = AdamState.zeros_for(net)
-    eps = cfg.stability_eps
+    chain = cfg.negative_chain_config(model)  # bounds and dims only, not weights
     step_index = 0  # Adam bias correction counts updates, not epochs
     losses: list[float] = []
     for epoch in range(cfg.epochs):
@@ -230,37 +250,15 @@ def train(
             current = replace(model, net=net)
             pos = tuples[order[start : start + cfg.positive_batch]]
             neg = generate_negatives(
-                current,
-                cfg.negative_batch,
-                cfg.negative_chain_config(current),
-                langevin.derive_seed(cfg.seed, _TAG_NEGATIVE, epoch, update),
+                current, chain, langevin.derive_seed(cfg.seed, _TAG_NEGATIVE, epoch, update)
             )
-
-            logits_pos = net.forward_batch(pos)
-            logits_neg = net.forward_batch(neg)
-            in_pos = np.abs(logits_pos) < model.logit_clip
-            in_neg = np.abs(logits_neg) < model.logit_clip
-            rho_pos = sigmoid(np.clip(logits_pos, -model.logit_clip, model.logit_clip))
-            rho_neg = sigmoid(np.clip(logits_neg, -model.logit_clip, model.logit_clip))
-
-            loss = contrastive_loss(rho_pos, rho_neg, eps)
-            if not np.isfinite(loss):
-                raise TrainingDivergenceError(f"non-finite loss at epoch {epoch}")
-            epoch_losses.append(loss)
-
-            # dL/dlogit for each batch; the clamp zeroes saturated samples.
-            up_pos = -(1.0 / len(pos)) / (rho_pos + eps) * rho_pos * (1.0 - rho_pos) * in_pos
-            up_neg = (1.0 / len(neg)) / (1.0 - rho_neg + eps) * rho_neg * (1.0 - rho_neg) * in_neg
-            grad = net.grad_params_batch(pos, up_pos)
-            grad_neg = net.grad_params_batch(neg, up_neg)
-            for i in range(len(grad.weights)):
-                grad.weights[i] += grad_neg.weights[i]
-                grad.biases[i] += grad_neg.biases[i]
             step_index += 1
             try:
+                loss, grad = _loss_and_gradient(current, pos, neg, cfg.stability_eps)
                 net, adam = adam_update(net, grad, adam, step_index, cfg.learning_rate)
             except TrainingDivergenceError as exc:
                 raise TrainingDivergenceError(f"epoch {epoch}: {exc}") from None
+            epoch_losses.append(loss)
         losses.append(float(np.mean(epoch_losses)))
 
     return replace(model, net=net), losses

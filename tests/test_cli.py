@@ -97,6 +97,30 @@ class TestGen:
         assert code == 2
         assert "--out" in stderr
 
+    @pytest.mark.parametrize(
+        "generator,flag,value",
+        [
+            ("toy", "--sigma-eta", "nan"),
+            ("toy", "--sigma-eta", "inf"),
+            ("room", "--noise-std", "nan"),
+            ("room", "--noise-std", "inf"),
+            ("room", "--noise-mean", "nan"),
+            ("room", "--noise-mean", "-inf"),
+            ("room", "--walk-step", "nan"),
+            ("room", "--walk-step", "inf"),
+        ],
+    )
+    def test_non_finite_parameter_is_usage_error(self, capsys, tmp_path, generator, flag, value):
+        out = tmp_path / "out.csv"
+        extra = ["--steps", "20"] if generator == "room" else []
+        code, stdout, stderr = run_cli(
+            capsys, "gen", generator, "--out", str(out), *extra, f"{flag}={value}"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert flag[2:].replace("-", "_") in stderr
+        assert not out.exists()
+
 
 class TestConfigPrecedence:
     def test_config_file_overrides_default(self, capsys, tmp_path):
@@ -260,6 +284,16 @@ class TestInfer:
         assert code == 2
         assert stdout == ""
         assert "dedup" in stderr
+
+    @pytest.mark.parametrize("query", ["5.0", "-1.001", "1.0000000000000002"])
+    def test_query_outside_input_bounds_is_usage_error(self, capsys, toy_model, query):
+        code, stdout, stderr = run_cli(
+            capsys, "infer", "--model", str(toy_model), "--query", query,
+            "--samples", "16", "--steps", "3",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "outside" in stderr
 
     def test_missing_model_file_is_runtime_error(self, capsys, tmp_path):
         code, _, _ = run_cli(

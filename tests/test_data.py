@@ -1,7 +1,12 @@
 """Dataset container, benchmark generators, and CSV round-trip."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrm.data import (
     TOY_GAP,
@@ -130,6 +135,11 @@ class TestGenToy:
         with pytest.raises(InvalidInputError):
             gen_toy(sigma_eta=-0.1)
 
+    @pytest.mark.parametrize("sigma_eta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sigma_eta_rejected(self, sigma_eta):
+        with pytest.raises(InvalidInputError, match="sigma_eta"):
+            gen_toy(sigma_eta=sigma_eta)
+
 
 class TestRect:
     def test_contains_is_inclusive(self):
@@ -158,6 +168,21 @@ class TestRoomLayout:
     def test_rejects_overlapping_regions(self):
         with pytest.raises(InvalidInputError):
             RoomLayout(noisy_region=Rect(0, 0, 0.8, 0.8))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("noise_mean", np.nan),
+            ("noise_mean", np.inf),
+            ("noise_mean", -np.inf),
+            ("noise_std", np.nan),
+            ("noise_std", np.inf),
+            ("noise_std", 0.0),
+        ],
+    )
+    def test_rejects_non_finite_noise(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            RoomLayout(**{field: value})
 
     def test_rejects_region_outside_room(self):
         with pytest.raises(InvalidInputError):
@@ -205,6 +230,15 @@ class TestGenRoom:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             gen_room(0)
+
+    @pytest.mark.parametrize("walk_step", [np.nan, np.inf, -0.1])
+    def test_bad_walk_step_rejected(self, walk_step):
+        with pytest.raises(InvalidInputError, match="walk_step"):
+            gen_room(10, walk_step=walk_step)
+
+    def test_zero_walk_step_stays_put(self):
+        ds = gen_room(5, walk_step=0.0, seed=1)
+        assert np.all(ds.states == ds.states[0])
 
 
 class TestCsvRoundTrip:
@@ -271,3 +305,38 @@ class TestCsvRoundTrip:
         p.write_text("# dims=1,0,1\n# bounds=0.0:1.0,0.0:1.0\n")
         ds = load_csv(p)
         assert len(ds) == 0
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]
+
+
+@st.composite
+def csv_datasets(draw):
+    """Datasets of finite floats: signed zeros, subnormals and values on the bounds."""
+    dims = (draw(st.integers(1, 2)), draw(st.integers(0, 1)), draw(st.integers(1, 2)))
+    d_total = sum(dims)
+    pair = st.lists(finite, min_size=2, max_size=2, unique=True).map(sorted)
+    bounds = np.array([draw(pair) for _ in range(d_total)])
+    n = draw(st.integers(0, 6))
+    tuples = np.empty((n, d_total))
+    for k, (low, high) in enumerate(bounds):
+        inside = [v for v in SPECIALS if low <= v <= high]
+        value = st.one_of(
+            st.floats(low, high), st.sampled_from([low, high] + inside)
+        )
+        tuples[:, k] = draw(st.lists(value, min_size=n, max_size=n))
+    return TransitionDataset(tuples, dims=dims, bounds=bounds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_datasets())
+def test_csv_round_trip_is_exact(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.csv"
+        save_csv(ds, path)
+        back = load_csv(path)
+    assert back == ds
+    # == treats -0.0 and 0.0 as equal; the bytes keep the sign
+    assert back.tuples.tobytes() == ds.tuples.tobytes()
+    assert back.bounds.tobytes() == ds.bounds.tobytes()

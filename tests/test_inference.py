@@ -1,11 +1,18 @@
 """Valid-set collection, prediction, and the two uncertainty readouts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from cdrm import kde, langevin
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from cdrm.errors import EmptyValidSetError, InvalidInputError, UnpreparedModelError
+from cdrm.errors import (
+    EmptyValidSetError,
+    InvalidInputError,
+    OutOfBoundsError,
+    UnpreparedModelError,
+)
 from cdrm.inference import (
     DEDUP_RANGE_FRACTION,
     DEFAULT_ALPHA,
@@ -141,18 +148,15 @@ class TestValidSet:
 
 def hand_trace():
     """Three-batch trace over a 2-D joint space with next-state dim 1."""
-    samples = [
-        np.array([[0.0, 0.10], [0.0, 0.90]]),  # init batch: must be ignored
-        np.array([[0.0, 0.30], [0.0, 0.50]]),
-        np.array([[0.0, 0.52], [0.0, 0.70]]),
-    ]
-    scores = [
-        np.array([0.99, 0.99]),
-        np.array([0.40, 0.80]),
-        np.array([0.90, 0.60]),
-    ]
-    per_step_max = np.array([0.80, 0.90])
-    return ChainTrace(samples, scores, per_step_max, np.array([1]))
+    samples = np.array(
+        [
+            [[0.0, 0.10], [0.0, 0.90]],  # init batch: must be ignored
+            [[0.0, 0.30], [0.0, 0.50]],
+            [[0.0, 0.52], [0.0, 0.70]],
+        ]
+    )
+    scores = np.array([[0.99, 0.99], [0.40, 0.80], [0.90, 0.60]])
+    return ChainTrace(samples, scores, np.array([1]))
 
 
 class TestCollectValid:
@@ -178,30 +182,18 @@ class TestCollectValid:
         valid = collect_valid(hand_trace(), alpha=0.5, dedup_tol=0.05)
         assert valid.samples[0].shape == (1,)
 
-
     def test_later_candidate_kept_after_its_cells_first_is_rejected(self):
         # 0.12 and 0.19 share cell 1; 0.12 is within tol of the member 0.05
         # in cell 0 and is dropped, but 0.19 is not and must still be kept,
         # so a cell cannot be settled by its first candidate alone
         trace = ChainTrace(
-            [np.zeros((3, 1)), np.array([[0.05], [0.12], [0.19]])],
-            [np.zeros(3), np.array([0.9, 0.8, 0.7])],
-            np.array([0.9]),
+            np.array([np.zeros((3, 1)), [[0.05], [0.12], [0.19]]]),
+            np.array([np.zeros(3), [0.9, 0.8, 0.7]]),
             np.array([0]),
         )
         valid = collect_valid(trace, alpha=0.5, dedup_tol=0.1)
         assert [float(s[0]) for s in valid.samples] == [0.05, 0.19]
         assert valid.scores == [0.9, 0.7]
-
-
-    def test_stacked_trace_matches_list_trace(self):
-        listed = hand_trace()
-        stacked = ChainTrace(
-            np.stack(listed.samples), np.stack(listed.scores), listed.per_step_max, np.array([1])
-        )
-        got = collect_valid(stacked, alpha=0.5, dedup_tol=0.05)
-        want = collect_valid(listed, alpha=0.5, dedup_tol=0.05)
-        assert_same_valid_set(got, want)
 
     @pytest.mark.parametrize("tol", [np.nan, 1e-20])
     def test_bad_tolerance_rejected(self, tol):
@@ -212,7 +204,7 @@ class TestCollectValid:
 
 def insert_oracle(trace, alpha, dedup_tol):
     """The valid set built by one `ValidSet.insert` per above-alpha sample."""
-    free = np.asarray(trace.free_dims)
+    free = trace.free_dims
     valid = ValidSet(dedup_tol)
     for batch, scores in zip(trace.samples[1:], trace.scores[1:]):
         for x, score in zip(batch, scores):
@@ -277,8 +269,7 @@ def dedup_cases(draw):
         samples.append(batch)
         levels = st.sampled_from([0.2, 0.5, 0.7, 0.9])  # alpha is 0.5: equal is not above
         scores.append(np.array(draw(st.lists(levels, min_size=n, max_size=n))))
-    per_step_max = np.array([s.max() for s in scores[1:]])
-    trace = ChainTrace(samples, scores, per_step_max, np.arange(frozen, frozen + d))
+    trace = ChainTrace(np.stack(samples), np.stack(scores), np.arange(frozen, frozen + d))
     extra = [np.array([coordinate(k) for k in range(d)]) for _ in range(draw(st.integers(0, 4)))]
     return trace, tol, extra
 
@@ -303,7 +294,7 @@ class TestCollectValidMatchesInsert:
         rng = np.random.default_rng(5)
         pts = rng.uniform(-1000.0, 1000.0, size=(40, 3))
         pts[20:] = pts[:20] + rng.uniform(-2e-9, 2e-9, size=(20, 3))
-        trace = ChainTrace([pts, pts], [np.ones(40), np.ones(40)], np.array([1.0]), np.arange(3))
+        trace = ChainTrace(np.stack([pts, pts]), np.ones((2, 40)), np.arange(3))
         got = collect_valid(trace, alpha=0.5, dedup_tol=1e-9)
         assert 20 <= len(got) < 40
         assert_same_valid_set(got, insert_oracle(trace, 0.5, 1e-9))
@@ -311,7 +302,7 @@ class TestCollectValidMatchesInsert:
     def test_chain_trace_matches_insert(self):
         m = ramp_model()
         cfg = small_chain(steps=30, n=64)
-        trace = langevin.run(score_fn(m), cfg.resolved(), np.array([0.2, 0.0]), seed=4)
+        trace = langevin.run(score_fn(m), cfg, np.array([0.2, 0.0]), seed=4)
         tol = default_dedup_tol(m)
         got = collect_valid(trace, DEFAULT_ALPHA, tol)
         assert len(got) > 10
@@ -368,7 +359,6 @@ class TestDefaults:
         cfg = default_inference_config(m)
         np.testing.assert_array_equal(cfg.free_dims, [1])
         np.testing.assert_array_equal(cfg.bounds, [[-1.0, 1.0]])
-        assert cfg.direction == "ascent"
 
     def test_dedup_tol_scales_with_bounds_span(self):
         m = ramp_model(with_kde=False)
@@ -381,7 +371,6 @@ def small_chain(steps=25, n=48):
         steps=steps,
         step_size=0.1,
         noise_scale=0.01,
-        direction="ascent",
         free_dims=np.array([1]),
         bounds=np.array([[-1.0, 1.0]]),
     )
@@ -404,6 +393,30 @@ class TestInfer:
         m = ramp_model()
         with pytest.raises(InvalidInputError):
             infer(m, [np.nan], [], cfg=small_chain())
+
+    @pytest.mark.parametrize("s", [5.0, -1.0 - 1e-12, np.nextafter(1.0, 2.0)])
+    def test_query_outside_input_bounds_rejected(self, s):
+        m = ramp_model()  # input bounds [-1, 1]
+        with pytest.raises(OutOfBoundsError, match="outside"):
+            infer(m, [s], [], cfg=small_chain())
+
+    def test_query_outside_action_bounds_rejected(self):
+        inputs = np.column_stack([np.linspace(-1, 1, 16), np.linspace(0, 0.5, 16)])
+        m = CdrmModel(
+            net=MlpNetwork.initialize([3, 4, 1], seed=0),
+            input_bounds=np.array([[-1.0, 1.0], [0.0, 0.5], [-1.0, 1.0]]),
+            dims=(1, 1, 1),
+            kde_stats=kde.fit(inputs, seed=0),
+        )
+        cfg = dataclasses.replace(small_chain(), free_dims=[2])
+        with pytest.raises(OutOfBoundsError):
+            infer(m, [0.0], [0.6], cfg=cfg)
+        assert 0.0 <= infer(m, [0.0], [0.5], cfg=cfg).eu <= 1.0  # the upper end is inside
+
+    @pytest.mark.parametrize("s", [-1.0, 1.0])
+    def test_query_on_input_bounds_accepted(self, s):
+        res = infer(ramp_model(), [s], [], cfg=small_chain(), seed=3)
+        assert res.valid_count > 0
 
     def test_ramp_field_predicts_top_of_range(self):
         m = ramp_model()

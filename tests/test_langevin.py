@@ -33,7 +33,6 @@ def full_cfg(d=2, **kw):
         steps=5,
         step_size=0.05,
         noise_scale=0.01,
-        direction="ascent",
         free_dims=np.arange(d),
         bounds=np.array([[-1.0, 1.0]] * d),
     )
@@ -60,15 +59,15 @@ def test_config_validation():
     with pytest.raises(InvalidInputError):
         full_cfg(noise_scale=-0.1)
     with pytest.raises(InvalidInputError):
-        full_cfg(direction="sideways")
-    with pytest.raises(InvalidInputError):
         full_cfg(bounds=np.array([[1.0, -1.0], [0.0, 1.0]]))
-
-
-def test_resolved_requires_dims_and_bounds():
-    cfg = LangevinConfig(n_samples=4, steps=1, step_size=0.1, noise_scale=0.0)
     with pytest.raises(InvalidInputError):
-        cfg.resolved()
+        full_cfg(free_dims=[])
+    with pytest.raises(InvalidInputError):
+        full_cfg(bounds=np.array([[-1.0, 1.0]]))  # one row for two free dims
+    with pytest.raises(InvalidInputError):
+        full_cfg(bounds=np.array([-1.0, 1.0, -1.0, 1.0]))
+    with pytest.raises(TypeError):
+        LangevinConfig(n_samples=4, steps=1, step_size=0.1, noise_scale=0.0)
 
 
 def test_init_uniform_within_bounds_and_deterministic():
@@ -139,21 +138,6 @@ def test_ascent_climbs_quadratic():
     assert trace.scores[-1].mean() > trace.scores[0].mean()
     final = trace.samples[-1]
     assert np.abs(final - 0.2).max() < 0.05
-
-
-def test_descent_mirrors_ascent():
-    up = full_cfg(noise_scale=0.0, direction="ascent")
-    down = full_cfg(noise_scale=0.0, direction="descent")
-    fn = quadratic_score([0.0, 0.0])
-
-    def neg_fn(batch):
-        s, g = fn(batch)
-        return -s, -g
-
-    ta = run(fn, up, None, seed=2)
-    td = run(neg_fn, down, None, seed=2)
-    for a, b in zip(ta.samples, td.samples):
-        assert np.allclose(a, b, atol=1e-12)
 
 
 def test_samples_stay_inside_bounds():
@@ -244,6 +228,49 @@ def test_run_records_into_stacked_arrays():
     assert trace.samples.shape == (5, 6, 2)
     assert trace.scores.shape == (5, 6)
     assert np.array_equal(trace.per_step_max, trace.scores[1:].max(axis=1))
+
+
+@st.composite
+def bounded_chains(draw):
+    """A chain over a random subset of dims with random, possibly zero-width,
+    bounds; frozen dims hold arbitrary finite values, even outside bounds."""
+    d = draw(st.integers(1, 4))
+    free = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+    lows = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=len(free), max_size=len(free))))
+    width = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e-300))
+    widths = np.array(draw(st.lists(width, min_size=len(free), max_size=len(free))))
+    cfg = LangevinConfig(
+        n_samples=draw(st.integers(1, 8)),
+        steps=draw(st.integers(0, 6)),
+        step_size=draw(st.floats(1e-6, 1e3)),
+        noise_scale=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e2))),
+        free_dims=free,
+        bounds=np.column_stack([lows, lows + widths]),
+    )
+    fixed = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d)))
+    if len(free) == d and draw(st.booleans()):
+        fixed = None
+    gain = draw(st.floats(1.0, 1e8))
+    phase = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)))
+    return cfg, fixed, gain, phase, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_chains())
+def test_samples_stay_in_bounds_and_frozen_dims_hold(case):
+    cfg, fixed, gain, phase = case[:4]
+
+    def steep(batch):
+        # gradients up to `gain` in size, changing sign across the box
+        return np.sin(batch + phase).sum(axis=1), gain * np.cos(3.0 * batch + phase)
+
+    trace = run(steep, cfg, fixed, seed=case[4])
+    free = cfg.free_dims
+    moved = trace.samples[:, :, free]
+    assert np.all(moved >= cfg.bounds[:, 0]) and np.all(moved <= cfg.bounds[:, 1])
+    frozen = np.setdiff1d(np.arange(trace.samples.shape[2]), free)
+    if fixed is not None:
+        assert np.all(trace.samples[:, :, frozen] == fixed[frozen])
 
 
 seeds = st.one_of(
