@@ -8,7 +8,6 @@ _EXPORTS = {
     "CdrmModel": "model",
     "TrainConfig": "model",
     "train": "model",
-    "score": "model",
     "score_batch": "model",
     "contrastive_loss": "model",
     "generate_negatives": "model",

@@ -9,12 +9,15 @@ runtime failure, 2 usage or validation problem.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
+import math
 import statistics
 import sys
 import time
-from dataclasses import MISSING, astuple, dataclass, fields, replace
+from dataclasses import astuple, fields, replace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .inference import DEFAULT_ALPHA, default_inference_config, infer
+from .langevin import LangevinConfig
 from .model import CdrmModel, TrainConfig, train
 from .nnet import MlpNetwork
 
@@ -39,6 +43,11 @@ from .nnet import MlpNetwork
 # the training streams derived from the same user seed.
 _INIT_STREAM_TAG = 0xA11
 _KDE_STREAM_TAG = 0xDE
+
+# Each bench timing sample repeats its block of calls until this much wall
+# time has passed, so that one preemption or a short slow spell of the
+# machine moves a sample by a small fraction only.
+BENCH_MIN_SAMPLE_NS = 50_000_000
 
 _USAGE_ERRORS = (
     InvalidInputError,
@@ -55,7 +64,79 @@ _RUNTIME_ERRORS = (
     DegenerateDatasetError,
 )
 
-_ROOM_LAYOUT = data.RoomLayout()
+_REQUIRED = object()  # default of a knob the user must give
+
+
+def _int_at_least(lowest: int | None) -> Callable[[Any], int]:
+    """Parser of integers >= lowest, from integer text or an integral JSON number."""
+
+    def parse(value) -> int:
+        n = value
+        if isinstance(value, str):
+            with contextlib.suppress(ValueError):
+                n = int(value)
+        elif isinstance(value, float) and value.is_integer():
+            n = int(value)
+        if type(n) is not int or (lowest is not None and n < lowest):  # a bool is refused
+            bound = "" if lowest is None else f" >= {lowest}"
+            raise ValueError(f"expected an integer{bound}, got {value!r}")
+        return n
+
+    return parse
+
+
+_any_int, _natural, _count = _int_at_least(None), _int_at_least(0), _int_at_least(1)
+
+
+def _real(value) -> float:
+    """A finite float, from text or a JSON number."""
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return x
+
+
+def _of_type(kind: type, what: str) -> Callable[[Any], Any]:
+    def parse(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"expected {what}, got {value!r}")
+        return value
+
+    return parse
+
+
+_path = _of_type(str, "a path")
+_switch = _of_type(bool, "true or false")  # a flag takes no value and means true
+
+
+def _list_of(parse: Callable[[Any], Any]) -> Callable[[Any], tuple]:
+    """Parser of a JSON list or comma-separated text (empty entries skipped)."""
+
+    def parse_list(value) -> tuple:
+        items = value if isinstance(value, list) else [v for v in str(value).split(",") if v]
+        return tuple(parse(v) for v in items)
+
+    return parse_list
+
+
+class _Region(NamedTuple):
+    text: str  # as the user gave it; the gen room meta file records it
+    rect: data.Rect
+
+
+def _region(value) -> _Region:
+    corners = _list_of(_real)(value)
+    if len(corners) != 4:
+        raise ValueError(f"expected four numbers x0,y0,x1,y1, got {value!r}")
+    return _Region(str(value), data.Rect(*corners))
+
+
+def _bandwidth(value) -> str | float:
+    """The median-distance rule, "median", or a finite number."""
+    return value if value == "median" else _real(value)
 
 
 def _default(fn, name: str):
@@ -63,87 +144,100 @@ def _default(fn, name: str):
     return inspect.signature(fn).parameters[name].default
 
 
-def _rect_text(rect: data.Rect) -> str:
-    return ",".join(f"{v:g}" for v in astuple(rect))
+def _knobs_of(fn, **parses) -> dict[str, tuple]:
+    """Knobs named after parameters of fn, each with fn's declared default."""
+    return {name: (_default(fn, name), parse) for name, parse in parses.items()}
 
 
-# Room-layout keys, shared by `gen room` and `eval`.
-_LAYOUT_DEFAULTS = {
-    "noisy_region": _rect_text(_ROOM_LAYOUT.noisy_region),
-    "hidden_region": _rect_text(_ROOM_LAYOUT.hidden_region),
-    "noise_mean": _ROOM_LAYOUT.noise_mean,
-    "noise_std": _ROOM_LAYOUT.noise_std,
+def _layout_knob(rect: data.Rect) -> tuple:
+    return _Region(",".join(f"{v:g}" for v in astuple(rect)), rect), _region
+
+
+_ROOM_LAYOUT = data.RoomLayout()
+
+# Room-layout knobs, shared by `gen room` and `eval`.
+_LAYOUT_KNOBS = {
+    "noisy_region": _layout_knob(_ROOM_LAYOUT.noisy_region),
+    "hidden_region": _layout_knob(_ROOM_LAYOUT.hidden_region),
+    "noise_mean": (_ROOM_LAYOUT.noise_mean, _real),
+    "noise_std": (_ROOM_LAYOUT.noise_std, _real),
 }
 
-_TOY_KEYS = ("n_per_region", "sigma_eta", "multimodal", "seed")
-
-# Chain flag -> (LangevinConfig field, parser). A flag left unset keeps
-# the value of inference.default_inference_config.
-_CHAIN_FLAGS = {
-    "samples": ("n_samples", int),
-    "steps": ("steps", int),
-    "step_size": ("step_size", float),
-    "noise": ("noise_scale", float),
+# Inference chain knobs and the LangevinConfig field each sets; a knob left
+# unset keeps the value of inference.default_inference_config.
+_CHAIN_FIELDS = dict(samples="n_samples", steps="steps", step_size="step_size", noise="noise_scale")
+_CHAIN_KNOBS = {
+    "samples": (None, _count),
+    "steps": (None, _natural),
+    "step_size": (None, _real),
+    "noise": (None, _real),
 }
 
-_DEFAULTS: dict[str, dict] = {
+# Command -> knob -> (default or _REQUIRED, parse). A parse turns flag text
+# or a config-file JSON value into the typed value the handler gets, and
+# raises ValueError on a bad one.
+_KNOBS: dict[str, dict[str, tuple]] = {
     "gen toy": {
-        "out": None,
-        **{k: _default(data.gen_toy, k) for k in _TOY_KEYS},
+        "out": (_REQUIRED, _path),
+        **_knobs_of(data.gen_toy, n_per_region=_count, sigma_eta=_real),
+        **_knobs_of(data.gen_toy, multimodal=_switch, seed=_natural),
     },
     "gen room": {
-        "out": None,
-        "steps": None,
-        "walk_step": _default(data.gen_room, "walk_step"),
-        **_LAYOUT_DEFAULTS,
-        "seed": _default(data.gen_room, "seed"),
+        "out": (_REQUIRED, _path),
+        "steps": (_REQUIRED, _count),
+        **_knobs_of(data.gen_room, walk_step=_real),
+        **_LAYOUT_KNOBS,
+        **_knobs_of(data.gen_room, seed=_natural),
     },
     "train": {
-        "data": None,
-        "out": None,
-        "loss_out": None,
-        "epochs": 100,  # TrainConfig.epochs has no default of its own
-        "hidden": "64,128,64",
-        "bandwidth": "median",
-        **{f.name: f.default for f in fields(TrainConfig) if f.default is not MISSING},
+        "data": (_REQUIRED, _path),
+        "out": (_REQUIRED, _path),
+        "loss_out": (None, _path),
+        "epochs": (100, _natural),  # TrainConfig.epochs has no default of its own
+        "hidden": ((64, 128, 64), _list_of(_count)),
+        "bandwidth": ("median", _bandwidth),
+        **_knobs_of(TrainConfig, positive_batch=_count, negative_batch=_count),
+        **_knobs_of(TrainConfig, langevin_steps=_natural, langevin_step_size=_real),
+        **_knobs_of(TrainConfig, langevin_noise=_real, learning_rate=_real),
+        **_knobs_of(TrainConfig, stability_eps=_real, seed=_any_int),
     },
     "infer": {
-        "model": None,
-        "query": None,
-        "alpha": DEFAULT_ALPHA,
-        **dict.fromkeys(_CHAIN_FLAGS),
-        "dedup_tol": None,
-        "seed": 0,
+        "model": (_REQUIRED, _path),
+        "query": (_REQUIRED, _list_of(_real)),
+        "alpha": (DEFAULT_ALPHA, _real),
+        **_CHAIN_KNOBS,
+        "dedup_tol": (None, _real),
+        "seed": (0, _any_int),
     },
     "eval": {
-        "model": None,
-        "out": None,
-        "probes_out": None,
-        "grid": _default(metrics.evaluate_room, "grid_resolution"),
-        "alpha": DEFAULT_ALPHA,
-        **dict.fromkeys(_CHAIN_FLAGS),
-        **_LAYOUT_DEFAULTS,
-        "seed": 0,
+        "model": (_REQUIRED, _path),
+        "out": (_REQUIRED, _path),
+        "probes_out": (None, _path),
+        "grid": (_default(metrics.evaluate_room, "grid_resolution"), _count),
+        "alpha": (DEFAULT_ALPHA, _real),
+        **_CHAIN_KNOBS,
+        **_LAYOUT_KNOBS,
+        "seed": (0, _any_int),
     },
     "oracle": {
-        "model": None,
-        "data": None,
-        "bins": 100,
-        "grid_probes": 50,
-        "alpha": DEFAULT_ALPHA,
-        **dict.fromkeys(_CHAIN_FLAGS),
-        "out": None,
-        "seed": 0,
+        "model": (_REQUIRED, _path),
+        "data": (_REQUIRED, _path),
+        "bins": (100, _count),
+        "grid_probes": (50, _count),
+        "alpha": (DEFAULT_ALPHA, _real),
+        **_CHAIN_KNOBS,
+        "out": (None, _path),
+        "seed": (0, _any_int),
     },
     "bench": {
-        "out": None,
-        "b_values": "16,128,1024",
-        "l_values": "5,20,80",
-        "reps": 5,
-        "bin_queries": 200,
-        "samples": 128,
-        "dataset_size": 1000,
-        "seed": 0,
+        "out": (_REQUIRED, _path),
+        "b_values": ((16, 128, 1024), _list_of(_count)),
+        "l_values": ((5, 20, 80), _list_of(_natural)),
+        "reps": (5, _count),
+        "bin_queries": (200, _count),
+        "samples": (128, _count),
+        "dataset_size": (1000, _count),
+        "seed": (0, _natural),
     },
 }
 
@@ -152,60 +246,36 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-@dataclass
-class RunConfig:
-    """Merged knob set for one command invocation.
-
-    Precedence: built-in defaults, then config-file values, then explicit
-    flags. Unknown config-file keys are rejected before any work starts.
-    """
-
-    command: str
-    values: dict
-
-    @classmethod
-    def resolve(cls, command: str, cli_values: dict, config_path: str | None) -> "RunConfig":
-        defaults = _DEFAULTS[command]
-        merged = dict(defaults)
-        if config_path is not None:
-            try:
-                with open(config_path) as fh:
-                    file_values = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidInputError(f"config file is not valid JSON: {exc}") from None
-            if not isinstance(file_values, dict):
-                raise InvalidInputError("config file must hold a JSON object")
-            unknown = set(file_values) - set(defaults)
-            if unknown:
-                raise InvalidInputError(
-                    f"unknown config keys for '{command}': {sorted(unknown)}"
-                )
-            merged.update(file_values)
-        merged.update(cli_values)
-        return cls(command=command, values=merged)
-
-    def __getattr__(self, name):
+def resolve(command: str, flags: dict, config_path: str | None) -> dict:
+    """Typed knob values for one command: the table's defaults, then
+    config-file values, then flags, each given value through its knob's
+    parse (a JSON null keeps the default). An unknown config key, a missing
+    required knob or a value that does not parse raises InvalidInputError
+    naming the flag, before any work starts."""
+    knobs = _KNOBS[command]
+    given = {}
+    if config_path is not None:
         try:
-            return self.values[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def require(self, *names):
-        for name in names:
-            if self.values.get(name) is None:
-                raise InvalidInputError(f"{_flag(name)} is required for '{self.command}'")
-
-    def typed(self, *names) -> dict:
-        """Named knobs, each parsed as the type of its built-in default."""
-        defaults = _DEFAULTS[self.command]
-        return {name: type(defaults[name])(self.values[name]) for name in names}
-
-    def count(self, name: str) -> int:
-        """An integer knob that must be at least 1."""
-        value = int(self.values[name])
-        if value < 1:
-            raise InvalidInputError(f"{_flag(name)} must be >= 1, got {value}")
-        return value
+            with open(config_path) as fh:
+                file_values = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidInputError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(file_values, dict):
+            raise InvalidInputError("config file must hold a JSON object")
+        unknown = set(file_values) - set(knobs)
+        if unknown:
+            raise InvalidInputError(f"unknown config keys for '{command}': {sorted(unknown)}")
+        given = {k: v for k, v in file_values.items() if v is not None}
+    given.update(flags)
+    values = {}
+    for key, (default, parse) in knobs.items():
+        if key not in given and default is _REQUIRED:
+            raise InvalidInputError(f"{_flag(key)} is required for '{command}'")
+        try:
+            values[key] = parse(given[key]) if key in given else default
+        except ValueError as exc:
+            raise InvalidInputError(f"{_flag(key)}: {exc}") from None
+    return values
 
 
 def _fmt(v) -> str:
@@ -229,132 +299,82 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _floats(text, expected: int | None = None) -> np.ndarray:
-    if isinstance(text, (list, tuple)):
-        vals = [float(v) for v in text]
-    else:
-        try:
-            vals = [float(v) for v in str(text).split(",") if v != ""]
-        except ValueError as exc:
-            raise InvalidInputError(f"bad number list {text!r}: {exc}") from None
-    if expected is not None and len(vals) != expected:
-        raise InvalidInputError(f"expected {expected} values, got {len(vals)} in {text!r}")
-    return np.array(vals, dtype=np.float64)
-
-
-def _ints(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    try:
-        return [int(v) for v in str(text).split(",") if v != ""]
-    except ValueError as exc:
-        raise InvalidInputError(f"bad integer list {text!r}: {exc}") from None
-
-
-def _rect(text) -> data.Rect:
-    x0, y0, x1, y1 = _floats(text, expected=4)
-    return data.Rect(x0, y0, x1, y1)
-
-
-def _layout(cfg: RunConfig) -> data.RoomLayout:
+def _layout(cfg: dict) -> data.RoomLayout:
     return data.RoomLayout(
-        noisy_region=_rect(cfg.noisy_region),
-        hidden_region=_rect(cfg.hidden_region),
-        noise_mean=float(cfg.noise_mean),
-        noise_std=float(cfg.noise_std),
+        noisy_region=cfg["noisy_region"].rect,
+        hidden_region=cfg["hidden_region"].rect,
+        noise_mean=cfg["noise_mean"],
+        noise_std=cfg["noise_std"],
     )
 
 
-def _chain_overrides(cfg: RunConfig) -> dict:
-    """LangevinConfig fields for the chain flags the user set."""
-    return {
-        field: parse(cfg.values[key])
-        for key, (field, parse) in _CHAIN_FLAGS.items()
-        if cfg.values[key] is not None
-    }
+def _chain_config(model: CdrmModel, cfg: dict) -> LangevinConfig:
+    """The library's inference chain with the chain knobs the user set."""
+    given = {f: cfg[k] for k, f in _CHAIN_FIELDS.items() if cfg[k] is not None}
+    return replace(default_inference_config(model), **given)
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    cfg.require("out")
-    if cfg.command == "gen toy":
-        params = cfg.typed(*_TOY_KEYS)
-        dataset = data.gen_toy(**params)
-        meta = {"command": "gen toy", **params}
-    else:
-        cfg.require("steps")
-        layout = _layout(cfg)
-        dataset = data.gen_room(
-            n_steps=int(cfg.steps),
-            layout=layout,
-            seed=int(cfg.seed),
-            walk_step=float(cfg.walk_step),
-        )
-        meta = {
-            "command": "gen room",
-            "steps": int(cfg.steps),
-            "walk_step": float(cfg.walk_step),
-            "noisy_region": str(cfg.noisy_region),
-            "hidden_region": str(cfg.hidden_region),
-            "noise_mean": float(cfg.noise_mean),
-            "noise_std": float(cfg.noise_std),
-            "seed": int(cfg.seed),
-        }
-    data.save_csv(dataset, cfg.out)
-    _write_json(str(cfg.out) + ".meta.json", meta)
-    print(f"wrote {len(dataset)} tuples to {cfg.out}")
+def _save_dataset(out: str, dataset: data.TransitionDataset, meta: dict) -> int:
+    data.save_csv(dataset, out)
+    _write_json(out + ".meta.json", meta)
+    print(f"wrote {len(dataset)} tuples to {out}")
     return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    cfg.require("data", "out")
-    dataset = data.load_csv(cfg.data)
+def cmd_gen_toy(cfg: dict) -> int:
+    params = {k: v for k, v in cfg.items() if k != "out"}
+    return _save_dataset(cfg["out"], data.gen_toy(**params), {"command": "gen toy", **params})
+
+
+def cmd_gen_room(cfg: dict) -> int:
+    dataset = data.gen_room(
+        n_steps=cfg["steps"], layout=_layout(cfg), seed=cfg["seed"], walk_step=cfg["walk_step"]
+    )
+    meta = {k: v.text if isinstance(v, _Region) else v for k, v in cfg.items() if k != "out"}
+    return _save_dataset(cfg["out"], dataset, {"command": "gen room", **meta})
+
+
+def cmd_train(cfg: dict) -> int:
+    dataset = data.load_csv(cfg["data"])
     if len(dataset) == 0:
         raise InvalidInputError("cannot train on an empty dataset")
-    hidden = _ints(cfg.hidden)
-    train_cfg = TrainConfig(**cfg.typed(*(f.name for f in fields(TrainConfig))))
-    bandwidth = cfg.bandwidth
-    if bandwidth != "median":
-        bandwidth = float(bandwidth)
+    train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
 
     d_total = sum(dataset.dims)
     net = MlpNetwork.initialize(
-        [d_total] + hidden + [1],
+        [d_total, *cfg["hidden"], 1],
         seed=langevin.derive_seed(train_cfg.seed, _INIT_STREAM_TAG),
     )
     model = CdrmModel(net=net, input_bounds=dataset.bounds, dims=dataset.dims)
     model, losses = train(model, dataset, train_cfg)
     stats = kde.fit(
         dataset.inputs,
-        bandwidth_rule=bandwidth,
+        bandwidth_rule=cfg["bandwidth"],
         seed=langevin.derive_seed(train_cfg.seed, _KDE_STREAM_TAG),
     )
-    model = replace(
-        model,
-        kde_stats=stats,
-        provenance=model_io.provenance_for(train_cfg),
-    )
-    model_io.save_model(cfg.out, model)
-    loss_out = cfg.loss_out or str(cfg.out) + ".loss.csv"
+    model = replace(model, kde_stats=stats, provenance=model_io.provenance_for(train_cfg))
+    model_io.save_model(cfg["out"], model)
+    loss_out = cfg["loss_out"] or cfg["out"] + ".loss.csv"
     _write_csv(loss_out, ["epoch", "loss"], [[i, v] for i, v in enumerate(losses)])
-    print(f"trained {train_cfg.epochs} epochs; model at {cfg.out}, loss trace at {loss_out}")
+    print(f"trained {train_cfg.epochs} epochs; model at {cfg['out']}, loss trace at {loss_out}")
     return 0
 
 
-def cmd_infer(cfg: RunConfig) -> int:
-    cfg.require("model", "query")
-    model = model_io.load_model(cfg.model)
+def cmd_infer(cfg: dict) -> int:
+    model = model_io.load_model(cfg["model"])
     d_s, d_a, _ = model.dims
-    query = _floats(cfg.query, expected=d_s + d_a)
-    s, a = query[:d_s], query[d_s:]
-    tol = None if cfg.dedup_tol is None else np.atleast_1d(float(cfg.dedup_tol))
+    query = np.array(cfg["query"], dtype=np.float64)
+    if len(query) != d_s + d_a:
+        raise InvalidInputError(f"--query needs {d_s + d_a} values, got {len(query)}")
+    tol = None if cfg["dedup_tol"] is None else np.atleast_1d(cfg["dedup_tol"])
     result = infer(
         model,
-        s,
-        a,
-        cfg=replace(default_inference_config(model), **_chain_overrides(cfg)),
-        alpha=float(cfg.alpha),
+        query[:d_s],
+        query[d_s:],
+        cfg=_chain_config(model, cfg),
+        alpha=cfg["alpha"],
         dedup_tol=tol,
-        seed=int(cfg.seed),
+        seed=cfg["seed"],
     )
     out = {
         "prediction": None if result.prediction is None else list(result.prediction),
@@ -366,10 +386,9 @@ def cmd_infer(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    cfg.require("model", "out")
+def cmd_eval(cfg: dict) -> int:
     layout = _layout(cfg)
-    model = model_io.load_model(cfg.model)
+    model = model_io.load_model(cfg["model"])
     if model.dims != data.ROOM_DIMS:
         raise InvalidInputError(
             f"eval expects a room model with dims {data.ROOM_DIMS}, got {model.dims}"
@@ -377,18 +396,18 @@ def cmd_eval(cfg: RunConfig) -> int:
     evaluation = metrics.evaluate_room(
         model,
         layout=layout,
-        grid_resolution=int(cfg.grid),
-        langevin_cfg=replace(default_inference_config(model), **_chain_overrides(cfg)),
-        alpha=float(cfg.alpha),
-        seed=int(cfg.seed),
+        grid_resolution=cfg["grid"],
+        langevin_cfg=_chain_config(model, cfg),
+        alpha=cfg["alpha"],
+        seed=cfg["seed"],
     )
     row = evaluation.row()
     _write_csv(
-        cfg.out,
+        cfg["out"],
         ["au_auroc", "au_auprc", "eu_auroc", "eu_auprc"],
         [[row["au_auroc"], row["au_auprc"], row["eu_auroc"], row["eu_auprc"]]],
     )
-    probes_out = cfg.probes_out or str(cfg.out) + ".probes.csv"
+    probes_out = cfg["probes_out"] or cfg["out"] + ".probes.csv"
     _write_csv(
         probes_out,
         ["x", "y", "label", "au_score", "eu_score", "valid_count"],
@@ -398,18 +417,16 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    cfg.require("model", "data")
-    n_probes = cfg.count("grid_probes")
-    model = model_io.load_model(cfg.model)
-    dataset = data.load_csv(cfg.data)
+def cmd_oracle(cfg: dict) -> int:
+    model = model_io.load_model(cfg["model"])
+    dataset = data.load_csv(cfg["data"])
     d_s, d_a, _ = model.dims
     if (d_s, d_a) != (1, 0):
         raise InvalidInputError("oracle agreement suite expects a 1-D stateless dataset")
-    grid = binref.build(dataset, int(cfg.bins))
+    grid = binref.build(dataset, cfg["bins"])
     lo, hi = model.input_bounds[0]
-    probes = np.linspace(lo, hi, n_probes)
-    chain_cfg = replace(default_inference_config(model), **_chain_overrides(cfg))
+    probes = np.linspace(lo, hi, cfg["grid_probes"])
+    chain_cfg = _chain_config(model, cfg)
     rows = []
     agreements = 0
     for i, x in enumerate(probes):
@@ -418,8 +435,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
             np.array([x]),
             np.empty(0),
             cfg=chain_cfg,
-            alpha=float(cfg.alpha),
-            seed=langevin.derive_seed(int(cfg.seed), i),
+            alpha=cfg["alpha"],
+            seed=langevin.derive_seed(cfg["seed"], i),
         )
         centers = binref.query(grid, np.array([x]), np.empty(0))
         cdrm_empty = result.valid_count == 0
@@ -428,8 +445,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
         agreements += agree
         rows.append([float(x), int(not cdrm_empty), int(not bin_empty), int(agree)])
     rate = agreements / len(probes)
-    if cfg.out:
-        _write_csv(cfg.out, ["x", "cdrm_nonempty", "bin_nonempty", "agree"], rows)
+    if cfg["out"]:
+        _write_csv(cfg["out"], ["x", "cdrm_nonempty", "bin_nonempty", "agree"], rows)
     print(
         json.dumps(
             {"probes": len(probes), "agreements": agreements, "agreement_rate": rate},
@@ -439,21 +456,27 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    cfg.require("out")
-    b_values = _ints(cfg.b_values)
-    l_values = _ints(cfg.l_values)
-    reps = cfg.count("reps")
-    n_queries = cfg.count("bin_queries")
-    rng = np.random.default_rng(int(cfg.seed))
-    n = int(cfg.dataset_size)
+def _ns_per_call(block: int, fn, *args, **kwargs) -> float:
+    """Wall ns per call of fn(*args, **kwargs), timed over whole blocks of
+    `block` calls until at least BENCH_MIN_SAMPLE_NS have passed."""
+    calls, start = 0, time.perf_counter_ns()
+    while not calls or time.perf_counter_ns() - start < BENCH_MIN_SAMPLE_NS:
+        for _ in range(block):
+            fn(*args, **kwargs)
+        calls += block
+    return (time.perf_counter_ns() - start) / calls
+
+
+def cmd_bench(cfg: dict) -> int:
+    rng = np.random.default_rng(cfg["seed"])
+    n = cfg["dataset_size"]
     tuples = rng.uniform(0.0, 1.0, size=(n, 2))
     dataset = data.TransitionDataset(
         tuples, dims=(1, 0, 1), bounds=np.array([[0.0, 1.0], [0.0, 1.0]])
     )
-    net = MlpNetwork.initialize([2, 32, 32, 1], seed=int(cfg.seed))
+    net = MlpNetwork.initialize([2, 32, 32, 1], seed=cfg["seed"])
     model = CdrmModel(net=net, input_bounds=dataset.bounds, dims=dataset.dims)
-    model = replace(model, kde_stats=kde.fit(dataset.inputs, seed=int(cfg.seed)))
+    model = replace(model, kde_stats=kde.fit(dataset.inputs, seed=cfg["seed"]))
 
     # The bin timing probes one heavily-observed input cell: with every
     # observation in a single state column, raising b splits the same
@@ -464,63 +487,41 @@ def cmd_bench(cfg: RunConfig) -> int:
     bin_dataset = data.TransitionDataset(
         bin_tuples, dims=(1, 0, 1), bounds=np.array([[0.0, 1.0], [0.0, 1.0]])
     )
-    query = np.array([0.5])
+    query, empty = np.array([0.5]), np.empty(0)
+    grids = {b: binref.build(bin_dataset, b) for b in cfg["b_values"]}
+    bench_cfg = replace(default_inference_config(model), n_samples=cfg["samples"])
+    chains = {L: replace(bench_cfg, steps=L) for L in cfg["l_values"]}
 
-    bin_ns = {}
-    for b in b_values:
-        grid = binref.build(bin_dataset, b)
-        samples = []
-        for _ in range(reps):
-            t0 = time.perf_counter_ns()
-            for _ in range(n_queries):
-                binref.bin_infer(grid, query, np.empty(0))
-            samples.append((time.perf_counter_ns() - t0) / n_queries)
-        bin_ns[b] = statistics.median(samples)
-
-    cdrm_ns = {}
-    bench_cfg = replace(default_inference_config(model), n_samples=int(cfg.samples))
-    for L in l_values:
-        chain_cfg = replace(bench_cfg, steps=L)
-        samples = []
-        for rep in range(reps):
-            t0 = time.perf_counter_ns()
-            infer(model, np.array([0.5]), np.empty(0), cfg=chain_cfg, seed=rep)
-            samples.append(time.perf_counter_ns() - t0)
-        cdrm_ns[L] = statistics.median(samples)
+    # Each rep times every cell once, so a slow spell of the machine lands
+    # on all cells of that rep rather than on one cell's samples.
+    bin_ns = {b: [] for b in grids}
+    cdrm_ns = {L: [] for L in chains}
+    for rep in range(cfg["reps"]):
+        for b, grid in grids.items():
+            bin_ns[b].append(_ns_per_call(cfg["bin_queries"], binref.bin_infer, grid, query, empty))
+        for L, chain_cfg in chains.items():
+            cdrm_ns[L].append(_ns_per_call(1, infer, model, query, empty, cfg=chain_cfg, seed=rep))
 
     rows = []
-    for b in b_values:
-        for L in l_values:
-            report = binref.memory_report(1, 0, b, d_next=1)
-            rows.append(
-                [
-                    b,
-                    1,
-                    0,
-                    L,
-                    model.net.n_params,
-                    cdrm_ns[L],
-                    bin_ns[b],
-                    report.joint_cells,
-                    report.cubic_scaling_cells,
-                ]
-            )
+    for b in cfg["b_values"]:
+        report = binref.memory_report(1, 0, b, d_next=1)
+        for L in cfg["l_values"]:
+            timing = [statistics.median(cdrm_ns[L]), statistics.median(bin_ns[b])]
+            sizes = [report.joint_cells, report.cubic_scaling_cells]
+            rows.append([b, 1, 0, L, model.net.n_params, *timing, *sizes])
     _write_csv(
-        cfg.out,
+        cfg["out"],
         ["b", "d_s", "d_a", "L", "W", "cdrm_ns", "bin_ns", "joint_cells", "cubic_scaling_cells"],
         rows,
     )
-    print(f"wrote {len(rows)} bench rows to {cfg.out}")
+    print(f"wrote {len(rows)} bench rows to {cfg['out']}")
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, keys: dict) -> None:
-    for key, default in keys.items():
-        flag = _flag(key)
-        if isinstance(default, bool):
-            sub.add_argument(flag, dest=key, action="store_true", default=argparse.SUPPRESS)
-        else:
-            sub.add_argument(flag, dest=key, default=argparse.SUPPRESS)
+def _add_knobs(sub: argparse.ArgumentParser, knobs: dict[str, tuple]) -> None:
+    for key, (_, parse) in knobs.items():
+        action = "store_true" if parse is _switch else "store"
+        sub.add_argument(_flag(key), dest=key, action=action, default=argparse.SUPPRESS)
     sub.add_argument("--config", dest="config", default=argparse.SUPPRESS)
 
 
@@ -533,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = commands.add_parser("gen", help="generate a benchmark dataset")
     gen_sub = gen.add_subparsers(dest="generator", required=True)
-    _add_common(gen_sub.add_parser("toy", help="sine-curve regression set"), _DEFAULTS["gen toy"])
-    _add_common(gen_sub.add_parser("room", help="room-exploration walk"), _DEFAULTS["gen room"])
+    _add_knobs(gen_sub.add_parser("toy", help="sine-curve regression set"), _KNOBS["gen toy"])
+    _add_knobs(gen_sub.add_parser("room", help="room-exploration walk"), _KNOBS["gen room"])
 
     for name, help_text in [
         ("train", "train a model on a dataset file"),
@@ -543,13 +544,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("oracle", "agreement suite against the bin-grid reference"),
         ("bench", "wall-time benchmark of bin query vs sampled inference"),
     ]:
-        _add_common(commands.add_parser(name, help=help_text), _DEFAULTS[name])
+        _add_knobs(commands.add_parser(name, help=help_text), _KNOBS[name])
     return parser
 
 
 _HANDLERS = {
-    "gen toy": cmd_gen,
-    "gen room": cmd_gen,
+    "gen toy": cmd_gen_toy,
+    "gen room": cmd_gen_room,
     "train": cmd_train,
     "infer": cmd_infer,
     "eval": cmd_eval,
@@ -564,11 +565,9 @@ def run(argv=None) -> int:
     command = args.command
     if command == "gen":
         command = f"gen {args.generator}"
-    cli_values = {
-        k: v for k, v in vars(args).items() if k not in ("command", "generator", "config")
-    }
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "generator", "config")}
     try:
-        cfg = RunConfig.resolve(command, cli_values, getattr(args, "config", None))
+        cfg = resolve(command, flags, getattr(args, "config", None))
         return _HANDLERS[command](cfg)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -577,11 +576,6 @@ def run(argv=None) -> int:
     except _RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError) as exc:
-        # unparseable flag values (int("x"), float("1.2.3")) land here
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"usage: run 'cdrm {command.split()[0]} --help' for flags", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

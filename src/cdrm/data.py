@@ -251,8 +251,11 @@ def save_csv(dataset: TransitionDataset, path) -> None:
 
 
 def load_csv(path) -> TransitionDataset:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"not a text file: {exc}") from None
     if not raw or not raw[0].startswith("# dims="):
         raise DatasetFormatError("missing '# dims=' header", line=1)
     try:

@@ -93,8 +93,8 @@ def fit(
         h = median_heuristic_bandwidth(pts, seed=seed)
     else:
         h = float(bandwidth_rule)
-        if not (h > 0):
-            raise InvalidInputError("bandwidth must be positive")
+        if not (np.isfinite(h) and h > 0):
+            raise InvalidInputError("bandwidth must be finite and positive")
     stats = KdeStats(pts, h, mu=0.0, sigma=1.0)
     self_density = density_batch(stats, pts)
     mu = float(self_density.mean())

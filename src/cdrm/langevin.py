@@ -147,10 +147,10 @@ class LangevinConfig:
             raise InvalidInputError("n_samples must be positive")
         if self.steps < 0:
             raise InvalidInputError("steps must be >= 0")
-        if not (self.step_size > 0):
-            raise InvalidInputError("step_size must be positive")
-        if self.noise_scale < 0:
-            raise InvalidInputError("noise_scale must be non-negative")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise InvalidInputError("step_size must be finite and positive")
+        if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise InvalidInputError("noise_scale must be finite and >= 0")
         self.free_dims = np.asarray(self.free_dims, dtype=np.intp)
         if self.free_dims.ndim != 1 or self.free_dims.size == 0:
             raise InvalidInputError("free_dims must be a non-empty list of indices")

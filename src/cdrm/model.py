@@ -83,18 +83,6 @@ def score_batch(model: CdrmModel, x: np.ndarray) -> np.ndarray:
     return _clamped_scores(model.net.forward_batch(x), model.logit_clip)[0]
 
 
-def score(model: CdrmModel, s: np.ndarray, a: np.ndarray, s_next: np.ndarray) -> float:
-    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    s_next = np.atleast_1d(np.asarray(s_next, dtype=np.float64))
-    d_s, d_a, d_next = model.dims
-    if (len(s), len(a), len(s_next)) != (d_s, d_a, d_next):
-        raise InvalidInputError(
-            f"tuple dims ({len(s)}, {len(a)}, {len(s_next)}) do not match model dims {model.dims}"
-        )
-    return float(score_batch(model, np.concatenate([s, a, s_next])[None, :])[0])
-
-
 def score_and_grad(
     model: CdrmModel, x: np.ndarray, workspace: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -158,12 +146,12 @@ class TrainConfig:
             raise InvalidInputError("batch sizes must be positive")
         if self.langevin_steps < 0:
             raise InvalidInputError("langevin_steps must be >= 0")
-        if not (self.langevin_step_size > 0):
-            raise InvalidInputError("langevin_step_size must be positive")
-        if self.langevin_noise < 0:
-            raise InvalidInputError("langevin_noise must be >= 0")
-        if not (self.learning_rate > 0):
-            raise InvalidInputError("learning_rate must be positive")
+        if not (math.isfinite(self.langevin_step_size) and self.langevin_step_size > 0):
+            raise InvalidInputError("langevin_step_size must be finite and positive")
+        if not (math.isfinite(self.langevin_noise) and self.langevin_noise >= 0):
+            raise InvalidInputError("langevin_noise must be finite and >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidInputError("learning_rate must be finite and positive")
         if not (0.0 < self.stability_eps < 0.5):
             raise InvalidInputError("stability_eps must lie in (0, 0.5)")
 

@@ -99,7 +99,7 @@ def load_model(path) -> CdrmModel:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise ModelFormatError("missing schema_version")

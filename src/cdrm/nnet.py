@@ -37,7 +37,6 @@ class MlpNetwork:
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    hidden_activation: str = "tanh"
 
     def __post_init__(self):
         dims = self.layer_dims
@@ -45,8 +44,6 @@ class MlpNetwork:
             raise InvalidInputError(f"layer_dims must be >=2 positive ints, got {dims}")
         if dims[-1] != 1:
             raise InvalidInputError("final layer must produce exactly one scalar")
-        if self.hidden_activation != "tanh":
-            raise InvalidInputError(f"unsupported activation {self.hidden_activation!r}")
         if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
             raise InvalidInputError("parameter count does not match layer_dims")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -260,6 +257,6 @@ def adam_update(
         new_state.m_biases.append(m_new)
         new_state.v_biases.append(v_new)
     return (
-        MlpNetwork(list(net.layer_dims), new_w, new_b, net.hidden_activation),
+        MlpNetwork(list(net.layer_dims), new_w, new_b),
         new_state,
     )

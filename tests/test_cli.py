@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from cdrm import data, inference, model_io
+from cdrm import cli, data, inference, model_io
 from cdrm.cli import run
 from cdrm.model import TrainConfig
 
@@ -118,7 +118,7 @@ class TestGen:
         )
         assert code == 2
         assert stdout == ""
-        assert flag[2:].replace("-", "_") in stderr
+        assert flag in stderr
         assert not out.exists()
 
 
@@ -392,3 +392,129 @@ def test_count_below_one_is_usage_error(capsys, tmp_path, tiny_toy_csv, toy_mode
     assert code == 2
     assert stdout == ""
     assert flag in stderr
+
+
+BAD_VALUES = ["-1", "0", "1.5", "nan", "inf", "x", ""]
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        (command, key)
+        for command, knobs in cli._KNOBS.items()
+        for key, (_, parse) in knobs.items()
+        if parse is not cli._switch  # a switch flag takes no value; argparse refuses one
+    ],
+)
+def test_knob_rejects_values_its_parse_refuses(capsys, tmp_path, monkeypatch, command, key):
+    # Every value the knob's own parse refuses is a usage error naming the
+    # flag, raised before any file is read or written.
+    monkeypatch.chdir(tmp_path)
+    knobs = cli._KNOBS[command]
+    required = [f"--{k.replace('_', '-')}=5" for k, (d, _) in knobs.items() if d is cli._REQUIRED]
+    flag = f"--{key.replace('_', '-')}"
+    parse = knobs[key][1]
+    for value in BAD_VALUES:
+        try:
+            parse(value)
+            continue
+        except ValueError:
+            pass
+        code, stdout, stderr = run_cli(capsys, *command.split(), *required, f"{flag}={value}")
+        assert (code, stdout) == (2, ""), value
+        assert stderr.startswith(f"error: {flag}: "), value
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "values, flag",
+    [
+        ({"n_per_region": 5.9}, "--n-per-region"),
+        ({"seed": 2.7}, "--seed"),
+        ({"seed": True}, "--seed"),
+        ({"multimodal": "false"}, "--multimodal"),
+        ({"sigma_eta": "nan"}, "--sigma-eta"),
+        ({"out": 5}, "--out"),
+    ],
+)
+def test_config_value_of_wrong_type_is_usage_error(capsys, tmp_path, values, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "toy.csv"), **values}))
+    code, stdout, stderr = run_cli(capsys, "gen", "toy", "--config", str(cfg))
+    assert (code, stdout) == (2, "")
+    assert flag in stderr
+    assert not (tmp_path / "toy.csv").exists()
+
+
+def test_config_null_keeps_default_and_integral_number_is_an_integer(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_per_region": None, "seed": 4.0, "multimodal": False}))
+    out = tmp_path / "toy.csv"
+    code, stdout, _ = run_cli(capsys, "gen", "toy", "--out", str(out), "--config", str(cfg))
+    assert code == 0
+    assert "400 tuples" in stdout
+    assert data.load_csv(out) == data.gen_toy(seed=4)
+
+
+def test_non_integral_flag_names_the_flag(capsys, tmp_path):
+    out = tmp_path / "r.csv"
+    code, _, stderr = run_cli(capsys, "gen", "room", "--out", str(out), "--steps", "2.5")
+    assert code == 2
+    assert "--steps" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["infer", "--query", "-0.7", "--noise", "nan"],
+        ["infer", "--query", "-0.7", "--noise", "inf"],
+        ["infer", "--query", "-0.7", "--step-size", "inf"],
+        ["oracle", "--grid-probes", "3", "--noise", "nan"],
+        ["eval", "--grid", "3", "--step-size", "inf"],
+        ["train", "--langevin-noise", "nan"],
+        ["train", "--langevin-step-size", "inf"],
+        ["train", "--learning-rate", "inf"],
+        ["train", "--bandwidth", "inf"],
+    ],
+    ids=lambda argv: " ".join([argv[0], *argv[-2:]]),
+)
+def test_non_finite_chain_and_training_knob_is_usage_error(
+    capsys, tmp_path, tiny_toy_csv, toy_model, room_model, argv
+):
+    command, *rest = argv
+    inputs = {
+        "infer": ["--model", str(toy_model), "--samples", "8", "--steps", "2"],
+        "oracle": ["--model", str(toy_model), "--data", str(tiny_toy_csv), "--samples", "8"],
+        "eval": ["--model", str(room_model), "--out", str(tmp_path / "e.csv"), "--samples", "8"],
+        "train": ["--data", str(tiny_toy_csv), "--out", str(tmp_path / "m.json"), "--epochs", "1"],
+    }[command]
+    code, stdout, stderr = run_cli(capsys, command, *inputs, *rest)
+    assert (code, stdout) == (2, "")
+    assert rest[-2] in stderr
+    assert not (tmp_path / "e.csv").exists() and not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--out", "m.json", "--data"],
+        ["infer", "--query", "0.1", "--model"],
+        ["gen", "toy", "--out", "t.csv", "--config"],
+    ],
+    ids=["dataset", "model", "config"],
+)
+def test_file_that_is_not_text_is_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "binary").write_bytes(b"\xff\xfe\x00\x81 not utf-8")
+    code, stdout, _ = run_cli(capsys, *argv, "binary")
+    assert (code, stdout) == (2, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["binary"]
+
+
+def test_plain_value_error_in_a_handler_is_not_a_usage_error(capsys, tmp_path, monkeypatch):
+    def broken(**_):
+        raise ValueError("library bug")
+
+    monkeypatch.setattr(cli.data, "gen_toy", broken)
+    with pytest.raises(ValueError, match="library bug"):
+        run(["gen", "toy", "--out", str(tmp_path / "toy.csv")])

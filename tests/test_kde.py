@@ -74,6 +74,9 @@ def test_fit_validates_input():
         kde.fit(np.zeros((5, 2)), bandwidth_rule="scott")
     with pytest.raises(InvalidInputError):
         kde.fit(np.zeros((5, 2)), bandwidth_rule=-1.0)
+    for bandwidth in (np.inf, np.nan):
+        with pytest.raises(InvalidInputError):
+            kde.fit(np.random.default_rng(0).normal(size=(5, 2)), bandwidth_rule=bandwidth)
 
 
 def test_fit_subsamples_beyond_cap():

@@ -58,6 +58,11 @@ def test_config_validation():
         full_cfg(step_size=0.0)
     with pytest.raises(InvalidInputError):
         full_cfg(noise_scale=-0.1)
+    for value in (np.nan, np.inf):  # a NaN noise once ran the chain silently noiseless
+        with pytest.raises(InvalidInputError):
+            full_cfg(step_size=value)
+        with pytest.raises(InvalidInputError):
+            full_cfg(noise_scale=value)
     with pytest.raises(InvalidInputError):
         full_cfg(bounds=np.array([[1.0, -1.0], [0.0, 1.0]]))
     with pytest.raises(InvalidInputError):

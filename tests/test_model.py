@@ -12,7 +12,6 @@ from cdrm.model import (
     TrainConfig,
     contrastive_loss,
     generate_negatives,
-    score,
     score_and_grad,
     score_batch,
     score_fn,
@@ -94,22 +93,9 @@ class TestScoring:
             biases=[np.array([0.0])],
         )
         m = CdrmModel(net=net, input_bounds=np.tile([-1.0, 1.0], (2, 1)), dims=(1, 0, 1))
-        hi = score(m, [1.0], [], [0.0])
-        lo = score(m, [-1.0], [], [0.0])
+        hi, lo = score_batch(m, np.array([[1.0, 0.0], [-1.0, 0.0]]))
         assert hi == pytest.approx(1.0 - 1e-6, abs=1e-9)
         assert lo == pytest.approx(1e-6, abs=1e-9)
-
-    def test_score_validates_block_lengths(self):
-        m = tiny_model()
-        with pytest.raises(InvalidInputError):
-            score(m, [0.1, 0.2], [], [0.3])
-        with pytest.raises(InvalidInputError):
-            score(m, [0.1], [0.5], [0.3])
-
-    def test_score_matches_batch_row(self):
-        m = tiny_model(seed=7)
-        x = np.array([[0.3, -0.4]])
-        assert score(m, [0.3], [], [-0.4]) == score_batch(m, x)[0]
 
 
 class TestScoreGradient:
@@ -242,6 +228,10 @@ class TestTrainConfig:
             TrainConfig(epochs=1, learning_rate=0.0)
         with pytest.raises(InvalidInputError):
             TrainConfig(epochs=1, stability_eps=0.5)
+        for field in ("langevin_step_size", "langevin_noise", "learning_rate"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(InvalidInputError):
+                    TrainConfig(epochs=1, **{field: value})
 
     def test_negative_chain_frees_every_dimension(self):
         m = tiny_model(dims=(2, 1, 2), layers=[5, 4, 1], bounds=np.tile([-2.0, 2.0], (5, 1)))

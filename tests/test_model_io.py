@@ -5,10 +5,13 @@ import json
 import numpy as np
 import pytest
 from cdrm import kde
+from cdrm.kde import KdeStats
 from cdrm.errors import ModelFormatError, UnsupportedVersionError
 from cdrm.model import CdrmModel, TrainConfig
 from cdrm.model_io import load_model, provenance_for, save_model
 from cdrm.nnet import MlpNetwork
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def make_model(with_kde=True, seed=0):
@@ -59,6 +62,98 @@ class TestRoundTrip:
         save_model(a, make_model())
         save_model(b, load_model(a))
         assert a.read_text() == b.read_text()
+
+
+def _floats(**kw):
+    return st.floats(allow_nan=False, allow_infinity=False, **kw)
+
+
+def _arrays(draw, shape, elements):
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(elements, min_size=size, max_size=size))).reshape(shape)
+
+
+@st.composite
+def models(draw):
+    """Random small models: any layer widths, weights with awkward decimals,
+    signed zeros and subnormals, bounds of any finite width, optional KDE."""
+    dims = (draw(st.integers(1, 2)), draw(st.integers(0, 1)), draw(st.integers(1, 2)))
+    layers = [sum(dims), *draw(st.lists(st.integers(1, 4), max_size=2)), 1]
+    weight = _floats(min_value=-1e3, max_value=1e3)
+    net = MlpNetwork(
+        layers,
+        [_arrays(draw, (o, i), weight) for i, o in zip(layers[:-1], layers[1:])],
+        [_arrays(draw, (o,), weight) for o in layers[1:]],
+    )
+    lows = _arrays(draw, (sum(dims),), _floats(min_value=-1e6, max_value=1e6))
+    widths = _arrays(draw, (sum(dims),), _floats(min_value=1e-9, max_value=1e6))
+    stats = None
+    if draw(st.booleans()):
+        stats = KdeStats(
+            reference_points=_arrays(draw, (draw(st.integers(1, 4)), dims[0] + dims[1]), _floats()),
+            bandwidth=draw(_floats(min_value=1e-300)),
+            mu=draw(_floats()),
+            sigma=draw(_floats(min_value=1e-300)),
+        )
+    return CdrmModel(
+        net=net,
+        input_bounds=np.column_stack([lows, lows + widths]),
+        dims=dims,
+        logit_clip=draw(_floats(min_value=1e-3, max_value=50.0)),
+        kde_stats=stats,
+        provenance=provenance_for(
+            TrainConfig(epochs=draw(st.integers(0, 9)), seed=draw(st.integers(-(2**70), 2**70)))
+        ),
+    )
+
+
+def _bits(arr):
+    return np.asarray(arr, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(models())
+def test_save_load_is_exact_for_random_models(tmp_path_factory, m):
+    path = tmp_path_factory.mktemp("prop") / "model.json"
+    save_model(path, m)
+    out = load_model(path)
+    assert (out.dims, out.logit_clip, out.provenance) == (m.dims, m.logit_clip, m.provenance)
+    assert _bits(out.input_bounds) == _bits(m.input_bounds)
+    assert out.net.layer_dims == m.net.layer_dims
+    for a, b in zip(out.net.weights + out.net.biases, m.net.weights + m.net.biases):
+        assert _bits(a) == _bits(b)
+    if m.kde_stats is None:
+        assert out.kde_stats is None
+    else:
+        assert _bits(out.kde_stats.reference_points) == _bits(m.kde_stats.reference_points)
+        got = (out.kde_stats.bandwidth, out.kde_stats.mu, out.kde_stats.sigma)
+        assert _bits(got) == _bits((m.kde_stats.bandwidth, m.kde_stats.mu, m.kde_stats.sigma))
+
+
+def test_any_single_digit_change_loads_or_is_refused_as_a_format_error(tmp_path):
+    # Every digit of a small saved model, each replaced by a different digit
+    # (cycling through all nine alternatives over the positions): the file
+    # either loads or is refused with one of the two format errors.
+    net = MlpNetwork.initialize([2, 3, 1], seed=1)
+    m = CdrmModel(
+        net=net,
+        input_bounds=np.tile([-1.0, 1.0], (2, 1)),
+        dims=(1, 0, 1),
+        kde_stats=kde.fit(np.random.default_rng(3).uniform(-1, 1, size=(4, 1)), seed=4),
+        provenance=provenance_for(TrainConfig(epochs=2, seed=5)),
+    )
+    path, edited = tmp_path / "model.json", tmp_path / "edited.json"
+    save_model(path, m)
+    text = path.read_text()
+    digits = [i for i, c in enumerate(text) if c.isdigit()]
+    assert len(digits) > 1000
+    for k, i in enumerate(digits):
+        new = str((int(text[i]) + 1 + k % 9) % 10)
+        edited.write_text(text[:i] + new + text[i + 1 :])
+        try:
+            load_model(edited)
+        except (ModelFormatError, UnsupportedVersionError):
+            pass
 
 
 class TestSelfCheck:
