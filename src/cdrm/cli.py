@@ -168,7 +168,7 @@ _LAYOUT_KNOBS = {
 _CHAIN_FIELDS = dict(samples="n_samples", steps="steps", step_size="step_size", noise="noise_scale")
 _CHAIN_KNOBS = {
     "samples": (None, _count),
-    "steps": (None, _natural),
+    "steps": (None, _count),
     "step_size": (None, _real),
     "noise": (None, _real),
 }
@@ -232,7 +232,7 @@ _KNOBS: dict[str, dict[str, tuple]] = {
     "bench": {
         "out": (_REQUIRED, _path),
         "b_values": ((16, 128, 1024), _list_of(_count)),
-        "l_values": ((5, 20, 80), _list_of(_natural)),
+        "l_values": ((5, 20, 80), _list_of(_count)),
         "reps": (5, _count),
         "bin_queries": (200, _count),
         "samples": (128, _count),

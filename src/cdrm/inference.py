@@ -269,6 +269,8 @@ def infer(
 
     (s, a) must lie inside the model's input bounds, ends included; a query
     outside them raises OutOfBoundsError instead of extrapolating the field.
+    The chain needs at least one step, since steps 1..L supply both the
+    candidates and the EU statistic; cfg.steps = 0 raises InvalidInputError.
     """
     if model.kde_stats is None:
         raise UnpreparedModelError("model has no fitted density stats; train or fit first")
@@ -289,6 +291,8 @@ def infer(
     if not 0.0 <= alpha <= 1.0:  # also false for NaN
         raise InvalidInputError(f"alpha must be a finite value in [0, 1], got {alpha}")
     cfg = cfg or default_inference_config(model)
+    if cfg.steps < 1:
+        raise InvalidInputError(f"an inference chain needs steps >= 1, got {cfg.steps}")
     tol = default_dedup_tol(model) if dedup_tol is None else _dedup_tol_array(dedup_tol)
 
     fixed = np.concatenate([query, np.zeros(d_next)])

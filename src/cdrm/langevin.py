@@ -25,8 +25,9 @@ import numpy as np
 
 from .errors import InvalidInputError, SamplingFailureError
 
-# score_fn(batch (n, d)) -> (scores (n,), gradients (n, d))
-ScoreFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# score_fn(batch (n, d), with_grad) -> (scores (n,), gradients (n, d)); the
+# gradients may be None when with_grad is false.
+ScoreFn = Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray | None]]
 
 SeedLike = int | tuple[int, ...]
 
@@ -247,7 +248,9 @@ def run(
     up front from each sample's own stream, so traces are bit-reproducible
     for a given seed regardless of batch size changes elsewhere. Each step
     moves the free dims by step_size times the gradient, adds the noise and
-    clips into bounds, writing straight into the preallocated trace.
+    clips into bounds, writing straight into the preallocated trace. The
+    final batch is scored without gradients (with_grad false), since no
+    step reads them; with no steps that is the only pass.
     """
     n, L, free = cfg.n_samples, cfg.steps, cfg.free_dims
     base = _base_row(free, fixed_values)
@@ -259,7 +262,7 @@ def run(
     moved = np.empty((n, free.size))
     held = np.empty((n, free.size))
 
-    scores[0], grads = score_fn(samples[0])
+    scores[0], grads = score_fn(samples[0], L > 0)
     for l in range(L):
         _check_grads(grads)
         # batch[:, free] + step_size * grads[:, free] + noise, clipped into bounds
@@ -270,5 +273,5 @@ def run(
         np.clip(moved, lows, highs, out=moved)
         samples[l + 1] = samples[l]
         samples[l + 1][:, free] = moved
-        scores[l + 1], grads = score_fn(samples[l + 1])
+        scores[l + 1], grads = score_fn(samples[l + 1], l + 1 < L)
     return ChainTrace(samples, scores, free)

@@ -9,6 +9,7 @@ currently hallucinates.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -78,9 +79,13 @@ def _clamped_scores(logits: np.ndarray, clip: float) -> tuple[np.ndarray, np.nda
     return sigmoid(np.clip(logits, -clip, clip)), np.abs(logits) < clip
 
 
-def score_batch(model: CdrmModel, x: np.ndarray) -> np.ndarray:
-    """rho = sigmoid(clamped logit) for each row of x."""
-    return _clamped_scores(model.net.forward_batch(x), model.logit_clip)[0]
+def score_batch(model: CdrmModel, x: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
+    """rho = sigmoid(clamped logit) for each row of x.
+
+    workspace is passed on to the network's forward pass, which leaves
+    its activations there.
+    """
+    return _clamped_scores(model.net.forward_batch(x, workspace), model.logit_clip)[0]
 
 
 def score_and_grad(
@@ -99,21 +104,24 @@ def score_and_grad(
     return rho, grads
 
 
-def score_fn(model: CdrmModel) -> ScoreFn:
+def score_fn(model: CdrmModel, workspace: Workspace | None = None) -> ScoreFn:
     """Closure shape the Langevin sampler consumes.
 
-    The closure owns one network workspace, sized on its first call and
-    rebuilt when the batch row count changes, so a chain reuses the same
-    buffers on every step and they are freed with the closure.
+    The closure owns one network workspace, the one given or one sized on
+    its first call, and rebuilds it when the batch row count changes, so a
+    chain reuses the same buffers on every step and they are freed with
+    the closure. A call without gradients runs the forward pass alone, and
+    its activations stay in the workspace.
     """
-    workspace = None
 
-    def fn(batch):
+    def fn(batch, with_grad):
         nonlocal workspace
         rows = len(batch)
         if workspace is None or workspace.rows != rows:
             workspace = Workspace(model.net.layer_dims, rows)
-        return score_and_grad(model, batch, workspace)
+        if with_grad:
+            return score_and_grad(model, batch, workspace)
+        return score_batch(model, batch, workspace), None
 
     return fn
 
@@ -167,32 +175,44 @@ class TrainConfig:
         )
 
 
-def generate_negatives(model: CdrmModel, cfg: LangevinConfig, seed: SeedLike) -> np.ndarray:
-    """Final batch of an ascent chain from uniform initialization.
+def generate_negatives(model: CdrmModel, cfg: LangevinConfig, seed: SeedLike) -> Workspace:
+    """Final batch of an ascent chain from uniform initialization, with the
+    network's forward pass on it.
 
     cfg is the chain `TrainConfig.negative_chain_config` builds, which
-    sets the batch size. Returned positions are constants downstream; no
-    gradient flows back through the chain that produced them.
+    sets the batch size. The returned workspace is the one the chain's
+    final, score-only pass ran in: its `inputs` are the negatives and its
+    buffers hold that pass's activations and logits, which the update
+    reads instead of scoring the batch again. The positions are constants
+    downstream; no gradient flows back through the chain that produced
+    them.
     """
-    return langevin.run(score_fn(model), cfg, None, seed).samples[-1]
+    workspace = Workspace(model.net.layer_dims, cfg.n_samples)
+    langevin.run(score_fn(model, workspace), cfg, None, seed)
+    return workspace
 
 
 def _loss_and_gradient(
-    model: CdrmModel, pos: np.ndarray, neg: np.ndarray, eps: float
+    model: CdrmModel, pos: np.ndarray, neg: Workspace, eps: float
 ) -> tuple[float, ParamGradient]:
     """Contrastive loss of one (pos, neg) batch pair and its gradient with
     respect to every network parameter; a non-finite loss raises
-    TrainingDivergenceError before any gradient work."""
+    TrainingDivergenceError before any gradient work.
+
+    neg holds a forward pass of the network on the negatives, as
+    `generate_negatives` returns it; the positives are forwarded once here.
+    """
     net = model.net
-    rho_pos, in_pos = _clamped_scores(net.forward_batch(pos), model.logit_clip)
-    rho_neg, in_neg = _clamped_scores(net.forward_batch(neg), model.logit_clip)
+    pos_pass = Workspace(net.layer_dims, len(pos))
+    rho_pos, in_pos = _clamped_scores(net.forward_batch(pos, pos_pass), model.logit_clip)
+    rho_neg, in_neg = _clamped_scores(neg.logits, model.logit_clip)
     loss = contrastive_loss(rho_pos, rho_neg, eps)
     if not np.isfinite(loss):
         raise TrainingDivergenceError("non-finite loss")
     # dL/dlogit for each batch; the clamp zeroes saturated samples.
     up_pos = -(1.0 / len(pos)) / (rho_pos + eps) * rho_pos * (1.0 - rho_pos) * in_pos
     up_neg = (1.0 / len(neg)) / (1.0 - rho_neg + eps) * rho_neg * (1.0 - rho_neg) * in_neg
-    grad = net.grad_params_batch(pos, up_pos)
+    grad = net.grad_params_batch(pos_pass, up_pos)
     grad_neg = net.grad_params_batch(neg, up_neg)
     for i in range(len(grad.weights)):
         grad.weights[i] += grad_neg.weights[i]
@@ -224,7 +244,8 @@ def train(
             f"dataset width {tuples.shape[1]} does not match model dims {model.dims}"
         )
 
-    net = model.net
+    net = copy.deepcopy(model.net)  # Adam updates this copy in place
+    trained = replace(model, net=net)
     adam = AdamState.zeros_for(net)
     chain = cfg.negative_chain_config(model)  # bounds and dims only, not weights
     step_index = 0  # Adam bias correction counts updates, not epochs
@@ -235,18 +256,17 @@ def train(
         ).permutation(len(tuples))
         epoch_losses = []
         for update, start in enumerate(range(0, len(tuples), cfg.positive_batch)):
-            current = replace(model, net=net)
             pos = tuples[order[start : start + cfg.positive_batch]]
             neg = generate_negatives(
-                current, chain, langevin.derive_seed(cfg.seed, _TAG_NEGATIVE, epoch, update)
+                trained, chain, langevin.derive_seed(cfg.seed, _TAG_NEGATIVE, epoch, update)
             )
             step_index += 1
             try:
-                loss, grad = _loss_and_gradient(current, pos, neg, cfg.stability_eps)
-                net, adam = adam_update(net, grad, adam, step_index, cfg.learning_rate)
+                loss, grad = _loss_and_gradient(trained, pos, neg, cfg.stability_eps)
+                adam_update(net, grad, adam, step_index, cfg.learning_rate)
             except TrainingDivergenceError as exc:
                 raise TrainingDivergenceError(f"epoch {epoch}: {exc}") from None
             epoch_losses.append(loss)
         losses.append(float(np.mean(epoch_losses)))
 
-    return replace(model, net=net), losses
+    return trained, losses

@@ -102,10 +102,28 @@ class MlpNetwork:
             acts.append(z)
         return acts[-1][:, 0], acts
 
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Logits for a batch of inputs, shape (n,)."""
+    def _check_workspace(self, workspace: "Workspace", rows: int) -> None:
+        if workspace.layer_dims != tuple(self.layer_dims) or workspace.rows != rows:
+            raise InvalidInputError(
+                f"workspace is sized for {workspace.rows} rows of {list(workspace.layer_dims)}, "
+                f"got {rows} rows of {self.layer_dims}"
+            )
+
+    def forward_batch(self, x: np.ndarray, workspace: "Workspace | None" = None) -> np.ndarray:
+        """Logits for a batch of inputs, shape (n,).
+
+        With a workspace sized for this network and batch, the layer
+        outputs are written into its buffers and kept there, with x as its
+        inputs, for `grad_params_batch`; the returned logits are then a view
+        into it.
+        """
         x = self._check_batch(x)
-        return self._forward_cached(x)[0]
+        if workspace is None:
+            return self._forward_cached(x)[0]
+        self._check_workspace(workspace, x.shape[0])
+        logits, _ = self._forward_cached(x, workspace.acts)
+        workspace.inputs = x
+        return logits
 
     def forward_and_grad_input_batch(
         self, x: np.ndarray, workspace: "Workspace | None" = None
@@ -120,11 +138,9 @@ class MlpNetwork:
         x = self._check_batch(x)
         if workspace is None:
             workspace = Workspace(self.layer_dims, x.shape[0])
-        elif workspace.layer_dims != tuple(self.layer_dims) or workspace.rows != x.shape[0]:
-            raise InvalidInputError(
-                f"workspace is sized for {workspace.rows} rows of {list(workspace.layer_dims)}, "
-                f"got {x.shape[0]} rows of {self.layer_dims}"
-            )
+        else:
+            self._check_workspace(workspace, x.shape[0])
+        workspace.inputs = None  # the backward pass below overwrites the activations
         logits, acts = self._forward_cached(x, workspace.acts)
         g = workspace.ones
         for i in range(len(self.weights) - 1, 0, -1):
@@ -135,19 +151,24 @@ class MlpNetwork:
             g = np.multiply(prod, deriv, out=deriv)
         return logits, np.matmul(g, self.weights[0], out=workspace.input_grad)
 
-    def grad_params_batch(self, x: np.ndarray, upstream: np.ndarray) -> "ParamGradient":
+    def grad_params_batch(self, forward: "Workspace", upstream: np.ndarray) -> "ParamGradient":
         """Gradient of sum_i upstream[i] * logit(x_i) w.r.t. every parameter.
 
-        Batch gradients are the sum of per-sample gradients, so callers can
-        fold loss weighting into `upstream` and update once per batch.
+        forward is the workspace of a `forward_batch(x, forward)` call on
+        this network; the gradient is built from the activations that pass
+        left in it, without running the forward again. Batch gradients are
+        the sum of per-sample gradients, so callers can fold loss weighting
+        into `upstream` and update once per batch.
         """
-        x = self._check_batch(x)
+        if forward.inputs is None:
+            raise InvalidInputError("workspace holds no forward pass to differentiate")
+        self._check_workspace(forward, len(forward))
         upstream = np.asarray(upstream, dtype=np.float64)
-        if upstream.shape != (x.shape[0],):
+        if upstream.shape != (len(forward),):
             raise InvalidInputError(
-                f"upstream must have shape ({x.shape[0]},), got {upstream.shape}"
+                f"upstream must have shape ({len(forward)},), got {upstream.shape}"
             )
-        _, acts = self._forward_cached(x)
+        acts = [forward.inputs, *forward.acts]
         n_layers = len(self.weights)
         d_weights: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
         d_biases: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
@@ -161,14 +182,20 @@ class MlpNetwork:
 
 
 class Workspace:
-    """Buffers for `forward_and_grad_input_batch` at one batch size.
+    """Buffers for one network's passes over batches of one size.
 
     acts[i] is the output of layer i (tanh applied in place on hidden
-    layers); the backward pass then overwrites each hidden output with the
+    layers), and the last one holds the logits. After `forward_batch` the
+    buffers keep that pass's activations and `inputs` is the batch it ran
+    on, which is what `grad_params_batch` reads. The backward pass of
+    `forward_and_grad_input_batch` overwrites each hidden output with the
     gradient with respect to that layer's pre-activation, using one
-    hidden-width scratch array for the matmul in between. input_grad receives d logit / d input. A
-    workspace belongs to one caller; the network itself holds none, so a
-    network stays safe to share.
+    hidden-width scratch array for the matmul in between, and writes
+    d logit / d input to input_grad; it leaves no forward to read, so it
+    sets `inputs` to None.
+
+    A workspace belongs to one caller. The network itself holds none, so
+    a network stays safe to share.
     """
 
     def __init__(self, layer_dims: list[int], rows: int):
@@ -178,6 +205,15 @@ class Workspace:
         self.input_grad = np.empty((rows, layer_dims[0]))
         self.ones = np.ones((rows, 1))
         self._scratch = np.empty(rows * max(layer_dims[1:-1], default=0))
+        self.inputs: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.rows
+
+    @property
+    def logits(self) -> np.ndarray:
+        """Logits of the last forward pass, shape (rows,)."""
+        return self.acts[-1][:, 0]
 
     def scratch(self, width: int) -> np.ndarray:
         """A (rows, width) view of the shared scratch array."""
@@ -225,11 +261,13 @@ def adam_update(
     state: AdamState,
     step_index: int,
     learning_rate: float,
-) -> tuple[MlpNetwork, AdamState]:
-    """One Adam step with bias correction; step_index starts at 1.
+) -> None:
+    """One Adam step with bias correction, in place; step_index starts at 1.
 
-    Returns a fresh network and state; the inputs are left untouched so
-    concurrent readers of the old network stay valid.
+    Updates the parameters of net and the moments of state where they
+    lie, so a caller that must keep a network unchanged passes a copy. A
+    non-finite gradient raises TrainingDivergenceError before anything is
+    written; a step that leaves a parameter non-finite raises it after.
     """
     if not grads.is_finite():
         raise TrainingDivergenceError("non-finite gradient entries in Adam update")
@@ -237,26 +275,27 @@ def adam_update(
         raise InvalidInputError("step_index must be >= 1")
     bc1 = 1.0 - ADAM_BETA1**step_index
     bc2 = 1.0 - ADAM_BETA2**step_index
-
-    def step(p, g, m, v):
-        m_new = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v_new = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        p_new = p - learning_rate * (m_new / bc1) / (np.sqrt(v_new / bc2) + ADAM_EPS)
-        return p_new, m_new, v_new
-
-    new_w, new_b = [], []
-    new_state = AdamState()
-    for w, gw, m, v in zip(net.weights, grads.weights, state.m_weights, state.v_weights):
-        p, m_new, v_new = step(w, gw, m, v)
-        new_w.append(p)
-        new_state.m_weights.append(m_new)
-        new_state.v_weights.append(v_new)
-    for b, gb, m, v in zip(net.biases, grads.biases, state.m_biases, state.v_biases):
-        p, m_new, v_new = step(b, gb, m, v)
-        new_b.append(p)
-        new_state.m_biases.append(m_new)
-        new_state.v_biases.append(v_new)
-    return (
-        MlpNetwork(list(net.layer_dims), new_w, new_b),
-        new_state,
-    )
+    params = net.weights + net.biases
+    moments = zip(state.m_weights + state.m_biases, state.v_weights + state.v_biases)
+    for p, g, (m, v) in zip(params, grads.weights + grads.biases, moments):
+        # The arithmetic, operation for operation, of
+        #   m = beta1 * m + (1 - beta1) * g
+        #   v = beta2 * v + (1 - beta2) * g * g
+        #   p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        # in two scratch arrays.
+        step = np.multiply(g, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
+        m += step
+        np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+        step *= g
+        v *= ADAM_BETA2
+        v += step
+        denom = np.divide(v, bc2)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, bc1, out=step)
+        step *= learning_rate
+        step /= denom
+        p -= step
+    if not all(np.all(np.isfinite(p)) for p in params):
+        raise TrainingDivergenceError("non-finite parameters after Adam update")

@@ -4,6 +4,7 @@ acceptance battery and the example-level tests reuse one training run."""
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from cdrm import data, kde, langevin, model, nnet
 
@@ -61,3 +62,52 @@ def toy_model_13():
 @pytest.fixture(scope="session")
 def toy_trio(toy_model_1, toy_model_2, toy_model_13):
     return {1: toy_model_1, 2: toy_model_2, 13: toy_model_13}
+
+
+def forward_pass(net, x) -> nnet.Workspace:
+    """A workspace holding the network's forward pass on x."""
+    workspace = nnet.Workspace(net.layer_dims, len(x))
+    net.forward_batch(x, workspace)
+    return workspace
+
+
+def reference_param_grad(net, x, upstream) -> nnet.ParamGradient:
+    """Oracle for grad_params_batch: a fresh out-of-place forward on x,
+    then the backward recurrence, with the library's operation order."""
+    acts = [np.asarray(x, dtype=np.float64)]
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w.T + b
+        acts.append(z if i == last else np.tanh(z))
+    d_weights, d_biases = [None] * len(net.weights), [None] * len(net.weights)
+    g = np.asarray(upstream, dtype=np.float64)[:, None]
+    for i in range(last, -1, -1):
+        d_weights[i] = g.T @ acts[i]
+        d_biases[i] = g.sum(axis=0)
+        if i > 0:
+            g = (g @ net.weights[i]) * (1.0 - acts[i] ** 2)
+    return nnet.ParamGradient(d_weights, d_biases)
+
+
+def same_bytes(a: nnet.ParamGradient, b: nnet.ParamGradient) -> bool:
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a.weights + a.biases, b.weights + b.biases))
+
+
+def count_passes(monkeypatch) -> dict:
+    """Count network passes from here on: every forward (each runs through
+    `_forward_cached`), every input-gradient backward and every
+    parameter-gradient backward."""
+    counts = {"forward": 0, "input_grad": 0, "param_grad": 0}
+    net = nnet.MlpNetwork
+    for key, attr in [
+        ("forward", "_forward_cached"),
+        ("input_grad", "forward_and_grad_input_batch"),
+        ("param_grad", "grad_params_batch"),
+    ]:
+
+        def counted(*args, _key=key, _method=getattr(net, attr), **kwargs):
+            counts[_key] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(net, attr, counted)
+    return counts

@@ -15,7 +15,7 @@ import pytest
 from cdrm import binref, data, inference, kde, langevin, metrics, model, nnet
 from cdrm.cli import run as cli_run
 from cdrm.metrics import ScoredProbe
-from conftest import train_toy
+from conftest import forward_pass, train_toy
 
 ACCEPT_ALPHA = 0.60
 GAP_PROBES = np.linspace(-0.30, 0.30, 21)
@@ -105,7 +105,7 @@ def test_c01_gradients_match_finite_differences(capsys):
             )
 
             picks = rng.choice(len(coords), size=min(40, len(coords)), replace=False)
-            grad = net.grad_params_batch(x[None, :], np.ones(1))
+            grad = net.grad_params_batch(forward_pass(net, x[None, :]), np.ones(1))
             fd_p, an_p = [], []
             for p in picks:
                 kind, li, idx = coords[p]

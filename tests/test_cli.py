@@ -185,6 +185,11 @@ class TestTrain:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.json.loss.csv").read_bytes() == (tmp_path / "b.json.loss.csv").read_bytes()
 
+    def test_negative_chain_without_steps_is_accepted(self, capsys, tmp_path, tiny_toy_csv):
+        code, stdout, _ = train_tiny(capsys, tiny_toy_csv, tmp_path / "m.json", "--langevin-steps", "0")
+        assert code == 0
+        assert "2 epochs" in stdout
+
     def test_empty_dataset_is_usage_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
         ds = data.TransitionDataset(np.empty((0, 2)), (1, 0, 1), np.tile([0.0, 1.0], (2, 1)))
@@ -380,7 +385,12 @@ class TestBench:
 
 @pytest.mark.parametrize(
     "command, flag",
-    [("oracle", "--grid-probes"), ("bench", "--bin-queries"), ("bench", "--reps")],
+    [
+        ("oracle", "--grid-probes"),
+        ("bench", "--bin-queries"),
+        ("bench", "--reps"),
+        ("bench", "--l-values"),
+    ],
 )
 def test_count_below_one_is_usage_error(capsys, tmp_path, tiny_toy_csv, toy_model, command, flag):
     if command == "oracle":
@@ -392,6 +402,22 @@ def test_count_below_one_is_usage_error(capsys, tmp_path, tiny_toy_csv, toy_mode
     assert code == 2
     assert stdout == ""
     assert flag in stderr
+
+
+@pytest.mark.parametrize("command", ["infer", "eval", "oracle"])
+def test_chain_without_steps_is_usage_error(capsys, tmp_path, tiny_toy_csv, request, command):
+    # training chains may have no step; an inference chain needs one
+    model_fixture = "room_model" if command == "eval" else "toy_model"
+    model = str(request.getfixturevalue(model_fixture))
+    inputs = {
+        "infer": ["--model", model, "--query", "-0.7"],
+        "eval": ["--model", model, "--out", str(tmp_path / "e.csv"), "--grid", "3"],
+        "oracle": ["--model", model, "--data", str(tiny_toy_csv), "--grid-probes", "3"],
+    }[command]
+    code, stdout, stderr = run_cli(capsys, command, *inputs, "--samples", "8", "--steps", "0")
+    assert (code, stdout) == (2, "")
+    assert "--steps" in stderr
+    assert not (tmp_path / "e.csv").exists()
 
 
 BAD_VALUES = ["-1", "0", "1.5", "nan", "inf", "x", ""]

@@ -28,6 +28,7 @@ from cdrm.inference import (
 from cdrm.langevin import ChainTrace, LangevinConfig
 from cdrm.model import CdrmModel, score_fn
 from cdrm.nnet import MlpNetwork
+from conftest import count_passes
 
 
 def ramp_model(with_kde=True):
@@ -455,6 +456,18 @@ class TestInfer:
         m = ramp_model()
         with pytest.raises(InvalidInputError, match="alpha"):
             infer(m, [0.0], [], cfg=small_chain(), alpha=alpha)
+
+    def test_chain_without_steps_rejected(self):
+        with pytest.raises(InvalidInputError, match="steps"):
+            infer(ramp_model(), [0.0], [], cfg=small_chain(steps=0))
+
+    def test_passes_per_query(self, monkeypatch):
+        # The default 512 x 50 chain: fifty steps with input gradients,
+        # then one score-only pass over the final batch.
+        m = dataclasses.replace(ramp_model(), net=MlpNetwork.initialize([2, 64, 128, 64, 1], seed=0))
+        counts = count_passes(monkeypatch)
+        infer(m, [0.0], [], seed=1)
+        assert counts == {"forward": 51, "input_grad": 50, "param_grad": 0}
 
     def test_nan_dedup_tol_rejected_before_the_chain(self):
         m = ramp_model()

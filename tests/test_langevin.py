@@ -19,7 +19,7 @@ def quadratic_score(center):
     # score peaks at `center`; gradient points toward it
     c = np.asarray(center, dtype=np.float64)
 
-    def fn(batch):
+    def fn(batch, with_grad=True):
         diff = batch - c
         scores = -np.sum(diff * diff, axis=1)
         return scores, -2.0 * diff
@@ -178,7 +178,7 @@ def test_per_step_max_tracks_batch_max():
 
 
 def test_nonfinite_gradient_raises():
-    def bad_fn(batch):
+    def bad_fn(batch, with_grad):
         g = np.zeros_like(batch)
         g[0, 0] = np.nan
         return np.zeros(batch.shape[0]), g
@@ -199,6 +199,21 @@ def test_step_single_update():
     assert np.array_equal(trace.scores[1], fn(expect)[0])
 
 
+@pytest.mark.parametrize("steps", [0, 1, 3])
+def test_only_the_final_pass_goes_without_gradients(steps):
+    calls = []
+    inner = quadratic_score([0.0, 0.0])
+
+    def fn(batch, with_grad):
+        calls.append(with_grad)
+        scores, grads = inner(batch)
+        return scores, grads if with_grad else None
+
+    trace = run(fn, full_cfg(steps=steps), None, seed=2)
+    assert calls == [True] * steps + [False]
+    assert np.array_equal(trace.scores[-1], inner(trace.samples[-1])[0])
+
+
 def test_zero_steps_returns_init_only():
     cfg = full_cfg(steps=0)
     trace = run(quadratic_score([0.0, 0.0]), cfg, None, seed=0)
@@ -212,7 +227,7 @@ def test_run_streams_follow_sample_rng():
     cfg = full_cfg(d=3, free_dims=[2, 0], bounds=bounds, steps=3, noise_scale=0.02, n_samples=5)
     fixed = np.array([0.0, 0.75, 0.0])
 
-    def flat(batch):
+    def flat(batch, with_grad):
         return np.zeros(len(batch)), np.zeros_like(batch)
 
     trace = run(flat, cfg, fixed, seed=(4, 2**63 + 5))
@@ -265,7 +280,7 @@ def bounded_chains(draw):
 def test_samples_stay_in_bounds_and_frozen_dims_hold(case):
     cfg, fixed, gain, phase = case[:4]
 
-    def steep(batch):
+    def steep(batch, with_grad):
         # gradients up to `gain` in size, changing sign across the box
         return np.sin(batch + phase).sum(axis=1), gain * np.cos(3.0 * batch + phase)
 

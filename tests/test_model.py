@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from cdrm import langevin, model
+from conftest import count_passes, forward_pass, reference_param_grad, same_bytes
 from cdrm.data import TransitionDataset
 from cdrm.errors import InvalidInputError, TrainingDivergenceError
 from cdrm.model import (
     LOGIT_CLIP,
+    _clamped_scores,
     _loss_and_gradient,
     CdrmModel,
     TrainConfig,
@@ -126,10 +128,12 @@ class TestScoreGradient:
     def test_score_fn_closure_matches_direct_call(self):
         m = tiny_model(seed=9)
         x = np.random.default_rng(3).uniform(-1, 1, size=(5, 2))
-        rho_a, grad_a = score_fn(m)(x)
+        rho_a, grad_a = score_fn(m)(x, True)
         rho_b, grad_b = score_and_grad(m, x)
         np.testing.assert_array_equal(rho_a, rho_b)
         np.testing.assert_array_equal(grad_a, grad_b)
+        rho_c, grad_c = score_fn(m)(x, False)
+        assert rho_c.tobytes() == score_batch(m, x).tobytes() and grad_c is None
 
 
     def test_score_fn_closure_survives_row_count_change(self):
@@ -143,7 +147,8 @@ class TestScoreGradient:
         rng = np.random.default_rng(8)
         for rows in [32, 32, 512, 1, 512]:
             x = rng.uniform(-1, 1, size=(rows, 2))
-            rho_a, grad_a = fn(x)
+            assert fn(x, False)[0].tobytes() == score_batch(m, x).tobytes()
+            rho_a, grad_a = fn(x, True)
             rho_b, grad_b = score_and_grad(m, x)
             assert rho_a.tobytes() == rho_b.tobytes()
             assert grad_a.tobytes() == grad_b.tobytes()
@@ -181,7 +186,7 @@ class TestContrastiveLoss:
             mm = CdrmModel(net=net, input_bounds=m.input_bounds, dims=m.dims)
             return contrastive_loss(score_batch(mm, pos), score_batch(mm, neg), eps)
 
-        loss, grad = _loss_and_gradient(m, pos, neg, eps)
+        loss, grad = _loss_and_gradient(m, pos, forward_pass(m.net, neg), eps)
         assert loss == loss_of(m.net)
 
         h = 1e-6
@@ -245,18 +250,55 @@ class TestGenerateNegatives:
     def test_shape_count_and_bounds(self):
         m = tiny_model(seed=2)
         cfg = TrainConfig(epochs=1, negative_batch=9).negative_chain_config(m)
-        neg = generate_negatives(m, cfg, seed=5)
+        neg = generate_negatives(m, cfg, seed=5).inputs
         assert neg.shape == (9, 2)
         assert np.all(neg >= m.input_bounds[:, 0]) and np.all(neg <= m.input_bounds[:, 1])
 
     def test_deterministic_and_matches_chain_tail(self):
         m = tiny_model(seed=2)
         cfg = TrainConfig(epochs=1, negative_batch=6).negative_chain_config(m)
-        a = generate_negatives(m, cfg, seed=8)
-        b = generate_negatives(m, cfg, seed=8)
+        a = generate_negatives(m, cfg, seed=8).inputs
+        b = generate_negatives(m, cfg, seed=8).inputs
         np.testing.assert_array_equal(a, b)
         trace = langevin.run(score_fn(m), cfg, None, 8)
         np.testing.assert_array_equal(a, trace.samples[-1])
+
+    @pytest.mark.parametrize("steps", [0, 1, 10])
+    def test_update_reads_the_chains_final_pass(self, steps):
+        # With steps = 0 the chain's last batch is also its only batch. A
+        # small clip saturates some samples, so the clamp mask is mixed.
+        m = CdrmModel(
+            net=MlpNetwork.initialize([2, 64, 128, 64, 1], seed=3),
+            input_bounds=np.tile([-1.0, 1.0], (2, 1)),
+            dims=(1, 0, 1),
+            logit_clip=0.05,
+        )
+        cfg = TrainConfig(epochs=1, langevin_steps=steps).negative_chain_config(m)
+        seed = langevin.derive_seed(7, steps)
+        neg = generate_negatives(m, cfg, seed)
+        x = langevin.run(score_fn(m), cfg, None, seed).samples[-1]
+        assert neg.inputs.tobytes() == x.tobytes()
+
+        rho_neg, in_neg = _clamped_scores(neg.logits, m.logit_clip)
+        assert rho_neg.tobytes() == score_batch(m, x).tobytes()
+        in_range = np.abs(m.net.forward_batch(x)) < m.logit_clip
+        assert np.array_equal(in_neg, in_range) and in_range.any() and not in_range.all()
+
+        eps = 1e-6
+        up_neg = (1.0 / len(x)) / (1.0 - rho_neg + eps) * rho_neg * (1.0 - rho_neg) * in_range
+        want_neg = reference_param_grad(m.net, x, up_neg)
+        assert same_bytes(m.net.grad_params_batch(neg, up_neg), want_neg)
+
+        # The whole update against fresh forwards of both batches.
+        pos = np.random.default_rng(steps).uniform(-1, 1, (16, 2))
+        rho_pos, in_pos = _clamped_scores(m.net.forward_batch(pos), m.logit_clip)
+        up_pos = -(1.0 / 16) / (rho_pos + eps) * rho_pos * (1.0 - rho_pos) * in_pos
+        want = reference_param_grad(m.net, pos, up_pos)
+        for a, b in zip(want.weights + want.biases, want_neg.weights + want_neg.biases):
+            a += b
+        loss, grad = _loss_and_gradient(m, pos, neg, eps)
+        assert loss == contrastive_loss(rho_pos, score_batch(m, x), eps)
+        assert same_bytes(grad, want)
 
 
 class TestTrain:
@@ -290,6 +332,36 @@ class TestTrain:
         train(m, tiny_dataset(n=8), TrainConfig(epochs=2, positive_batch=8, negative_batch=4, langevin_steps=1))
         for w0, w1 in zip(before, m.net.weights):
             np.testing.assert_array_equal(w0, w1)
+
+    def test_callers_net_stays_byte_unchanged_and_unshared(self):
+        m = tiny_model(seed=4, layers=[2, 6, 5, 1])
+        params = m.net.weights + m.net.biases
+        before = [p.tobytes() for p in params]
+        cfg = TrainConfig(epochs=3, positive_batch=4, negative_batch=4, langevin_steps=2)
+        out, _ = train(m, tiny_dataset(n=10), cfg)
+        assert [p.tobytes() for p in m.net.weights + m.net.biases] == before
+        assert all(p is q for p, q in zip(params, m.net.weights + m.net.biases))
+        for p, q in zip(params, out.net.weights + out.net.biases):
+            assert not np.shares_memory(p, q)
+        assert out.net.weights[0].tobytes() != before[0]
+
+    def test_two_runs_from_one_initial_model_agree(self):
+        m = tiny_model(seed=4, layers=[2, 6, 5, 1])
+        ds = tiny_dataset(n=10)
+        cfg = TrainConfig(epochs=2, positive_batch=4, negative_batch=4, langevin_steps=2, seed=3)
+        (out_a, loss_a), (out_b, loss_b) = train(m, ds, cfg), train(m, ds, cfg)
+        assert loss_a == loss_b
+        params_a, params_b = out_a.net.weights + out_a.net.biases, out_b.net.weights + out_b.net.biases
+        assert [p.tobytes() for p in params_a] == [p.tobytes() for p in params_b]
+
+    def test_passes_per_update(self, monkeypatch):
+        # One update at L = 10: ten chain steps with input gradients, the
+        # chain's score-only final pass and one forward of the positives.
+        counts = count_passes(monkeypatch)
+        m = tiny_model(seed=4, layers=[2, 64, 128, 64, 1])
+        cfg = TrainConfig(epochs=1, positive_batch=16, langevin_steps=10)
+        train(m, tiny_dataset(n=16), cfg)
+        assert counts == {"forward": 12, "input_grad": 10, "param_grad": 2}
 
     def test_seed_changes_trajectory(self):
         ds = tiny_dataset(n=10)

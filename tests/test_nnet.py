@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from conftest import forward_pass, reference_param_grad, same_bytes
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cdrm.errors import InvalidInputError, TrainingDivergenceError
 from cdrm.nnet import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     MlpNetwork,
     ParamGradient,
@@ -152,7 +159,7 @@ def test_grad_params_matches_finite_difference():
     rng = np.random.default_rng(2)
     x = rng.uniform(-1, 1, (5, 2))
     upstream = rng.normal(size=5)
-    analytic = net.grad_params_batch(x, upstream)
+    analytic = net.grad_params_batch(forward_pass(net, x), upstream)
 
     h = 1e-6
     for li in range(len(net.weights)):
@@ -171,7 +178,39 @@ def test_grad_params_matches_finite_difference():
 def test_grad_params_upstream_shape_check():
     net = MlpNetwork.initialize([2, 3, 1], seed=0)
     with pytest.raises(InvalidInputError):
-        net.grad_params_batch(np.zeros((4, 2)), np.zeros(3))
+        net.grad_params_batch(forward_pass(net, np.zeros((4, 2))), np.zeros(3))
+
+
+def test_grad_params_needs_a_forward_pass_of_this_shape():
+    net = MlpNetwork.initialize([2, 3, 1], seed=0)
+    x = np.zeros((4, 2))
+    ws = Workspace(net.layer_dims, 4)
+    with pytest.raises(InvalidInputError):
+        net.grad_params_batch(ws, np.zeros(4))  # nothing forwarded yet
+    net.forward_batch(x, ws)
+    net.forward_and_grad_input_batch(x, ws)  # overwrites the activations
+    with pytest.raises(InvalidInputError):
+        net.grad_params_batch(ws, np.zeros(4))
+    other = MlpNetwork.initialize([2, 5, 1], seed=0)
+    with pytest.raises(InvalidInputError):
+        other.grad_params_batch(forward_pass(net, x), np.zeros(4))
+    with pytest.raises(InvalidInputError):
+        net.forward_batch(x, Workspace(net.layer_dims, 5))
+
+
+@pytest.mark.parametrize("rows", [1, 32])
+def test_grad_params_from_kept_forward_matches_fresh_forward(rows):
+    net = MlpNetwork.initialize([2, 64, 128, 64, 1], seed=6)
+    rng = np.random.default_rng(rows)
+    ws = Workspace(net.layer_dims, rows)
+    for _ in range(2):  # the workspace is reused: a chain step, then a forward
+        net.forward_and_grad_input_batch(rng.uniform(-1, 1, (rows, 2)), ws)
+        x = rng.uniform(-1, 1, (rows, 2))
+        logits = net.forward_batch(x, ws)
+        assert logits.tobytes() == net.forward_batch(x).tobytes()
+        assert ws.logits.tobytes() == logits.tobytes() and ws.inputs is x
+        upstream = rng.normal(size=rows)
+        assert same_bytes(net.grad_params_batch(ws, upstream), reference_param_grad(net, x, upstream))
 
 
 def test_grad_params_batch_is_sum_of_singles():
@@ -179,10 +218,10 @@ def test_grad_params_batch_is_sum_of_singles():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, (4, 3))
     upstream = rng.normal(size=4)
-    batch = net.grad_params_batch(x, upstream)
+    batch = net.grad_params_batch(forward_pass(net, x), upstream)
     acc = [np.zeros_like(w) for w in net.weights]
     for i in range(4):
-        single = net.grad_params_batch(x[i][None, :], upstream[i : i + 1])
+        single = net.grad_params_batch(forward_pass(net, x[i][None, :]), upstream[i : i + 1])
         for li in range(len(acc)):
             acc[li] += single.weights[li]
     for li in range(len(acc)):
@@ -191,29 +230,87 @@ def test_grad_params_batch_is_sum_of_singles():
 
 def test_adam_moves_against_gradient():
     net = MlpNetwork.initialize([2, 1], seed=0)
+    before = net.weights[0].copy()
     g = ParamGradient([np.ones_like(net.weights[0])], [np.ones_like(net.biases[0])])
-    state = AdamState.zeros_for(net)
-    new_net, _ = adam_update(net, g, state, 1, 0.1)
-    assert np.all(new_net.weights[0] < net.weights[0])
+    adam_update(net, g, AdamState.zeros_for(net), 1, 0.1)
+    assert np.all(net.weights[0] < before)
 
 
-def test_adam_leaves_inputs_untouched():
-    net = MlpNetwork.initialize([2, 3, 1], seed=4)
-    before = [w.copy() for w in net.weights]
-    g = ParamGradient(
-        [np.ones_like(w) for w in net.weights],
-        [np.ones_like(b) for b in net.biases],
+def adam_out_of_place(p, g, m, v, step_index, lr):
+    """The Adam step written as fresh-array expressions: the oracle for
+    the in-place update."""
+    bc1 = 1.0 - ADAM_BETA1**step_index
+    bc2 = 1.0 - ADAM_BETA2**step_index
+    m_new = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v_new = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+    p_new = p - lr * (m_new / bc1) / (np.sqrt(v_new / bc2) + ADAM_EPS)
+    return p_new, m_new, v_new
+
+
+_ADAM_DIMS = [2, 3, 1]
+_ADAM_SHAPES = [(3, 2), (1, 3), (3,), (1,)]  # weights, then biases
+
+
+@st.composite
+def adam_cases(draw):
+    def values(low, high):
+        return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+    def each(elements):
+        return [draw(arrays(np.float64, shape, elements=elements)) for shape in _ADAM_SHAPES]
+
+    wide = st.one_of(values(-1e3, 1e3), values(-1e-300, 1e-300), values(-1e300, 1e300))
+    return (
+        each(wide),  # parameters
+        each(wide),  # gradients
+        each(wide),  # first moments
+        each(st.one_of(values(0.0, 1e3), values(0.0, 1e300))),  # second moments
+        draw(st.integers(1, 5000)),
+        draw(st.one_of(values(1e-6, 1.0), values(1.0, 1e300))),
     )
-    adam_update(net, g, AdamState.zeros_for(net), 1, 0.05)
-    for w, w0 in zip(net.weights, before):
-        assert np.array_equal(w, w0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(adam_cases())
+def test_adam_in_place_matches_out_of_place_formula(case):
+    params, grads, ms, vs, step_index, lr = case
+    net = MlpNetwork(_ADAM_DIMS, [p.copy() for p in params[:2]], [p.copy() for p in params[2:]])
+    state = AdamState(*([a.copy() for a in arrs] for arrs in (ms[:2], vs[:2], ms[2:], vs[2:])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [adam_out_of_place(*args, step_index, lr) for args in zip(params, grads, ms, vs)]
+    g = ParamGradient(grads[:2], grads[2:])
+    if not all(np.all(np.isfinite(p_new)) for p_new, _, _ in want):
+        with pytest.raises(TrainingDivergenceError), np.errstate(over="ignore", invalid="ignore"):
+            adam_update(net, g, state, step_index, lr)
+        return
+    with np.errstate(over="ignore"):  # g * g may overflow to an infinite second moment
+        adam_update(net, g, state, step_index, lr)
+    got_p = net.weights + net.biases
+    got_m = state.m_weights + state.m_biases
+    got_v = state.v_weights + state.v_biases
+    for (p_new, m_new, v_new), p, m, v in zip(want, got_p, got_m, got_v):
+        assert p.tobytes() == p_new.tobytes()
+        assert m.tobytes() == m_new.tobytes()
+        assert v.tobytes() == v_new.tobytes()
 
 
 def test_adam_rejects_nonfinite_gradient():
     net = MlpNetwork.initialize([2, 1], seed=0)
+    before = net.weights[0].copy()
+    state = AdamState.zeros_for(net)
     g = ParamGradient([np.full_like(net.weights[0], np.inf)], [np.zeros(1)])
     with pytest.raises(TrainingDivergenceError):
-        adam_update(net, g, AdamState.zeros_for(net), 1, 0.1)
+        adam_update(net, g, state, 1, 0.1)
+    assert net.weights[0].tobytes() == before.tobytes()
+    assert not np.any(state.m_weights[0]) and not np.any(state.v_weights[0])
+
+
+def test_adam_rejects_step_that_leaves_a_parameter_non_finite():
+    # the first step moves each parameter by about lr against the gradient
+    net = MlpNetwork([1, 1], [np.array([[1.7e308]])], [np.array([0.0])])
+    g = ParamGradient([np.array([[-1.0]])], [np.array([0.0])])
+    with pytest.raises(TrainingDivergenceError), np.errstate(over="ignore"):
+        adam_update(net, g, AdamState.zeros_for(net), 1, 1e308)
 
 
 def test_adam_rejects_bad_step_index():
@@ -227,8 +324,8 @@ def test_adam_first_step_size_is_learning_rate():
     # with bias correction the very first step has magnitude ~lr per entry
     net = MlpNetwork([1, 1], [np.array([[1.0]])], [np.array([0.0])])
     g = ParamGradient([np.array([[0.5]])], [np.array([0.0])])
-    new_net, _ = adam_update(net, g, AdamState.zeros_for(net), 1, 0.01)
-    assert new_net.weights[0][0, 0] == pytest.approx(1.0 - 0.01, abs=1e-6)
+    adam_update(net, g, AdamState.zeros_for(net), 1, 0.01)
+    assert net.weights[0][0, 0] == pytest.approx(1.0 - 0.01, abs=1e-6)
 
 
 def test_n_params_counts_everything():
