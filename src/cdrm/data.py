@@ -22,7 +22,10 @@ ROOM_DIMS = (2, 0, 1)  # (x, y) state, no action, sensed temperature
 
 @dataclass
 class TransitionDataset:
-    """Ordered tuples stored as rows of a joint (state|action|next) matrix."""
+    """Ordered tuples stored as rows of a joint (state|action|next) matrix.
+
+    Tuples and bounds must be finite, and every tuple inside the bounds.
+    """
 
     tuples: np.ndarray  # (n, d_s + d_a + d_next)
     dims: tuple[int, int, int]
@@ -45,8 +48,12 @@ class TransitionDataset:
             )
         if self.bounds.shape != (d_total, 2):
             raise InvalidInputError(f"bounds must be ({d_total}, 2)")
+        if not np.all(np.isfinite(self.bounds)):
+            raise InvalidInputError("bounds must be finite")
         if np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
             raise InvalidInputError("bounds must satisfy low < high per dimension")
+        if not np.all(np.isfinite(self.tuples)):
+            raise InvalidInputError("dataset tuples must be finite")
         if len(self.tuples):
             low, high = self.bounds[:, 0], self.bounds[:, 1]
             if np.any(self.tuples < low) or np.any(self.tuples > high):

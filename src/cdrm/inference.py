@@ -2,7 +2,7 @@
 
 Inference freezes the query (state, action), lets a Langevin chain roam
 the next-state block, and keeps every visited candidate whose score
-clears a threshold. The surviving set yields the prediction (its best
+clears a threshold. The deduplicated set yields the prediction (its best
 member), the aleatoric estimate (its spread), and half of the epistemic
 estimate (its best score and the chain's score stability); the other
 half comes from the query's kernel density under the training inputs.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +28,16 @@ DEDUP_RANGE_FRACTION = 1e-3
 MAX_CELL_INDEX = 2.0**62
 
 
-def _dedup_tol_array(dedup_tol) -> np.ndarray:
+def _tol_and_width(dedup_tol, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dim tolerance for d-dim samples, a scalar applying to every dim,
+    and the cell width: 1 on zero-tolerance dims, where only equality counts."""
     tol = np.atleast_1d(np.asarray(dedup_tol, dtype=np.float64))
     if tol.ndim != 1 or not np.all(np.isfinite(tol)) or np.any(tol < 0):
         raise InvalidInputError("dedup_tol must be a finite non-negative scalar or vector")
-    return tol
+    if tol.size not in (1, d):
+        raise InvalidInputError(f"dedup_tol has {tol.size} entries, samples have {d}")
+    tol = np.broadcast_to(tol, (d,))
+    return tol, np.where(tol > 0, tol, 1.0)
 
 
 def _cell_index(points: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -46,79 +51,21 @@ def _cell_index(points: np.ndarray, width: np.ndarray) -> np.ndarray:
     return cells.astype(np.int64)
 
 
+@dataclass
 class ValidSet:
-    """Deduplicated above-threshold candidates in insertion order.
+    """Deduplicated above-threshold chain samples, built by `collect_valid`.
 
-    An incoming sample within dedup_tol (componentwise, so L-infinity for
-    a scalar tolerance) of a stored member is discarded regardless of
-    score; first-seen members are never displaced. Samples are hashed to
-    integer cells, floor(x / width) with one cell per tolerance box (width
-    1 on zero-tolerance dims, where only exact equality counts), and a
-    sample is compared only against members in the 3^d cells adjacent to
-    its own, its own included. That adjacent-cell rule is part of the
-    definition: `insert` applies it one sample at a time, and
-    `collect_valid` applies the same rule to a whole trace at once. Both
-    reject a tolerance that is NaN or infinite, and a sample whose cell
-    index lies beyond +-MAX_CELL_INDEX (a tolerance far too small for the
-    sample's magnitude), with InvalidInputError.
+    samples (k, d) over the chain's free dims and scores (k,) are in chain
+    order, (step, sample index). A candidate is dropped, whatever its score,
+    when an earlier member lies within dedup_tol of it componentwise and in
+    one of the 3^d cells adjacent to its own; cells are one tolerance wide.
     """
 
-    def __init__(self, dedup_tol):
-        self.dedup_tol = _dedup_tol_array(dedup_tol)
-        self.samples: list[np.ndarray] = []
-        self.scores: list[float] = []
-        self._flat: list[tuple] = []  # tuple mirror of samples, for cheap compares
-        self._cells: dict[tuple, list[int]] = {}
-        self._tol: tuple | None = None  # per-dim tolerance, fixed at first insert
-        self._width: np.ndarray | None = None
-        self._offsets: list[tuple] | None = None
+    samples: np.ndarray
+    scores: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    def _prepare(self, d: int):
-        tol = self.dedup_tol
-        if tol.size == 1:
-            tol = np.repeat(tol, d)
-        elif tol.size != d:
-            raise InvalidInputError(f"dedup_tol has {tol.size} entries, samples have {d}")
-        self._tol = tuple(tol)
-        # Zero-tolerance dims still need a positive hash cell width; exact
-        # duplicates share a cell at any width.
-        self._width = np.where(tol > 0, tol, 1.0)
-        self._offsets = list(itertools.product((-1, 0, 1), repeat=d))
-
-    def cell_width(self, d: int) -> np.ndarray:
-        if self._tol is None:
-            self._prepare(d)
-        return self._width
-
-    def _append(self, xt: tuple, cell: tuple, score: float):
-        self.samples.append(np.array(xt))
-        self.scores.append(score)
-        self._flat.append(xt)
-        self._cells.setdefault(cell, []).append(len(self._flat) - 1)
-
-    def insert(self, x: np.ndarray, score: float) -> bool:
-        """Add x unless a stored member in an adjacent cell sits within dedup_tol of it."""
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if self._tol is None:
-            self._prepare(x.size)
-        xt = tuple(x.tolist())
-        cell = tuple(_cell_index(x, self._width).tolist())
-        tol, cells, flat = self._tol, self._cells, self._flat
-        for off in self._offsets:
-            key = tuple(c + o for c, o in zip(cell, off))
-            for idx in cells.get(key, ()):
-                if all(abs(a - b) <= t for a, b, t in zip(xt, flat[idx], tol)):
-                    return False
-        self._append(xt, cell, float(score))
-        return True
-
-    def max_score(self) -> float:
-        if not self.scores:
-            raise EmptyValidSetError("valid set is empty")
-        return max(self.scores)
+        return len(self.scores)
 
 
 @dataclass
@@ -133,47 +80,29 @@ class InferenceResult:
 def collect_valid(trace: ChainTrace, alpha: float, dedup_tol) -> ValidSet:
     """Filter a chain trace into a deduplicated valid set.
 
-    Scans the post-update batches (the initialization batch is not a
-    chain product and is skipped); within a batch, samples are offered in
-    index order, so insertion order is (step, sample index). The result
-    is the valid set that `ValidSet.insert` builds from the same samples
-    in that order, members and scores bit for bit, but the Python work
-    scales with the members kept rather than the candidates offered; see
-    `_first_seen_members`.
+    Scans the post-update batches (the initialization batch is not a chain
+    product and is skipped) for samples scoring above alpha and keeps those
+    the `ValidSet` rule admits. A bad tolerance, or a candidate whose cell
+    index lies beyond +-MAX_CELL_INDEX (a tolerance far too small for its
+    magnitude, or a non-finite sample), raises InvalidInputError.
     """
     free = trace.free_dims
-    valid = ValidSet(dedup_tol)
-    width = valid.cell_width(free.size)
-    scores = trace.scores[1:]
-    above = scores > alpha
-    if not above.any():
-        return valid
+    tol, width = _tol_and_width(dedup_tol, free.size)
     # One mask over (step, index); row-major selection keeps that order.
-    points = trace.samples[1:][above][:, free]
-    cells = _cell_index(points, width)
-    kept = _first_seen_members(points, cells, np.array(valid._tol))
-    members = (points[kept].tolist(), cells[kept].tolist(), scores[above][kept].tolist())
-    # Free the candidate arrays before the members are stored: members
-    # stored while these arrays were live sat higher on the heap, and before
-    # the chain kept one workspace that made the next chain's per-step
-    # temporaries page-fault more often in infer_data benchmark runs.
-    del points, cells
-    for xt, cell, score in zip(*members):
-        valid._append(tuple(xt), tuple(cell), score)
-    return valid
+    above = trace.scores[1:] > alpha
+    points, scores = trace.samples[1:][above][:, free], trace.scores[1:][above]
+    kept = _first_seen_members(points, _cell_index(points, width), tol) if len(scores) else []
+    return ValidSet(points[kept], scores[kept])
 
 
 def _first_seen_members(points: np.ndarray, cells: np.ndarray, tol: np.ndarray) -> list[int]:
-    """Indices of the candidates sequential insertion would keep, in order.
+    """Indices of the candidates the `ValidSet` rule keeps, in order.
 
     Candidates are grouped by cell with one stable sort on an integer cell
-    key. The first candidate is kept; each kept member then marks dead
-    every candidate within tol in the 3^d cells adjacent to its own, and
-    the next candidate still live is the next member. A candidate that
-    is live when reached has no earlier member within tol in an adjacent
-    cell, which is exactly the test `ValidSet.insert` makes, so both keep
-    the same candidates. The adjacency relation is symmetric, so marking
-    forward from members is the same test as looking back from candidates.
+    key. The first candidate is kept; each kept member marks dead every
+    candidate within tol in the 3^d cells adjacent to its own, and the next
+    live candidate is the next member. Adjacency is symmetric, so marking
+    forward from members is the rule's look back from each candidate.
     """
     n, d = cells.shape
     low = cells.min(axis=0) - 1  # pad one cell each side so neighbour keys stay in range
@@ -215,18 +144,17 @@ def _first_seen_members(points: np.ndarray, cells: np.ndarray, tol: np.ndarray) 
 
 
 def predict(valid: ValidSet) -> np.ndarray:
-    """Highest-scoring member; earliest insertion wins ties."""
+    """Highest-scoring member; the earliest in chain order wins ties."""
     if len(valid) == 0:
         raise EmptyValidSetError("cannot predict from an empty valid set")
     return valid.samples[int(np.argmax(valid.scores))]
 
 
 def aleatoric(valid: ValidSet) -> float:
-    """Square root of the covariance trace of the stored samples."""
+    """Square root of the covariance trace of the members."""
     if len(valid) == 0:
         raise EmptyValidSetError("cannot compute spread of an empty valid set")
-    members = np.stack(valid.samples)
-    return float(np.sqrt(members.var(axis=0).sum()))
+    return float(np.sqrt(valid.samples.var(axis=0).sum()))
 
 
 def epistemic(valid: ValidSet, per_step_max: np.ndarray, kde_base: float) -> float:
@@ -234,7 +162,7 @@ def epistemic(valid: ValidSet, per_step_max: np.ndarray, kde_base: float) -> flo
     if len(valid) == 0:
         return 1.0
     sigma_phi = float(np.asarray(per_step_max, dtype=np.float64).std())
-    return (kde_base + (1.0 - valid.max_score()) * sigma_phi) / 2.0
+    return (kde_base + (1.0 - float(valid.scores.max())) * sigma_phi) / 2.0
 
 
 def default_inference_config(model: CdrmModel) -> LangevinConfig:
@@ -293,7 +221,8 @@ def infer(
     cfg = cfg or default_inference_config(model)
     if cfg.steps < 1:
         raise InvalidInputError(f"an inference chain needs steps >= 1, got {cfg.steps}")
-    tol = default_dedup_tol(model) if dedup_tol is None else _dedup_tol_array(dedup_tol)
+    tol = default_dedup_tol(model) if dedup_tol is None else dedup_tol
+    _tol_and_width(tol, cfg.free_dims.size)  # a bad tolerance fails before the chain
 
     fixed = np.concatenate([query, np.zeros(d_next)])
     trace = langevin.run(score_fn(model), cfg, fixed, seed)

@@ -79,11 +79,14 @@ def fit(
     Reference sets beyond MAX_REFERENCE_POINTS are uniformly subsampled
     (seeded) to bound the per-query cost. A dataset whose points all see the
     same density (e.g. fully symmetric or coincident points) has zero spread
-    and cannot be standardized; that raises DegenerateDatasetError.
+    and cannot be standardized; that raises DegenerateDatasetError. A
+    non-finite input raises InvalidInputError.
     """
     pts = np.asarray(dataset_inputs, dtype=np.float64)
     if pts.ndim != 2 or len(pts) < 2:
         raise InvalidInputError("need a (n, d) array with at least 2 points")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidInputError("density inputs must be finite")
     if len(pts) > MAX_REFERENCE_POINTS:
         idx = np.random.default_rng(seed).choice(len(pts), MAX_REFERENCE_POINTS, replace=False)
         pts = pts[np.sort(idx)]

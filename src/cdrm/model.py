@@ -33,9 +33,9 @@ _TAG_NEGATIVE = 2
 class CdrmModel:
     """Network plus the joint-space geometry it is scored over.
 
-    input_bounds has one (low, high) row per joint dimension; dims is the
-    (d_s, d_a, d_next) split of the input layout. kde_stats is attached
-    after training and feeds the epistemic-uncertainty base term.
+    input_bounds has one finite (low, high) row per joint dimension; dims
+    is the (d_s, d_a, d_next) split of the input layout. kde_stats is
+    attached after training and feeds the epistemic-uncertainty base term.
     """
 
     net: MlpNetwork
@@ -57,6 +57,8 @@ class CdrmModel:
             )
         if self.input_bounds.shape != (d_total, 2):
             raise InvalidInputError(f"input_bounds must be ({d_total}, 2)")
+        if not np.all(np.isfinite(self.input_bounds)):
+            raise InvalidInputError("input_bounds must be finite")
         if np.any(self.input_bounds[:, 0] >= self.input_bounds[:, 1]):
             raise InvalidInputError("input_bounds must satisfy low < high")
         if not (self.logit_clip > 0):

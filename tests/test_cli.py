@@ -300,6 +300,19 @@ class TestInfer:
         assert stdout == ""
         assert "outside" in stderr
 
+    def test_model_with_non_finite_bound_is_usage_error(self, capsys, tmp_path, toy_model):
+        # a NaN low bound once let any query through the bounds check
+        doc = json.loads(toy_model.read_text())
+        doc["input_bounds"][0][0] = float("nan")
+        bad = tmp_path / "nan_bound.json"
+        bad.write_text(json.dumps(doc))
+        code, stdout, stderr = run_cli(
+            capsys, "infer", "--model", str(bad), "--query", "-50", "--samples", "16", "--steps", "3"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "input_bounds must be finite" in stderr
+
     def test_missing_model_file_is_runtime_error(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "infer", "--model", str(tmp_path / "nope.json"), "--query", "0.1"

@@ -71,6 +71,24 @@ class TestTransitionDataset:
                 bounds=np.array([[0.0, 1.0], [0.0, 1.0]]),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_tuples(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            TransitionDataset(
+                np.array([[0.5, 0.5], [bad, 0.5]]),
+                dims=(1, 0, 1),
+                bounds=np.array([[0.0, 1.0], [0.0, 1.0]]),
+            )
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [[[np.nan, 1.0], [0.0, 1.0]], [[0.0, 1.0], [-np.inf, np.inf]], [[0.0, np.inf], [0.0, 1.0]]],
+        ids=["nan-low", "infinite-row", "inf-high"],
+    )
+    def test_rejects_non_finite_bounds(self, bounds):
+        with pytest.raises(InvalidInputError, match="bounds must be finite"):
+            TransitionDataset(np.array([[0.5, 0.5]]), dims=(1, 0, 1), bounds=np.array(bounds))
+
     def test_equality(self):
         assert small_dataset() == small_dataset()
         other = small_dataset()

@@ -50,100 +50,114 @@ def ramp_model(with_kde=True):
     return m
 
 
+def offered(rows, scores=None):
+    """A one-step trace over d free dims offering rows in order, by default
+    all above alpha 0.5; the initialization batch holds zeros."""
+    pts = np.asarray(rows, dtype=np.float64)
+    scores = np.full(len(pts), 0.9) if scores is None else np.asarray(scores, dtype=np.float64)
+    return ChainTrace(
+        np.stack([np.zeros_like(pts), pts]),
+        np.stack([np.zeros(len(pts)), scores]),
+        np.arange(pts.shape[1]),
+    )
+
+
+def dedup(rows, tol, scores=None):
+    return collect_valid(offered(rows, scores), alpha=0.5, dedup_tol=tol)
+
+
 class TestValidSet:
-    def test_insert_and_len(self):
-        vs = ValidSet(0.1)
-        assert vs.insert(np.array([0.5]), 0.9)
-        assert vs.insert(np.array([0.8]), 0.7)
+    """The dedup rule, on small hand-built traces."""
+
+    def test_collected_members_and_len(self):
+        vs = dedup([[0.5], [0.8]], 0.1, scores=[0.9, 0.7])
         assert len(vs) == 2
-        assert vs.max_score() == 0.9
+        assert vs.samples.tolist() == [[0.5], [0.8]]
+        assert vs.scores.tolist() == [0.9, 0.7]
 
     def test_exact_duplicate_discarded_even_at_zero_tol(self):
-        vs = ValidSet(0.0)
-        assert vs.insert(np.array([0.5, 0.25]), 0.9)
-        assert not vs.insert(np.array([0.5, 0.25]), 0.99)
-        assert len(vs) == 1
-        # zero tolerance keeps genuinely distinct points
-        assert vs.insert(np.array([0.5, 0.25 + 1e-12]), 0.1)
+        rows = [[0.5, 0.25], [0.5, 0.25], [0.5, 0.25 + 1e-12]]
+        vs = dedup(rows, 0.0, scores=[0.9, 0.99, 0.6])
+        # the duplicate goes despite its higher score; zero tolerance keeps
+        # genuinely distinct points
+        assert vs.samples.tolist() == [[0.5, 0.25], [0.5, 0.25 + 1e-12]]
+        assert vs.scores.tolist() == [0.9, 0.6]
 
     def test_first_seen_member_wins_regardless_of_score(self):
-        vs = ValidSet(0.1)
-        vs.insert(np.array([0.5]), 0.2)
-        assert not vs.insert(np.array([0.55]), 0.999)
-        assert vs.samples[0][0] == 0.5
-        assert vs.scores == [0.2]
+        vs = dedup([[0.5], [0.55]], 0.1, scores=[0.6, 0.999])
+        assert vs.samples.tolist() == [[0.5]]
+        assert vs.scores.tolist() == [0.6]
 
     def test_boundary_distance_counts_as_duplicate(self):
-        vs = ValidSet(0.1)
-        vs.insert(np.array([0.0]), 0.5)
-        assert not vs.insert(np.array([0.1]), 0.5)  # |d| == tol
-        assert vs.insert(np.array([0.100000001]), 0.5)
+        # |d| == tol is a duplicate; a hair further is not
+        assert dedup([[0.0], [0.1]], 0.1).samples.tolist() == [[0.0]]
+        assert dedup([[0.0], [0.100000001]], 0.1).samples.tolist() == [[0.0], [0.100000001]]
+
+    def test_within_tol_but_two_cells_apart_is_kept(self):
+        # 0.1 - (-5e-324) rounds to 0.1, so the pair is within tol, but the
+        # cells are -1 and 1: not adjacent, so the rule keeps both
+        rows = [[-5e-324], [0.1]]
+        vs = dedup(rows, 0.1)
+        assert vs.samples.tolist() == rows
+        assert_same_valid_set(vs, insert_oracle(offered(rows), 0.5, 0.1))
 
     def test_componentwise_tolerance_vector(self):
-        vs = ValidSet(np.array([0.1, 0.0]))
-        vs.insert(np.array([0.0, 0.0]), 0.5)
+        vs = dedup([[0.0, 0.0], [0.05, 1e-9], [0.05, 0.0]], np.array([0.1, 0.0]))
         # inside tol on dim 0 but distinct on the zero-tol dim 1
-        assert vs.insert(np.array([0.05, 1e-9]), 0.5)
-        assert not vs.insert(np.array([0.05, 0.0]), 0.5)
+        assert vs.samples.tolist() == [[0.0, 0.0], [0.05, 1e-9]]
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(InvalidInputError):
-            ValidSet(-0.1)
+            dedup([[0.5]], -0.1)
 
     @pytest.mark.parametrize(
         "tol", [np.nan, np.inf, -np.inf, [0.1, np.nan]], ids=["nan", "inf", "-inf", "vector-nan"]
     )
     def test_non_finite_tolerance_rejected(self, tol):
         with pytest.raises(InvalidInputError, match="dedup_tol"):
-            ValidSet(tol)
+            dedup([[0.5, 0.5]], tol)
 
     @pytest.mark.parametrize(
         "tol, x", [(1e-20, [1.0]), (1e-300, [-0.5]), (1e-18, [0.0, 9.3])], ids=["1e-20", "1e-300", "2d"]
     )
     def test_cell_index_beyond_int64_rejected(self, tol, x):
-        vs = ValidSet(tol)
         with pytest.raises(InvalidInputError, match="cell index"):
-            vs.insert(np.array(x), 0.9)
-        assert len(vs) == 0
+            dedup([x], tol)
 
     def test_small_tolerance_inside_int64_accepted(self):
-        vs = ValidSet(1e-15)  # cell index 1e15 < 2**62
-        assert vs.insert(np.array([1.0]), 0.9)
-        assert not vs.insert(np.array([1.0 + 5e-16]), 0.9)
+        vs = dedup([[1.0], [1.0 + 5e-16]], 1e-15)  # cell index 1e15 < 2**62
+        assert vs.samples.tolist() == [[1.0]]
 
     def test_non_finite_sample_rejected(self):
         with pytest.raises(InvalidInputError, match="cell index"):
-            ValidSet(0.1).insert(np.array([np.nan]), 0.9)
+            dedup([[0.2], [np.nan]], 0.1)
 
     def test_tolerance_width_mismatch_rejected(self):
-        vs = ValidSet(np.array([0.1, 0.1, 0.1]))
-        with pytest.raises(InvalidInputError):
-            vs.insert(np.array([0.0, 0.0]), 0.5)
-
-    def test_empty_max_score_raises(self):
-        with pytest.raises(EmptyValidSetError):
-            ValidSet(0.1).max_score()
+        # checked before any sample is looked at, so an empty set fails too
+        for scores in ([0.9], [0.1]):
+            with pytest.raises(InvalidInputError, match="entries"):
+                dedup([[0.0, 0.0]], np.array([0.1, 0.1, 0.1]), scores=scores)
 
     def test_matches_brute_force_greedy_dedup(self):
-        # cell-hash shortcut must agree with the O(n^2) definition exactly
+        # on random points, closeness within tol implies adjacent cells (the
+        # two-cells case above needs a subnormal), so the cell-hash shortcut
+        # must agree with plain greedy dedup
         rng = np.random.default_rng(0)
         for trial in range(40):
             d = int(rng.integers(1, 4))
             n = int(rng.integers(5, 80))
             tol = rng.uniform(0.01, 0.5, size=d)
             pts = rng.uniform(-1, 1, size=(n, d))
-            scores = rng.uniform(0, 1, size=n)
+            scores = rng.uniform(0.6, 1, size=n)
 
             kept = []
             for i in range(n):
                 if not any(np.all(np.abs(pts[i] - pts[j]) <= tol) for j in kept):
                     kept.append(i)
 
-            vs = ValidSet(tol)
-            for i in range(n):
-                vs.insert(pts[i], scores[i])
+            vs = dedup(pts, tol, scores=scores)
             assert len(vs) == len(kept), f"trial {trial}"
-            np.testing.assert_array_equal(np.stack(vs.samples), pts[kept])
+            np.testing.assert_array_equal(vs.samples, pts[kept])
             np.testing.assert_array_equal(vs.scores, scores[kept])
 
 
@@ -165,9 +179,8 @@ class TestCollectValid:
         valid = collect_valid(hand_trace(), alpha=0.5, dedup_tol=0.05)
         # init batch skipped; 0.30 below threshold; 0.52 deduped against the
         # earlier 0.50 despite its higher score
-        members = [float(s[0]) for s in valid.samples]
-        assert members == [0.50, 0.70]
-        assert valid.scores == [0.80, 0.60]
+        assert valid.samples.tolist() == [[0.50], [0.70]]
+        assert valid.scores.tolist() == [0.80, 0.60]
 
     def test_threshold_is_strict(self):
         trace = hand_trace()
@@ -181,7 +194,21 @@ class TestCollectValid:
 
     def test_projection_keeps_only_free_dims(self):
         valid = collect_valid(hand_trace(), alpha=0.5, dedup_tol=0.05)
-        assert valid.samples[0].shape == (1,)
+        assert valid.samples.shape == (2, 1)
+
+    def test_empty_set_keeps_the_free_width(self):
+        valid = collect_valid(hand_trace(), alpha=0.95, dedup_tol=0.05)
+        assert valid.samples.shape == (0, 1) and valid.scores.shape == (0,)
+        assert valid.samples.dtype == valid.scores.dtype == np.float64
+
+    def test_members_do_not_alias_the_trace(self):
+        trace = hand_trace()
+        valid = collect_valid(trace, alpha=0.5, dedup_tol=0.05)
+        samples, scores = valid.samples.copy(), valid.scores.copy()
+        trace.samples[:] = 99.0
+        trace.scores[:] = 0.0
+        np.testing.assert_array_equal(valid.samples, samples)
+        np.testing.assert_array_equal(valid.scores, scores)
 
     def test_later_candidate_kept_after_its_cells_first_is_rejected(self):
         # 0.12 and 0.19 share cell 1; 0.12 is within tol of the member 0.05
@@ -193,8 +220,8 @@ class TestCollectValid:
             np.array([0]),
         )
         valid = collect_valid(trace, alpha=0.5, dedup_tol=0.1)
-        assert [float(s[0]) for s in valid.samples] == [0.05, 0.19]
-        assert valid.scores == [0.9, 0.7]
+        assert valid.samples.tolist() == [[0.05], [0.19]]
+        assert valid.scores.tolist() == [0.9, 0.7]
 
     @pytest.mark.parametrize("tol", [np.nan, 1e-20])
     def test_bad_tolerance_rejected(self, tol):
@@ -204,22 +231,33 @@ class TestCollectValid:
 
 
 def insert_oracle(trace, alpha, dedup_tol):
-    """The valid set built by one `ValidSet.insert` per above-alpha sample."""
+    """The valid set built one candidate at a time, by the O(k^2) definition.
+
+    Above-alpha samples are offered in (step, sample index) order. One is
+    kept when no earlier kept member lies both within tol of it
+    componentwise and in an adjacent cell: every cell index floor(x / w)
+    differs by at most 1, with w the tolerance, or 1 where it is zero.
+    """
     free = trace.free_dims
-    valid = ValidSet(dedup_tol)
-    for batch, scores in zip(trace.samples[1:], trace.scores[1:]):
-        for x, score in zip(batch, scores):
-            if score > alpha:
-                valid.insert(x[free], score)
-    return valid
+    tol = np.broadcast_to(np.asarray(dedup_tol, dtype=np.float64), free.shape)
+    width = np.where(tol > 0, tol, 1.0)
+    samples, scores = [], []
+    for batch, batch_scores in zip(trace.samples[1:], trace.scores[1:]):
+        for x, score in zip(batch[:, free], batch_scores):
+            if score > alpha and not any(
+                np.all(np.abs(x - y) <= tol)
+                and np.all(np.abs(np.floor(x / width) - np.floor(y / width)) <= 1)
+                for y in samples
+            ):
+                samples.append(x)
+                scores.append(score)
+    return ValidSet(np.array(samples).reshape(-1, free.size), np.array(scores, dtype=np.float64))
 
 
 def assert_same_valid_set(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got.samples, want.samples):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert got.scores == want.scores
-    assert all(type(v) is float for v in got.scores)
+    for a, b in ((got.samples, want.samples), (got.scores, want.scores)):
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 TOLERANCES = [0.0, 0.05, 0.1, 1 / 3, 1e-9]
@@ -271,24 +309,18 @@ def dedup_cases(draw):
         levels = st.sampled_from([0.2, 0.5, 0.7, 0.9])  # alpha is 0.5: equal is not above
         scores.append(np.array(draw(st.lists(levels, min_size=n, max_size=n))))
     trace = ChainTrace(np.stack(samples), np.stack(scores), np.arange(frozen, frozen + d))
-    extra = [np.array([coordinate(k) for k in range(d)]) for _ in range(draw(st.integers(0, 4)))]
-    return trace, tol, extra
+    return trace, tol
 
 
 class TestCollectValidMatchesInsert:
-    """`collect_valid` must build exactly the valid set sequential insertion builds."""
+    """`collect_valid` must build exactly the valid set one-at-a-time insertion builds."""
 
     @settings(max_examples=300, deadline=None)
     @given(dedup_cases())
     def test_same_members_scores_and_order(self, case):
-        trace, tol, extra = case
+        trace, tol = case
         got = collect_valid(trace, alpha=0.5, dedup_tol=tol)
-        want = insert_oracle(trace, 0.5, tol)
-        assert_same_valid_set(got, want)
-        # the collected set keeps working as a ValidSet: later inserts agree
-        for x in extra:
-            assert got.insert(x, 0.6) == want.insert(x, 0.6)
-        assert_same_valid_set(got, want)
+        assert_same_valid_set(got, insert_oracle(trace, 0.5, tol))
 
     def test_wide_cell_box_matches_insert(self):
         # 1e-9 cells over +-1000 in three dims overflow an int64 key
@@ -310,47 +342,43 @@ class TestCollectValidMatchesInsert:
         assert_same_valid_set(got, insert_oracle(trace, DEFAULT_ALPHA, tol))
 
 
+def valid_set(rows, scores):
+    return ValidSet(np.array(rows, dtype=np.float64), np.array(scores, dtype=np.float64))
+
+
+EMPTY = valid_set(np.empty((0, 1)), [])
+
+
 class TestSummaries:
     def test_predict_takes_argmax_earliest_tie(self):
-        vs = ValidSet(0.0)
-        vs.insert(np.array([1.0]), 0.7)
-        vs.insert(np.array([2.0]), 0.9)
-        vs.insert(np.array([3.0]), 0.9)
-        assert predict(vs)[0] == 2.0
+        assert predict(valid_set([[1.0], [2.0], [3.0]], [0.7, 0.9, 0.9]))[0] == 2.0
 
     def test_predict_empty_raises(self):
         with pytest.raises(EmptyValidSetError):
-            predict(ValidSet(0.1))
+            predict(EMPTY)
 
     def test_aleatoric_is_root_total_variance(self):
-        vs = ValidSet(0.0)
-        for v in ([0.0, 0.0], [2.0, 2.0]):
-            vs.insert(np.array(v), 0.5)
+        vs = valid_set([[0.0, 0.0], [2.0, 2.0]], [0.5, 0.5])
         # per-dim population variance 1.0 each, trace 2.0
         assert aleatoric(vs) == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_aleatoric_single_member_is_zero(self):
-        vs = ValidSet(0.0)
-        vs.insert(np.array([0.7]), 0.5)
-        assert aleatoric(vs) == 0.0
+        assert aleatoric(valid_set([[0.7]], [0.5])) == 0.0
 
     def test_aleatoric_empty_raises(self):
         with pytest.raises(EmptyValidSetError):
-            aleatoric(ValidSet(0.1))
+            aleatoric(EMPTY)
 
     def test_epistemic_formula(self):
-        vs = ValidSet(0.0)
-        vs.insert(np.array([0.5]), 0.6)
         psm = np.array([0.5, 0.7, 0.6])
         expected = (0.4 + (1 - 0.6) * psm.std()) / 2
-        assert epistemic(vs, psm, 0.4) == pytest.approx(expected, rel=1e-12)
+        assert epistemic(valid_set([[0.5]], [0.6]), psm, 0.4) == pytest.approx(expected, rel=1e-12)
 
     def test_epistemic_empty_is_exactly_one(self):
-        assert epistemic(ValidSet(0.1), np.array([0.1, 0.2]), 0.9) == 1.0
+        assert epistemic(EMPTY, np.array([0.1, 0.2]), 0.9) == 1.0
 
     def test_epistemic_stable_chain_reduces_to_half_base(self):
-        vs = ValidSet(0.0)
-        vs.insert(np.array([0.5]), 0.99)
+        vs = valid_set([[0.5]], [0.99])
         assert epistemic(vs, np.array([0.8, 0.8, 0.8]), 0.3) == pytest.approx(0.15)
 
 
@@ -429,6 +457,16 @@ class TestInfer:
         assert 0.0 <= res.eu <= 1.0
         assert res.valid_count > 0
         assert res.per_step_max.shape == (25,)
+
+    def test_result_types(self):
+        # the CLI JSON and the benchmark digest rely on these types
+        res = infer(ramp_model(), [0.0], [], cfg=small_chain(), seed=3)
+        assert type(res.prediction) is np.ndarray
+        assert res.prediction.dtype == np.float64 and res.prediction.shape == (1,)
+        assert type(res.eu) is float and type(res.au) is float
+        assert type(res.valid_count) is int
+        empty = infer(ramp_model(), [0.0], [], cfg=small_chain(), alpha=1.0, seed=3)
+        assert type(empty.eu) is float and type(empty.valid_count) is int
 
     def test_deterministic_for_fixed_seed(self):
         m = ramp_model()

@@ -79,6 +79,14 @@ def test_fit_validates_input():
             kde.fit(np.random.default_rng(0).normal(size=(5, 2)), bandwidth_rule=bandwidth)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_points(bad):
+    pts = np.random.default_rng(0).normal(size=(20, 2))
+    pts[7, 1] = bad
+    with pytest.raises(InvalidInputError, match="finite"):
+        kde.fit(pts)
+
+
 def test_fit_subsamples_beyond_cap():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(kde.MAX_REFERENCE_POINTS + 100, 2))

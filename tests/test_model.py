@@ -65,6 +65,14 @@ class TestModelConstruction:
                 dims=(1, 0, 1),
             )
 
+    @pytest.mark.parametrize("end, bad", [(0, np.nan), (0, -np.inf), (1, np.inf)])
+    def test_bounds_must_be_finite(self, end, bad):
+        net = MlpNetwork.initialize([2, 4, 1], seed=0)
+        bounds = np.tile([-1.0, 1.0], (2, 1))
+        bounds[0, end] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            CdrmModel(net=net, input_bounds=bounds, dims=(1, 0, 1))
+
     def test_logit_clip_must_be_positive(self):
         net = MlpNetwork.initialize([2, 4, 1], seed=0)
         with pytest.raises(InvalidInputError):

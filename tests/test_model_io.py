@@ -214,6 +214,17 @@ class TestFormatErrors:
             load_model(path)
 
 
+@pytest.mark.parametrize("end, bad", [(0, float("nan")), (0, float("-inf")), (1, float("inf"))])
+def test_non_finite_input_bound_rejected(tmp_path, end, bad):
+    path = tmp_path / "model.json"
+    save_model(path, make_model())
+    doc = json.loads(path.read_text())
+    doc["input_bounds"][0][end] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="input_bounds must be finite"):
+        load_model(path)
+
+
 def _edit_kde(path, field, value):
     doc = json.loads(path.read_text())
     doc["kde"][field] = value
