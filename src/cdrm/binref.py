@@ -28,15 +28,6 @@ class BinGrid:
     dims: tuple[int, int, int]
     counts: np.ndarray  # shape (b,) * d_total
 
-    @property
-    def flags(self) -> np.ndarray:
-        """Existence bit per joint cell."""
-        return self.counts > 0
-
-    @property
-    def widths(self) -> np.ndarray:
-        return (self.bounds[:, 1] - self.bounds[:, 0]) / self.b
-
 
 def _cell_indices(grid_b, bounds, points) -> np.ndarray:
     """Half-open binning [low, high) per dimension, top edge closed.

@@ -163,15 +163,15 @@ _LAYOUT_KNOBS = {
     "noise_std": (_ROOM_LAYOUT.noise_std, _real),
 }
 
-# Inference chain knobs and the LangevinConfig field each sets; a knob left
+# Inference chain knob -> (LangevinConfig field it sets, parse); a knob left
 # unset keeps the value of inference.default_inference_config.
-_CHAIN_FIELDS = dict(samples="n_samples", steps="steps", step_size="step_size", noise="noise_scale")
-_CHAIN_KNOBS = {
-    "samples": (None, _count),
-    "steps": (None, _count),
-    "step_size": (None, _real),
-    "noise": (None, _real),
+_CHAIN_FIELDS = {
+    "samples": ("n_samples", _count),
+    "steps": ("steps", _count),
+    "step_size": ("step_size", _real),
+    "noise": ("noise_scale", _real),
 }
+_CHAIN_KNOBS = {knob: (None, parse) for knob, (_, parse) in _CHAIN_FIELDS.items()}
 
 # Command -> knob -> (default or _REQUIRED, parse). A parse turns flag text
 # or a config-file JSON value into the typed value the handler gets, and
@@ -310,7 +310,7 @@ def _layout(cfg: dict) -> data.RoomLayout:
 
 def _chain_config(model: CdrmModel, cfg: dict) -> LangevinConfig:
     """The library's inference chain with the chain knobs the user set."""
-    given = {f: cfg[k] for k, f in _CHAIN_FIELDS.items() if cfg[k] is not None}
+    given = {f: cfg[k] for k, (f, _) in _CHAIN_FIELDS.items() if cfg[k] is not None}
     return replace(default_inference_config(model), **given)
 
 
@@ -579,7 +579,3 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    return run(argv)

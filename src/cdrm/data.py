@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,7 +156,6 @@ class RoomLayout:
     hidden_region: Rect = Rect(0.7, 0.7, 1.0, 1.0)
     noise_mean: float = 1.0
     noise_std: float = 0.5
-    base_temperature: Callable[[float, float], float] = field(default=_linear_temperature)
 
     ROOM = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -223,7 +221,7 @@ def gen_room(
         if layout.noisy_region.contains(x, y):
             kappa = layout.noise_mean + layout.noise_std * rng.standard_normal()
         else:
-            kappa = layout.base_temperature(x, y)
+            kappa = _linear_temperature(x, y)
         rows[t] = (x, y, kappa)
         for _ in range(64):
             cand = np.clip(pos + rng.uniform(-walk_step, walk_step, 2), 0.0, 1.0)

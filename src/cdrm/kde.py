@@ -21,12 +21,34 @@ BANDWIDTH_SAMPLE = 1024
 @dataclass
 class KdeStats:
     """Fitted density state: reference inputs, bandwidth, and the mean and
-    standard deviation of the density over the reference points themselves."""
+    standard deviation of the density over the reference points themselves.
+
+    Construction refuses any field that would break `base_eu`: reference
+    points must be a finite, non-empty (n, d) array, the bandwidth and
+    sigma finite and positive, and mu finite.
+    """
 
     reference_points: np.ndarray
     bandwidth: float
     mu: float
     sigma: float
+
+    def __post_init__(self):
+        self.reference_points = refs = np.asarray(self.reference_points, dtype=np.float64)
+        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise InvalidInputError(
+                f"kde bandwidth must be finite and positive, got {self.bandwidth}"
+            )
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise InvalidInputError(f"kde sigma must be finite and positive, got {self.sigma}")
+        if not np.isfinite(self.mu):
+            raise InvalidInputError(f"kde mu must be finite, got {self.mu}")
+        if refs.ndim != 2 or refs.size == 0:
+            raise InvalidInputError(
+                f"kde reference points must be a non-empty (n, d) array, got shape {refs.shape}"
+            )
+        if not np.all(np.isfinite(refs)):
+            raise InvalidInputError("kde reference points must be finite")
 
 
 def density(stats: KdeStats, query: np.ndarray) -> float:
@@ -96,17 +118,11 @@ def fit(
         h = median_heuristic_bandwidth(pts, seed=seed)
     else:
         h = float(bandwidth_rule)
-        if not (np.isfinite(h) and h > 0):
-            raise InvalidInputError("bandwidth must be finite and positive")
-    stats = KdeStats(pts, h, mu=0.0, sigma=1.0)
-    self_density = density_batch(stats, pts)
-    mu = float(self_density.mean())
+    self_density = density_batch(KdeStats(pts, h, mu=0.0, sigma=1.0), pts)
     sigma = float(self_density.std())
     if sigma <= 0.0:
         raise DegenerateDatasetError("density is constant over the dataset")
-    stats.mu = mu
-    stats.sigma = sigma
-    return stats
+    return KdeStats(pts, h, mu=float(self_density.mean()), sigma=sigma)
 
 
 def base_eu(stats: KdeStats, query: np.ndarray) -> float:

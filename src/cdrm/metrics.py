@@ -13,34 +13,30 @@ import numpy as np
 
 from . import langevin
 from .data import RegionLabel, RoomLayout, label_probe
-from .errors import UndefinedMetricError
+from .errors import InvalidInputError, UndefinedMetricError
 from .inference import DEFAULT_ALPHA, default_inference_config, infer
 from .langevin import LangevinConfig, SeedLike
 from .model import CdrmModel
 
 
-@dataclass
-class ScoredProbe:
-    probe_input: np.ndarray
-    score: float
-    label: int
-
-
-def _split(probes) -> tuple[np.ndarray, np.ndarray]:
-    scores = np.array([p.score for p in probes], dtype=np.float64)
-    labels = np.array([int(p.label) for p in probes])
+def _split(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of the label-1 (positive) and label-0 (negative) probes."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.ndim != 1 or scores.shape != labels.shape:
+        raise InvalidInputError("scores and labels must be 1-D sequences of one length")
     if not np.all(np.isfinite(scores)):
         raise UndefinedMetricError("scores must be finite")
     return scores[labels == 1], scores[labels == 0]
 
 
-def auroc(probes) -> float:
+def auroc(scores, labels) -> float:
     """Rank statistic: P(random positive outranks random negative).
 
     Mann-Whitney form with half credit for ties, so the result equals
     exhaustive pair enumeration exactly.
     """
-    pos, neg = _split(probes)
+    pos, neg = _split(scores, labels)
     if len(pos) == 0 or len(neg) == 0:
         raise UndefinedMetricError("auroc needs at least one probe of each class")
     diff = pos[:, None] - neg[None, :]
@@ -48,14 +44,14 @@ def auroc(probes) -> float:
     return float(wins / (len(pos) * len(neg)))
 
 
-def auprc(probes) -> float:
+def auprc(scores, labels) -> float:
     """Step-integrated area under the precision-recall sweep.
 
     Thresholds descend through the distinct scores with ties grouped;
     each recall increment contributes at the precision reached after the
     whole tie group is admitted.
     """
-    pos, neg = _split(probes)
+    pos, neg = _split(scores, labels)
     if len(pos) == 0:
         raise UndefinedMetricError("auprc needs at least one positive probe")
     scores = np.concatenate([pos, neg])
@@ -144,18 +140,14 @@ def evaluate_room(
                 valid_count=result.valid_count,
             )
         )
-    au_probes = [
-        ScoredProbe(np.array([r.x, r.y]), r.au_score, int(r.label == RegionLabel.AU_POSITIVE.value))
-        for r in records
-    ]
-    eu_probes = [
-        ScoredProbe(np.array([r.x, r.y]), r.eu_score, int(r.label == RegionLabel.EU_POSITIVE.value))
-        for r in records
-    ]
+    au_scores = [r.au_score for r in records]
+    au_labels = [int(r.label == RegionLabel.AU_POSITIVE.value) for r in records]
+    eu_scores = [r.eu_score for r in records]
+    eu_labels = [int(r.label == RegionLabel.EU_POSITIVE.value) for r in records]
     return RoomEvaluation(
-        au_auroc=auroc(au_probes),
-        au_auprc=auprc(au_probes),
-        eu_auroc=auroc(eu_probes),
-        eu_auprc=auprc(eu_probes),
+        au_auroc=auroc(au_scores, au_labels),
+        au_auprc=auprc(au_scores, au_labels),
+        eu_auroc=auroc(eu_scores, eu_labels),
+        eu_auprc=auprc(eu_scores, eu_labels),
         probes=records,
     )

@@ -35,7 +35,8 @@ class CdrmModel:
 
     input_bounds has one finite (low, high) row per joint dimension; dims
     is the (d_s, d_a, d_next) split of the input layout. kde_stats is
-    attached after training and feeds the epistemic-uncertainty base term.
+    attached after training and feeds the epistemic-uncertainty base term;
+    its reference points are (n, d_s + d_a) inputs.
     """
 
     net: MlpNetwork
@@ -63,6 +64,10 @@ class CdrmModel:
             raise InvalidInputError("input_bounds must satisfy low < high")
         if not (self.logit_clip > 0):
             raise InvalidInputError("logit_clip must be positive")
+        if self.kde_stats is not None and self.kde_stats.reference_points.shape[1] != d_s + d_a:
+            raise InvalidInputError(
+                f"kde reference points must be (n, {d_s + d_a}) for dims {self.dims}"
+            )
 
     @property
     def d_total(self) -> int:

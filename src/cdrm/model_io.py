@@ -78,23 +78,6 @@ def save_model(path, model: CdrmModel) -> None:
         fh.write("\n")
 
 
-def _check_kde(stats: KdeStats, width: int) -> None:
-    """Reject density fields that would break `kde.base_eu` (width is d_s + d_a)."""
-    refs = stats.reference_points
-    if not (np.isfinite(stats.bandwidth) and stats.bandwidth > 0):
-        raise ModelFormatError(f"kde bandwidth must be finite and positive, got {stats.bandwidth}")
-    if not (np.isfinite(stats.sigma) and stats.sigma > 0):
-        raise ModelFormatError(f"kde sigma must be finite and positive, got {stats.sigma}")
-    if not np.isfinite(stats.mu):
-        raise ModelFormatError(f"kde mu must be finite, got {stats.mu}")
-    if refs.ndim != 2 or len(refs) == 0 or refs.shape[1] != width:
-        raise ModelFormatError(
-            f"kde reference points must be a non-empty (n, {width}) array, got shape {refs.shape}"
-        )
-    if not np.all(np.isfinite(refs)):
-        raise ModelFormatError("kde reference points must be finite")
-
-
 def load_model(path) -> CdrmModel:
     try:
         with open(path) as fh:
@@ -134,8 +117,6 @@ def load_model(path) -> CdrmModel:
         stored = np.array(doc["self_check"]["scores"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from None
-    if model.kde_stats is not None:
-        _check_kde(model.kde_stats, model.dims[0] + model.dims[1])
     recomputed = score_batch(model, probes)
     if not np.array_equal(recomputed, stored):
         raise ModelFormatError("self-check battery mismatch; file corrupt or numerics drifted")

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from cdrm import binref, data, inference, kde, langevin, metrics, model, nnet
 from cdrm.cli import run as cli_run
-from cdrm.metrics import ScoredProbe
 from conftest import forward_pass, train_toy
 
 ACCEPT_ALPHA = 0.60
@@ -325,20 +324,12 @@ def test_c07_metric_oracles(capsys):
         scores = rng.uniform(0.0, 1.0, n)
         if k % 2 == 0:
             scores = np.round(scores, 1)  # force tie groups half the time
-        probes = [
-            ScoredProbe(np.zeros(1), float(s), int(l)) for s, l in zip(scores, labels)
-        ]
-        exact += metrics.auroc(probes) == brute_force_auroc(scores, labels)
-
-    def p(scores, labels):
-        return [
-            ScoredProbe(np.zeros(1), float(s), int(l)) for s, l in zip(scores, labels)
-        ]
+        exact += metrics.auroc(scores, labels) == brute_force_auroc(scores, labels)
 
     hand = (
-        metrics.auprc(p([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])) == 1.0
-        and metrics.auprc(p([0.9, 0.8, 0.7, 0.6, 0.05], [0, 0, 0, 0, 1])) == 1.0 / 5.0
-        and metrics.auprc(p([0.9, 0.8, 0.7], [1, 0, 1])) == 0.5 * 1.0 + 0.5 * (2.0 / 3.0)
+        metrics.auprc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
+        and metrics.auprc([0.9, 0.8, 0.7, 0.6, 0.05], [0, 0, 0, 0, 1]) == 1.0 / 5.0
+        and metrics.auprc([0.9, 0.8, 0.7], [1, 0, 1]) == 0.5 * 1.0 + 0.5 * (2.0 / 3.0)
     )
     ok = exact == 100 and hand
     announce(

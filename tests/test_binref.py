@@ -56,11 +56,7 @@ class TestBuild:
     def test_flags_view(self):
         ds = dataset_1d([[0.1, 0.1], [0.9, 0.9]])
         grid = build(ds, 2)
-        np.testing.assert_array_equal(grid.flags, [[True, False], [False, True]])
-
-    def test_widths(self):
-        ds = dataset_1d([[0.5, 0.5]], bounds=[[0.0, 2.0], [0.0, 4.0]])
-        np.testing.assert_allclose(build(ds, 4).widths, [0.5, 1.0])
+        np.testing.assert_array_equal(grid.counts > 0, [[True, False], [False, True]])
 
 
 class TestQuery:

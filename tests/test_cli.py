@@ -1,6 +1,8 @@
 """Command-line surface: artifacts, determinism, config precedence, exit codes."""
 
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -557,3 +559,17 @@ def test_plain_value_error_in_a_handler_is_not_a_usage_error(capsys, tmp_path, m
     monkeypatch.setattr(cli.data, "gen_toy", broken)
     with pytest.raises(ValueError, match="library bug"):
         run(["gen", "toy", "--out", str(tmp_path / "toy.csv")])
+
+
+def test_console_script_resolves_to_run(capsys):
+    # the `cdrm` command that installing the package creates must call run
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["cdrm"]
+    module_name, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module_name), attr)
+    assert entry is cli.run
+    with pytest.raises(SystemExit) as exc_info:
+        entry(["--help"])
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cdrm")

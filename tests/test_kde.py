@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdrm.errors import DegenerateDatasetError, InvalidInputError
-from cdrm import kde
+from cdrm import kde, model, nnet
 
 
 def direct_density(points, h, q):
@@ -147,3 +147,45 @@ def test_query_width_mismatch():
         kde.density(stats, np.zeros(2))
     with pytest.raises(InvalidInputError):
         kde.density_batch(stats, np.zeros((4, 2)))
+
+
+_GOOD_FIELDS = {"reference_points": np.eye(2), "bandwidth": 0.5, "mu": 0.2, "sigma": 0.1}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("bandwidth", 0.0),
+        ("bandwidth", -0.5),
+        ("bandwidth", np.nan),
+        ("bandwidth", np.inf),
+        ("sigma", 0.0),
+        ("sigma", -1.0),
+        ("sigma", np.nan),
+        ("sigma", np.inf),
+        ("mu", np.nan),
+        ("mu", np.inf),
+        ("mu", -np.inf),
+        ("reference_points", [[0.0, np.nan]]),
+        ("reference_points", [[np.inf, 0.0], [0.0, 0.0]]),
+        ("reference_points", np.zeros(3)),
+        ("reference_points", np.zeros((0, 2))),
+        ("reference_points", np.zeros((2, 0))),
+    ],
+)
+def test_stats_refuse_a_bad_field_on_construction(field, value):
+    # each would make `base_eu` return NaN, crash, or give a meaningless EU
+    with pytest.raises(InvalidInputError, match=field.replace("_", " ")):
+        kde.KdeStats(**{**_GOOD_FIELDS, field: value})
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_model_refuses_reference_points_of_another_input_width(width):
+    # dims (2, 0, 1): the density is queried on 2-wide (state, action) inputs
+    with pytest.raises(InvalidInputError, match="reference points"):
+        model.CdrmModel(
+            net=nnet.MlpNetwork.initialize([3, 4, 1], seed=0),
+            input_bounds=np.tile([0.0, 1.0], (3, 1)),
+            dims=(2, 0, 1),
+            kde_stats=kde.KdeStats(np.eye(4)[:, :width], bandwidth=0.5, mu=0.2, sigma=0.1),
+        )

@@ -5,14 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from cdrm.errors import UndefinedMetricError
-from cdrm.metrics import ScoredProbe, auprc, auroc, probe_grid
-
-
-def probes(scores, labels):
-    return [
-        ScoredProbe(np.zeros(1), float(s), int(l)) for s, l in zip(scores, labels)
-    ]
+from cdrm.errors import InvalidInputError, UndefinedMetricError
+from cdrm.metrics import auprc, auroc, probe_grid
 
 
 def brute_force_auroc(scores, labels):
@@ -29,13 +23,13 @@ def brute_force_auroc(scores, labels):
 
 class TestAuroc:
     def test_perfect_separation(self):
-        assert auroc(probes([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0])) == 1.0
+        assert auroc([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0]) == 1.0
 
     def test_inverted_separation(self):
-        assert auroc(probes([0.1, 0.2, 0.9, 0.8], [1, 1, 0, 0])) == 0.0
+        assert auroc([0.1, 0.2, 0.9, 0.8], [1, 1, 0, 0]) == 0.0
 
     def test_all_tied_is_half(self):
-        assert auroc(probes([0.5, 0.5, 0.5, 0.5], [1, 1, 0, 0])) == 0.5
+        assert auroc([0.5, 0.5, 0.5, 0.5], [1, 1, 0, 0]) == 0.5
 
     def test_matches_brute_force_random_instances(self):
         rng = np.random.default_rng(0)
@@ -46,56 +40,61 @@ class TestAuroc:
                 labels[0] = 1 - labels[0]
             # quantized scores force plenty of ties
             scores = rng.integers(0, 5, n) / 4.0
-            assert auroc(probes(scores, labels)) == pytest.approx(
+            assert auroc(scores, labels) == pytest.approx(
                 brute_force_auroc(scores, labels), abs=1e-12
             )
 
     def test_single_class_raises(self):
         with pytest.raises(UndefinedMetricError):
-            auroc(probes([0.5, 0.6], [1, 1]))
+            auroc([0.5, 0.6], [1, 1])
         with pytest.raises(UndefinedMetricError):
-            auroc(probes([0.5, 0.6], [0, 0]))
+            auroc([0.5, 0.6], [0, 0])
 
     def test_nonfinite_scores_raise(self):
         with pytest.raises(UndefinedMetricError):
-            auroc(probes([np.nan, 0.5], [1, 0]))
+            auroc([np.nan, 0.5], [1, 0])
+
+    @pytest.mark.parametrize("metric", [auroc, auprc])
+    def test_mismatched_lengths_raise(self, metric):
+        with pytest.raises(InvalidInputError):
+            metric([0.5, 0.6, 0.7], [1, 0])
 
 
 class TestAuprc:
     def test_hand_example_interleaved(self):
         # descending: 0.9(+), 0.8(-), 0.7(+) -> 1*(1/2) + (1/2)*(2/3) = 5/6
-        value = auprc(probes([0.9, 0.8, 0.7], [1, 0, 1]))
+        value = auprc([0.9, 0.8, 0.7], [1, 0, 1])
         assert value == pytest.approx(5.0 / 6.0, abs=1e-12)
 
     def test_perfect_ranking_is_one(self):
-        assert auprc(probes([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])) == 1.0
+        assert auprc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
 
     def test_worst_ranking_single_positive(self):
         # positive admitted last among k negatives: AP = 1/(k+1)
         for k in (1, 3, 7):
             scores = [0.9 - 0.1 * i for i in range(k)] + [0.05]
             labels = [0] * k + [1]
-            assert auprc(probes(scores, labels)) == pytest.approx(
+            assert auprc(scores, labels) == pytest.approx(
                 1.0 / (k + 1), abs=1e-12
             )
 
     def test_all_tied_gives_prevalence(self):
         # one tie group holding everything: precision = prevalence at recall 1
-        value = auprc(probes([0.5] * 6, [1, 1, 0, 0, 0, 0]))
+        value = auprc([0.5] * 6, [1, 1, 0, 0, 0, 0])
         assert value == pytest.approx(2.0 / 6.0, abs=1e-12)
 
     def test_tie_group_not_split(self):
         # the tied pair (one of each class) is admitted as a unit
-        value = auprc(probes([0.9, 0.5, 0.5, 0.1], [1, 1, 0, 0]))
+        value = auprc([0.9, 0.5, 0.5, 0.1], [1, 1, 0, 0])
         # groups: {0.9}: tp=1 n=1; {0.5,0.5}: tp=2 n=3; {0.1}: tp=2 n=4
         assert value == pytest.approx(0.5 * 1.0 + 0.5 * (2.0 / 3.0), abs=1e-12)
 
     def test_no_positives_raises(self):
         with pytest.raises(UndefinedMetricError):
-            auprc(probes([0.5, 0.6], [0, 0]))
+            auprc([0.5, 0.6], [0, 0])
 
     def test_no_negatives_is_one(self):
-        assert auprc(probes([0.5, 0.9], [1, 1])) == 1.0
+        assert auprc([0.5, 0.9], [1, 1]) == 1.0
 
 
 class TestProbeGrid:
