@@ -44,23 +44,19 @@ def _cell_indices(grid_b, bounds, points) -> np.ndarray:
     return np.where(at_top, grid_b - 1, idx)
 
 
-def build(dataset, b: int, bounds: np.ndarray | None = None) -> BinGrid:
-    """Count dataset tuples into the joint grid."""
+def build(dataset, b: int) -> BinGrid:
+    """Count dataset tuples into the joint grid over the dataset's bounds."""
     if b < 1:
         raise InvalidInputError("b must be >= 1")
-    bounds = np.asarray(bounds if bounds is not None else dataset.bounds, dtype=np.float64)
-    d_total = sum(dataset.dims)
-    if bounds.shape != (d_total, 2):
-        raise InvalidInputError(f"bounds must be ({d_total}, 2)")
-    counts = np.zeros((b,) * d_total, dtype=np.int64)
+    counts = np.zeros((b,) * sum(dataset.dims), dtype=np.int64)
     tuples = np.asarray(dataset.tuples, dtype=np.float64)
     if len(tuples):
-        idx = _cell_indices(b, bounds, tuples)
+        idx = _cell_indices(b, dataset.bounds, tuples)
         bad = np.flatnonzero(((idx < 0) | (idx >= b)).any(axis=1))
         if bad.size:
             raise OutOfBoundsError(f"tuple {int(bad[0])} lies outside the grid bounds")
         np.add.at(counts, tuple(idx.T), 1)
-    return BinGrid(b=b, bounds=bounds, dims=dataset.dims, counts=counts)
+    return BinGrid(b=b, bounds=dataset.bounds, dims=dataset.dims, counts=counts)
 
 
 def _input_cell(grid: BinGrid, s, a) -> tuple:

@@ -467,6 +467,13 @@ def _ns_per_call(block: int, fn, *args, **kwargs) -> float:
     return (time.perf_counter_ns() - start) / calls
 
 
+def _full_column(b: int) -> data.TransitionDataset:
+    """One tuple at the centre of each of the b next-state cells at state 0.5."""
+    tuples = np.column_stack([np.full(b, 0.5), (np.arange(b) + 0.5) / b])
+    bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
+    return data.TransitionDataset(tuples, dims=(1, 0, 1), bounds=bounds)
+
+
 def cmd_bench(cfg: dict) -> int:
     rng = np.random.default_rng(cfg["seed"])
     n = cfg["dataset_size"]
@@ -478,17 +485,11 @@ def cmd_bench(cfg: dict) -> int:
     model = CdrmModel(net=net, input_bounds=dataset.bounds, dims=dataset.dims)
     model = replace(model, kde_stats=kde.fit(dataset.inputs, seed=cfg["seed"]))
 
-    # The bin timing probes one heavily-observed input cell: with every
-    # observation in a single state column, raising b splits the same
-    # points across more next-state cells, so the per-query scan and
-    # aggregation cost tracks the resolution instead of the (shrinking)
-    # per-cell occupancy of a spread-out dataset.
-    bin_tuples = np.column_stack([np.full(n, 0.5), rng.uniform(0.0, 1.0, n)])
-    bin_dataset = data.TransitionDataset(
-        bin_tuples, dims=(1, 0, 1), bounds=np.array([[0.0, 1.0], [0.0, 1.0]])
-    )
+    # The bin timing probes one full input column: each grid holds one tuple
+    # at the centre of every next-state cell of the state column at 0.5, so
+    # a lookup visits exactly b occupied cells and its cost grows with b.
     query, empty = np.array([0.5]), np.empty(0)
-    grids = {b: binref.build(bin_dataset, b) for b in cfg["b_values"]}
+    grids = {b: binref.build(_full_column(b), b) for b in cfg["b_values"]}
     bench_cfg = replace(default_inference_config(model), n_samples=cfg["samples"])
     chains = {L: replace(bench_cfg, steps=L) for L in cfg["l_values"]}
 

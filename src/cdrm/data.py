@@ -71,18 +71,6 @@ class TransitionDataset:
         )
 
     @property
-    def states(self) -> np.ndarray:
-        return self.tuples[:, : self.dims[0]]
-
-    @property
-    def actions(self) -> np.ndarray:
-        return self.tuples[:, self.dims[0] : self.dims[0] + self.dims[1]]
-
-    @property
-    def next_states(self) -> np.ndarray:
-        return self.tuples[:, self.dims[0] + self.dims[1] :]
-
-    @property
     def inputs(self) -> np.ndarray:
         """The (state, action) block, the conditioning part of each tuple."""
         return self.tuples[:, : self.dims[0] + self.dims[1]]

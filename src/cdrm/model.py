@@ -115,17 +115,16 @@ def score_fn(model: CdrmModel, workspace: Workspace | None = None) -> ScoreFn:
     """Closure shape the Langevin sampler consumes.
 
     The closure owns one network workspace, the one given or one sized on
-    its first call, and rebuilds it when the batch row count changes, so a
-    chain reuses the same buffers on every step and they are freed with
-    the closure. A call without gradients runs the forward pass alone, and
-    its activations stay in the workspace.
+    its first call, so a chain reuses the same buffers on every step and
+    they are freed with the closure; a batch of another size is refused.
+    A call without gradients runs the forward pass alone, and its
+    activations stay in the workspace.
     """
 
     def fn(batch, with_grad):
         nonlocal workspace
-        rows = len(batch)
-        if workspace is None or workspace.rows != rows:
-            workspace = Workspace(model.net.layer_dims, rows)
+        if workspace is None:
+            workspace = Workspace(model.net.layer_dims, len(batch))
         if with_grad:
             return score_and_grad(model, batch, workspace)
         return score_batch(model, batch, workspace), None
@@ -221,9 +220,8 @@ def _loss_and_gradient(
     up_neg = (1.0 / len(neg)) / (1.0 - rho_neg + eps) * rho_neg * (1.0 - rho_neg) * in_neg
     grad = net.grad_params_batch(pos_pass, up_pos)
     grad_neg = net.grad_params_batch(neg, up_neg)
-    for i in range(len(grad.weights)):
-        grad.weights[i] += grad_neg.weights[i]
-        grad.biases[i] += grad_neg.biases[i]
+    for a, b in zip(grad.weights + grad.biases, grad_neg.weights + grad_neg.biases):
+        a += b
     return loss, grad
 
 

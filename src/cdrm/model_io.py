@@ -2,9 +2,11 @@
 
 Models are stored as JSON with all floats in shortest round-trip decimal
 form, which Python's float repr guarantees to restore bit-exactly. The
-file carries a small battery of probe inputs together with their scores
-at save time; load() recomputes them and refuses the file on any
-difference, so silent corruption or a numerics drift cannot go unnoticed.
+file carries a small battery of probe inputs, drawn from the input
+bounds, together with their scores at save time; load() rebuilds the
+battery from the loaded bounds, scores it, and refuses the file on any
+difference from the stored probes or scores, so silent corruption of the
+network or the bounds, or a numerics drift, cannot go unnoticed.
 """
 
 from __future__ import annotations
@@ -113,10 +115,15 @@ def load_model(path) -> CdrmModel:
             kde_stats=kde_stats,
             provenance=doc["provenance"],
         )
-        probes = np.array(doc["self_check"]["probes"], dtype=np.float64)
+        stored_probes = np.array(doc["self_check"]["probes"], dtype=np.float64)
         stored = np.array(doc["self_check"]["scores"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from None
+    # The battery is a function of the input bounds, so rebuilding it checks
+    # the stored bounds as well as the network.
+    probes = _check_probes(model)
+    if not np.array_equal(probes, stored_probes):
+        raise ModelFormatError("self-check probes do not match the input bounds")
     recomputed = score_batch(model, probes)
     if not np.array_equal(recomputed, stored):
         raise ModelFormatError("self-check battery mismatch; file corrupt or numerics drifted")

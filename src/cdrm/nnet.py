@@ -8,7 +8,7 @@ Everything is float64 numpy; there is no autodiff framework underneath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,73 +82,68 @@ class MlpNetwork:
             )
         return x
 
-    def _forward_cached(
-        self, x: np.ndarray, out: list[np.ndarray] | None = None
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Run the layer recurrence, keeping post-activation values per layer.
-
-        out supplies one (n, width) array per layer to fill; fresh ones are
-        allocated when it is omitted.
-        """
-        if out is None:
-            out = [np.empty((x.shape[0], d)) for d in self.layer_dims[1:]]
-        acts = [x]
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = np.matmul(acts[-1], w.T, out=out[i])
-            z += b
-            if i != last:
-                np.tanh(z, out=z)
-            acts.append(z)
-        return acts[-1][:, 0], acts
-
-    def _check_workspace(self, workspace: "Workspace", rows: int) -> None:
+    def _workspace(self, rows: int, workspace: "Workspace | None") -> "Workspace":
+        """The given workspace, checked against this network and row count,
+        or a fresh one sized for them."""
+        if workspace is None:
+            return Workspace(self.layer_dims, rows)
         if workspace.layer_dims != tuple(self.layer_dims) or workspace.rows != rows:
             raise InvalidInputError(
                 f"workspace is sized for {workspace.rows} rows of {list(workspace.layer_dims)}, "
                 f"got {rows} rows of {self.layer_dims}"
             )
+        return workspace
+
+    def _forward(self, x: np.ndarray, workspace: "Workspace") -> np.ndarray:
+        """Run the layer recurrence into the workspace, with x as its inputs;
+        returns the logits, a view into it."""
+        h = x
+        last = len(self.weights) - 1
+        for i, (w, b, z) in enumerate(zip(self.weights, self.biases, workspace.acts)):
+            np.matmul(h, w.T, out=z)
+            z += b
+            if i != last:
+                np.tanh(z, out=z)
+            h = z
+        workspace.inputs = x
+        return workspace.logits
+
+    def _backward_step(self, g: np.ndarray, i: int, workspace: "Workspace") -> np.ndarray:
+        """From g, the gradient at layer i's pre-activation, the one at layer
+        i-1's: g @ W[i] times 1 - a^2, written over a, that layer's output."""
+        a = workspace.acts[i - 1]
+        prod = np.matmul(g, self.weights[i], out=workspace.scratch(self.layer_dims[i]))
+        np.square(a, out=a)
+        np.subtract(1.0, a, out=a)
+        return np.multiply(prod, a, out=a)
 
     def forward_batch(self, x: np.ndarray, workspace: "Workspace | None" = None) -> np.ndarray:
         """Logits for a batch of inputs, shape (n,).
 
-        With a workspace sized for this network and batch, the layer
-        outputs are written into its buffers and kept there, with x as its
-        inputs, for `grad_params_batch`; the returned logits are then a view
-        into it.
+        The layer outputs are written into the workspace, the one given
+        (sized for this network and batch) or a fresh one, and kept there
+        with x as its inputs for `grad_params_batch`; the returned logits
+        are a view into it.
         """
         x = self._check_batch(x)
-        if workspace is None:
-            return self._forward_cached(x)[0]
-        self._check_workspace(workspace, x.shape[0])
-        logits, _ = self._forward_cached(x, workspace.acts)
-        workspace.inputs = x
-        return logits
+        return self._forward(x, self._workspace(len(x), workspace))
 
     def forward_and_grad_input_batch(
         self, x: np.ndarray, workspace: "Workspace | None" = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Logits and input gradients from a single forward pass.
 
-        With a workspace sized for this network and batch, every
-        intermediate is written into its buffers and the returned arrays
-        are views into it, overwritten by the next call that uses it.
-        Without one, a fresh workspace is built for this call alone.
+        Every intermediate is written into the workspace, the one given
+        (sized for this network and batch) or a fresh one, and the returned
+        arrays are views into it, overwritten by the next call that uses it.
         """
         x = self._check_batch(x)
-        if workspace is None:
-            workspace = Workspace(self.layer_dims, x.shape[0])
-        else:
-            self._check_workspace(workspace, x.shape[0])
+        workspace = self._workspace(len(x), workspace)
+        logits = self._forward(x, workspace)
         workspace.inputs = None  # the backward pass below overwrites the activations
-        logits, acts = self._forward_cached(x, workspace.acts)
         g = workspace.ones
         for i in range(len(self.weights) - 1, 0, -1):
-            # g @ W[i] times 1 - a^2, written over acts[i], which is not read again
-            prod = np.matmul(g, self.weights[i], out=workspace.scratch(self.layer_dims[i]))
-            deriv = np.square(acts[i], out=acts[i])
-            np.subtract(1.0, deriv, out=deriv)
-            g = np.multiply(prod, deriv, out=deriv)
+            g = self._backward_step(g, i, workspace)
         return logits, np.matmul(g, self.weights[0], out=workspace.input_grad)
 
     def grad_params_batch(self, forward: "Workspace", upstream: np.ndarray) -> "ParamGradient":
@@ -156,29 +151,30 @@ class MlpNetwork:
 
         forward is the workspace of a `forward_batch(x, forward)` call on
         this network; the gradient is built from the activations that pass
-        left in it, without running the forward again. Batch gradients are
-        the sum of per-sample gradients, so callers can fold loss weighting
-        into `upstream` and update once per batch.
+        left in it, without running the forward again, and the backward
+        pass overwrites them as the input-gradient pass does, so the
+        workspace holds no forward afterwards. Batch gradients are the sum
+        of per-sample gradients, so callers can fold loss weighting into
+        `upstream` and update once per batch.
         """
         if forward.inputs is None:
             raise InvalidInputError("workspace holds no forward pass to differentiate")
-        self._check_workspace(forward, len(forward))
+        self._workspace(len(forward), forward)
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != (len(forward),):
             raise InvalidInputError(
                 f"upstream must have shape ({len(forward)},), got {upstream.shape}"
             )
         acts = [forward.inputs, *forward.acts]
-        n_layers = len(self.weights)
-        d_weights: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-        d_biases: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
+        forward.inputs = None
+        d_weights, d_biases = [], []  # last layer first
         g = upstream[:, None]
-        for i in range(n_layers - 1, -1, -1):
-            d_weights[i] = g.T @ acts[i]
-            d_biases[i] = g.sum(axis=0)
+        for i in range(len(self.weights) - 1, -1, -1):
+            d_weights.append(g.T @ acts[i])
+            d_biases.append(g.sum(axis=0))
             if i > 0:
-                g = (g @ self.weights[i]) * (1.0 - acts[i] ** 2)
-        return ParamGradient(d_weights, d_biases)
+                g = self._backward_step(g, i, forward)
+        return ParamGradient(d_weights[::-1], d_biases[::-1])
 
 
 class Workspace:
@@ -187,12 +183,12 @@ class Workspace:
     acts[i] is the output of layer i (tanh applied in place on hidden
     layers), and the last one holds the logits. After `forward_batch` the
     buffers keep that pass's activations and `inputs` is the batch it ran
-    on, which is what `grad_params_batch` reads. The backward pass of
-    `forward_and_grad_input_batch` overwrites each hidden output with the
-    gradient with respect to that layer's pre-activation, using one
-    hidden-width scratch array for the matmul in between, and writes
-    d logit / d input to input_grad; it leaves no forward to read, so it
-    sets `inputs` to None.
+    on, which is what `grad_params_batch` reads. Both backward passes walk
+    back through the buffers in place: each hidden output is overwritten
+    with the gradient with respect to that layer's pre-activation, using
+    one hidden-width scratch array for the matmul in between, and the
+    input-gradient pass writes d logit / d input to input_grad. Neither
+    leaves a forward to read, so both set `inputs` to None.
 
     A workspace belongs to one caller. The network itself holds none, so
     a network stays safe to share.
@@ -233,21 +229,16 @@ class ParamGradient:
 
 @dataclass
 class AdamState:
-    """First and second moment accumulators, shape-congruent with a network."""
+    """First and second moments, one array per parameter in the
+    `weights + biases` order `adam_update` walks."""
 
-    m_weights: list[np.ndarray] = field(default_factory=list)
-    v_weights: list[np.ndarray] = field(default_factory=list)
-    m_biases: list[np.ndarray] = field(default_factory=list)
-    v_biases: list[np.ndarray] = field(default_factory=list)
+    m: list[np.ndarray]
+    v: list[np.ndarray]
 
     @classmethod
     def zeros_for(cls, net: MlpNetwork) -> "AdamState":
-        return cls(
-            [np.zeros_like(w) for w in net.weights],
-            [np.zeros_like(w) for w in net.weights],
-            [np.zeros_like(b) for b in net.biases],
-            [np.zeros_like(b) for b in net.biases],
-        )
+        params = net.weights + net.biases
+        return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
 
 
 ADAM_BETA1 = 0.9
@@ -276,8 +267,7 @@ def adam_update(
     bc1 = 1.0 - ADAM_BETA1**step_index
     bc2 = 1.0 - ADAM_BETA2**step_index
     params = net.weights + net.biases
-    moments = zip(state.m_weights + state.m_biases, state.v_weights + state.v_biases)
-    for p, g, (m, v) in zip(params, grads.weights + grads.biases, moments):
+    for p, g, m, v in zip(params, grads.weights + grads.biases, state.m, state.v):
         # The arithmetic, operation for operation, of
         #   m = beta1 * m + (1 - beta1) * g
         #   v = beta2 * v + (1 - beta2) * g * g

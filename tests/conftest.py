@@ -95,12 +95,12 @@ def same_bytes(a: nnet.ParamGradient, b: nnet.ParamGradient) -> bool:
 
 def count_passes(monkeypatch) -> dict:
     """Count network passes from here on: every forward (each runs through
-    `_forward_cached`), every input-gradient backward and every
+    `_forward`), every input-gradient backward and every
     parameter-gradient backward."""
     counts = {"forward": 0, "input_grad": 0, "param_grad": 0}
     net = nnet.MlpNetwork
     for key, attr in [
-        ("forward", "_forward_cached"),
+        ("forward", "_forward"),
         ("input_grad", "forward_and_grad_input_batch"),
         ("param_grad", "grad_params_batch"),
     ]:

@@ -7,10 +7,9 @@ from cdrm.data import TransitionDataset
 from cdrm.errors import InvalidInputError, OutOfBoundsError
 
 
-def dataset_1d(tuples, bounds=None):
+def dataset_1d(tuples):
     tuples = np.asarray(tuples, dtype=np.float64)
-    bounds = bounds if bounds is not None else np.tile([0.0, 1.0], (2, 1))
-    return TransitionDataset(tuples, (1, 0, 1), np.asarray(bounds, dtype=np.float64))
+    return TransitionDataset(tuples, (1, 0, 1), np.tile([0.0, 1.0], (2, 1)))
 
 
 class TestBuild:
@@ -41,17 +40,6 @@ class TestBuild:
         ds = dataset_1d([[0.5, 0.5]])
         with pytest.raises(InvalidInputError):
             build(ds, 0)
-
-    def test_bounds_shape_checked(self):
-        ds = dataset_1d([[0.5, 0.5]])
-        with pytest.raises(InvalidInputError):
-            build(ds, 4, bounds=np.zeros((3, 2)))
-
-    def test_tuple_outside_explicit_bounds_named(self):
-        ds = dataset_1d([[0.5, 0.5], [0.9, 0.9]])
-        with pytest.raises(OutOfBoundsError) as exc_info:
-            build(ds, 4, bounds=np.tile([0.0, 0.8], (2, 1)))
-        assert "1" in str(exc_info.value)
 
     def test_flags_view(self):
         ds = dataset_1d([[0.1, 0.1], [0.9, 0.9]])

@@ -34,9 +34,6 @@ def small_dataset():
 class TestTransitionDataset:
     def test_block_views(self):
         ds = small_dataset()
-        np.testing.assert_array_equal(ds.states, [[0.1], [0.4]])
-        np.testing.assert_array_equal(ds.actions, [[0.2], [0.5]])
-        np.testing.assert_array_equal(ds.next_states, [[0.3], [0.6]])
         np.testing.assert_array_equal(ds.inputs, [[0.1, 0.2], [0.4, 0.5]])
         assert len(ds) == 2
 
@@ -44,7 +41,6 @@ class TestTransitionDataset:
         ds = TransitionDataset(
             np.array([[0.1, 0.9]]), dims=(1, 0, 1), bounds=np.array([[0, 1], [0, 1]])
         )
-        assert ds.actions.shape == (1, 0)
         np.testing.assert_array_equal(ds.inputs, [[0.1]])
 
     def test_rejects_width_mismatch(self):
@@ -103,7 +99,7 @@ class TestGenToy:
 
     def test_region_structure(self):
         ds = gen_toy(n_per_region=150, seed=1)
-        x = ds.states[:, 0]
+        x = ds.tuples[:, 0]
         assert len(ds) == 300
         # nothing inside the gap, half on each side
         assert np.sum((x >= TOY_GAP[0]) & (x < TOY_GAP[1])) == 0
@@ -112,15 +108,15 @@ class TestGenToy:
 
     def test_clean_band_is_exact_sine(self):
         ds = gen_toy(seed=0)
-        x = ds.states[:, 0]
-        y = ds.next_states[:, 0]
+        x = ds.tuples[:, 0]
+        y = ds.tuples[:, 1]
         clean = x < TOY_GAP[0]
         np.testing.assert_allclose(y[clean], np.sin(x[clean]), atol=1e-15)
 
     def test_noisy_band_spread(self):
         ds = gen_toy(n_per_region=2000, sigma_eta=0.3, seed=5)
-        x = ds.states[:, 0]
-        y = ds.next_states[:, 0]
+        x = ds.tuples[:, 0]
+        y = ds.tuples[:, 1]
         noisy = x >= TOY_GAP[1]
         resid = y[noisy] - np.sin(x[noisy])
         assert abs(resid.std() - 0.3) < 0.02
@@ -129,21 +125,21 @@ class TestGenToy:
     def test_zero_noise(self):
         ds = gen_toy(sigma_eta=0.0, seed=2)
         np.testing.assert_allclose(
-            ds.next_states[:, 0], np.sin(ds.states[:, 0]), atol=1e-15
+            ds.tuples[:, 1], np.sin(ds.tuples[:, 0]), atol=1e-15
         )
 
     def test_multimodal_mirrors_everything(self):
         uni = gen_toy(n_per_region=50, seed=9)
         multi = gen_toy(n_per_region=50, multimodal=True, seed=9)
         assert len(multi) == 2 * len(uni)
-        np.testing.assert_array_equal(multi.states[:100, 0], multi.states[100:, 0])
+        np.testing.assert_array_equal(multi.tuples[:100, 0], multi.tuples[100:, 0])
         np.testing.assert_allclose(
-            multi.next_states[:100, 0], -multi.next_states[100:, 0], atol=1e-15
+            multi.tuples[:100, 1], -multi.tuples[100:, 1], atol=1e-15
         )
 
     def test_bounds_cover_samples(self):
         ds = gen_toy(sigma_eta=1.5, seed=11)  # large noise forces bound growth
-        y = ds.next_states[:, 0]
+        y = ds.tuples[:, 1]
         assert ds.bounds[1, 0] <= y.min() and y.max() <= ds.bounds[1, 1]
         assert ds.bounds[1, 0] <= -1.5 and ds.bounds[1, 1] >= 1.5
 
@@ -217,18 +213,18 @@ class TestGenRoom:
     def test_no_sample_in_hidden_region(self):
         layout = RoomLayout()
         ds = gen_room(3000, layout=layout, seed=0)
-        for x, y in ds.states:
+        for x, y in ds.inputs:
             assert not layout.hidden_region.contains(x, y)
 
     def test_walk_steps_bounded(self):
         ds = gen_room(800, seed=1, walk_step=0.12)
-        moves = np.diff(ds.states, axis=0)
+        moves = np.diff(ds.inputs, axis=0)
         assert np.abs(moves).max() <= 0.12 + 1e-12
 
     def test_clean_region_reads_field(self):
         layout = RoomLayout()
         ds = gen_room(2000, layout=layout, seed=2)
-        for (x, y), k in zip(ds.states, ds.next_states[:, 0]):
+        for (x, y), k in zip(ds.inputs, ds.tuples[:, 2]):
             if not layout.noisy_region.contains(x, y):
                 assert k == pytest.approx(0.5 * (x + y), abs=1e-12)
 
@@ -237,7 +233,7 @@ class TestGenRoom:
         ds = gen_room(6000, layout=layout, seed=3)
         ks = [
             k
-            for (x, y), k in zip(ds.states, ds.next_states[:, 0])
+            for (x, y), k in zip(ds.inputs, ds.tuples[:, 2])
             if layout.noisy_region.contains(x, y)
         ]
         ks = np.array(ks)
@@ -256,7 +252,7 @@ class TestGenRoom:
 
     def test_zero_walk_step_stays_put(self):
         ds = gen_room(5, walk_step=0.0, seed=1)
-        assert np.all(ds.states == ds.states[0])
+        assert np.all(ds.inputs == ds.inputs[0])
 
 
 class TestCsvRoundTrip:

@@ -144,8 +144,8 @@ class TestScoreGradient:
         assert rho_c.tobytes() == score_batch(m, x).tobytes() and grad_c is None
 
 
-    def test_score_fn_closure_survives_row_count_change(self):
-        # one closure, one workspace rebuilt when the batch size changes
+    def test_score_fn_closure_refuses_another_batch_size(self):
+        # one closure, one workspace, sized by the first batch
         m = CdrmModel(
             net=MlpNetwork.initialize([2, 64, 128, 64, 1], seed=2),
             input_bounds=np.tile([-1.0, 1.0], (2, 1)),
@@ -153,13 +153,17 @@ class TestScoreGradient:
         )
         fn = score_fn(m)
         rng = np.random.default_rng(8)
-        for rows in [32, 32, 512, 1, 512]:
-            x = rng.uniform(-1, 1, size=(rows, 2))
+        for _ in range(2):
+            x = rng.uniform(-1, 1, size=(32, 2))
             assert fn(x, False)[0].tobytes() == score_batch(m, x).tobytes()
             rho_a, grad_a = fn(x, True)
             rho_b, grad_b = score_and_grad(m, x)
             assert rho_a.tobytes() == rho_b.tobytes()
             assert grad_a.tobytes() == grad_b.tobytes()
+        for rows in (1, 512):
+            for with_grad in (False, True):
+                with pytest.raises(InvalidInputError, match="sized for 32 rows"):
+                    fn(rng.uniform(-1, 1, size=(rows, 2)), with_grad)
 
 
 class TestContrastiveLoss:
@@ -297,7 +301,9 @@ class TestGenerateNegatives:
         want_neg = reference_param_grad(m.net, x, up_neg)
         assert same_bytes(m.net.grad_params_batch(neg, up_neg), want_neg)
 
-        # The whole update against fresh forwards of both batches.
+        # The whole update against fresh forwards of both batches; the
+        # gradient above consumed the chain's final pass, so run it again.
+        neg = generate_negatives(m, cfg, seed)
         pos = np.random.default_rng(steps).uniform(-1, 1, (16, 2))
         rho_pos, in_pos = _clamped_scores(m.net.forward_batch(pos), m.logit_clip)
         up_pos = -(1.0 / 16) / (rho_pos + eps) * rho_pos * (1.0 - rho_pos) * in_pos

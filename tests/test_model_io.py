@@ -175,6 +175,37 @@ class TestSelfCheck:
         with pytest.raises(ModelFormatError, match="self-check"):
             load_model(path)
 
+    @pytest.mark.parametrize("row, end", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_changed_input_bound_detected(self, tmp_path, row, end):
+        # the probes are drawn from the bounds, so a changed bound no longer
+        # rebuilds the stored battery
+        path = tmp_path / "model.json"
+        save_model(path, make_model())
+        doc = json.loads(path.read_text())
+        doc["input_bounds"][row][end] += 0.01
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="self-check probes"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda probes: [p[:1] for p in probes],  # one column short
+            lambda probes: probes[:-1],  # one probe short
+            lambda probes: [probes[0][:1], *probes[1:]],  # ragged
+            lambda probes: "probes",
+        ],
+        ids=["narrow", "short", "ragged", "not-a-list"],
+    )
+    def test_malformed_probes_refused(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_model(path, make_model())
+        doc = json.loads(path.read_text())
+        doc["self_check"]["probes"] = edit(doc["self_check"]["probes"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
 
 class TestFormatErrors:
     def test_not_json(self, tmp_path):

@@ -198,6 +198,20 @@ def test_grad_params_needs_a_forward_pass_of_this_shape():
         net.forward_batch(x, Workspace(net.layer_dims, 5))
 
 
+def test_grad_params_consumes_the_forward_it_differentiates():
+    # the backward pass overwrites the activations, as the input-gradient
+    # pass does, so the same workspace cannot be differentiated twice
+    net = MlpNetwork.initialize([2, 5, 4, 1], seed=1)
+    x = np.random.default_rng(4).uniform(-1, 1, (3, 2))
+    ws = forward_pass(net, x)
+    net.grad_params_batch(ws, np.ones(3))
+    assert ws.inputs is None
+    with pytest.raises(InvalidInputError):
+        net.grad_params_batch(ws, np.ones(3))
+    net.forward_batch(x, ws)  # a new forward makes it differentiable again
+    assert same_bytes(net.grad_params_batch(ws, np.ones(3)), reference_param_grad(net, x, np.ones(3)))
+
+
 @pytest.mark.parametrize("rows", [1, 32])
 def test_grad_params_from_kept_forward_matches_fresh_forward(rows):
     net = MlpNetwork.initialize([2, 64, 128, 64, 1], seed=6)
@@ -275,7 +289,7 @@ def adam_cases(draw):
 def test_adam_in_place_matches_out_of_place_formula(case):
     params, grads, ms, vs, step_index, lr = case
     net = MlpNetwork(_ADAM_DIMS, [p.copy() for p in params[:2]], [p.copy() for p in params[2:]])
-    state = AdamState(*([a.copy() for a in arrs] for arrs in (ms[:2], vs[:2], ms[2:], vs[2:])))
+    state = AdamState([a.copy() for a in ms], [a.copy() for a in vs])
     with np.errstate(over="ignore", invalid="ignore"):
         want = [adam_out_of_place(*args, step_index, lr) for args in zip(params, grads, ms, vs)]
     g = ParamGradient(grads[:2], grads[2:])
@@ -285,10 +299,7 @@ def test_adam_in_place_matches_out_of_place_formula(case):
         return
     with np.errstate(over="ignore"):  # g * g may overflow to an infinite second moment
         adam_update(net, g, state, step_index, lr)
-    got_p = net.weights + net.biases
-    got_m = state.m_weights + state.m_biases
-    got_v = state.v_weights + state.v_biases
-    for (p_new, m_new, v_new), p, m, v in zip(want, got_p, got_m, got_v):
+    for (p_new, m_new, v_new), p, m, v in zip(want, net.weights + net.biases, state.m, state.v):
         assert p.tobytes() == p_new.tobytes()
         assert m.tobytes() == m_new.tobytes()
         assert v.tobytes() == v_new.tobytes()
@@ -302,7 +313,7 @@ def test_adam_rejects_nonfinite_gradient():
     with pytest.raises(TrainingDivergenceError):
         adam_update(net, g, state, 1, 0.1)
     assert net.weights[0].tobytes() == before.tobytes()
-    assert not np.any(state.m_weights[0]) and not np.any(state.v_weights[0])
+    assert not any(np.any(m) or np.any(v) for m, v in zip(state.m, state.v))
 
 
 def test_adam_rejects_step_that_leaves_a_parameter_non_finite():
