@@ -67,8 +67,13 @@ _RUNTIME_ERRORS = (
 _REQUIRED = object()  # default of a knob the user must give
 
 
-def _int_at_least(lowest: int | None) -> Callable[[Any], int]:
-    """Parser of integers >= lowest, from integer text or an integral JSON number."""
+def _int_in(lowest: int | None, highest: int | None = None) -> Callable[[Any], int]:
+    """Parser of integers in [lowest, highest] (None: unbounded), from
+    integer text or an integral JSON number."""
+    bound = "" if lowest is None else f" >= {lowest}"
+    bound += "" if highest is None else f" and <= {highest}"
+    low = -math.inf if lowest is None else lowest
+    high = math.inf if highest is None else highest
 
     def parse(value) -> int:
         n = value
@@ -77,15 +82,17 @@ def _int_at_least(lowest: int | None) -> Callable[[Any], int]:
                 n = int(value)
         elif isinstance(value, float) and value.is_integer():
             n = int(value)
-        if type(n) is not int or (lowest is not None and n < lowest):  # a bool is refused
-            bound = "" if lowest is None else f" >= {lowest}"
+        if type(n) is not int or not low <= n <= high:  # a bool is refused
             raise ValueError(f"expected an integer{bound}, got {value!r}")
         return n
 
     return parse
 
 
-_any_int, _natural, _count = _int_at_least(None), _int_at_least(0), _int_at_least(1)
+# A count sizes an array or a loop, so it must fit an array index; seeds need not.
+_INDEX_MAX = int(np.iinfo(np.intp).max)
+_any_int, _natural = _int_in(None), _int_in(0)
+_count, _count_or_zero = _int_in(1, _INDEX_MAX), _int_in(0, _INDEX_MAX)
 
 
 def _real(value) -> float:
@@ -193,11 +200,11 @@ _KNOBS: dict[str, dict[str, tuple]] = {
         "data": (_REQUIRED, _path),
         "out": (_REQUIRED, _path),
         "loss_out": (None, _path),
-        "epochs": (100, _natural),  # TrainConfig.epochs has no default of its own
+        "epochs": (100, _count_or_zero),  # TrainConfig.epochs has no default of its own
         "hidden": ((64, 128, 64), _list_of(_count)),
         "bandwidth": ("median", _bandwidth),
         **_knobs_of(TrainConfig, positive_batch=_count, negative_batch=_count),
-        **_knobs_of(TrainConfig, langevin_steps=_natural, langevin_step_size=_real),
+        **_knobs_of(TrainConfig, langevin_steps=_count_or_zero, langevin_step_size=_real),
         **_knobs_of(TrainConfig, langevin_noise=_real, learning_rate=_real),
         **_knobs_of(TrainConfig, stability_eps=_real, seed=_any_int),
     },
@@ -574,9 +581,6 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f"usage: run 'cdrm {command.split()[0]} --help' for flags", file=sys.stderr)
         return 2
-    except _RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (*_RUNTIME_ERRORS, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,6 @@ currently hallucinates.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -19,7 +18,7 @@ from . import langevin
 from .errors import InvalidInputError, TrainingDivergenceError
 from .kde import KdeStats
 from .langevin import LangevinConfig, ScoreFn, SeedLike
-from .nnet import AdamState, MlpNetwork, ParamGradient, Workspace, adam_update, sigmoid
+from .nnet import AdamState, MlpNetwork, Workspace, adam_update, is_integer, sigmoid
 
 # Pre-sigmoid clamp half-width: confines scores to [1e-6, 1 - 1e-6].
 LOGIT_CLIP = math.log((1.0 - 1e-6) / 1e-6)
@@ -49,7 +48,7 @@ class CdrmModel:
     def __post_init__(self):
         self.input_bounds = np.asarray(self.input_bounds, dtype=np.float64)
         d_s, d_a, d_next = self.dims
-        if d_s < 1 or d_a < 0 or d_next < 1:
+        if not all(map(is_integer, self.dims)) or d_s < 1 or d_a < 0 or d_next < 1:
             raise InvalidInputError(f"bad dims {self.dims}")
         d_total = d_s + d_a + d_next
         if self.net.input_dim != d_total:
@@ -199,14 +198,15 @@ def generate_negatives(model: CdrmModel, cfg: LangevinConfig, seed: SeedLike) ->
 
 
 def _loss_and_gradient(
-    model: CdrmModel, pos: np.ndarray, neg: Workspace, eps: float
-) -> tuple[float, ParamGradient]:
+    model: CdrmModel, pos: np.ndarray, neg: Workspace, eps: float, grads: np.ndarray
+) -> tuple[float, np.ndarray]:
     """Contrastive loss of one (pos, neg) batch pair and its gradient with
     respect to every network parameter; a non-finite loss raises
     TrainingDivergenceError before any gradient work.
 
     neg holds a forward pass of the network on the negatives, as
     `generate_negatives` returns it; the positives are forwarded once here.
+    grads takes the two batch gradients, one per row; the first, their sum, is returned.
     """
     net = model.net
     pos_pass = Workspace(net.layer_dims, len(pos))
@@ -218,10 +218,8 @@ def _loss_and_gradient(
     # dL/dlogit for each batch; the clamp zeroes saturated samples.
     up_pos = -(1.0 / len(pos)) / (rho_pos + eps) * rho_pos * (1.0 - rho_pos) * in_pos
     up_neg = (1.0 / len(neg)) / (1.0 - rho_neg + eps) * rho_neg * (1.0 - rho_neg) * in_neg
-    grad = net.grad_params_batch(pos_pass, up_pos)
-    grad_neg = net.grad_params_batch(neg, up_neg)
-    for a, b in zip(grad.weights + grad.biases, grad_neg.weights + grad_neg.biases):
-        a += b
+    grad = net.grad_params_batch(pos_pass, up_pos, grads[0])
+    grad += net.grad_params_batch(neg, up_neg, grads[1])
     return loss, grad
 
 
@@ -249,8 +247,9 @@ def train(
             f"dataset width {tuples.shape[1]} does not match model dims {model.dims}"
         )
 
-    net = copy.deepcopy(model.net)  # Adam updates this copy in place
+    net = MlpNetwork(model.net.layer_dims, model.net.weights, model.net.biases)  # Adam's copy
     trained = replace(model, net=net)
+    grads = np.empty((2, net.n_params))  # one gradient per batch, reused by every update
     adam = AdamState.zeros_for(net)
     chain = cfg.negative_chain_config(model)  # bounds and dims only, not weights
     step_index = 0  # Adam bias correction counts updates, not epochs
@@ -267,7 +266,7 @@ def train(
             )
             step_index += 1
             try:
-                loss, grad = _loss_and_gradient(trained, pos, neg, cfg.stability_eps)
+                loss, grad = _loss_and_gradient(trained, pos, neg, cfg.stability_eps, grads)
                 adam_update(net, grad, adam, step_index, cfg.learning_rate)
             except TrainingDivergenceError as exc:
                 raise TrainingDivergenceError(f"epoch {epoch}: {exc}") from None

@@ -26,21 +26,28 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class MlpNetwork:
     """Fully connected scalar-output network with tanh hidden activations.
 
-    weights[i] has shape (layer_dims[i+1], layer_dims[i]); biases[i] has
-    length layer_dims[i+1]. The final layer is linear and one unit wide.
+    weights[i], shape (layer_dims[i+1], layer_dims[i]), and biases[i], length
+    layer_dims[i+1], are views of params, one float64 vector holding each
+    layer's weight matrix row-major, then its bias; the constructor copies
+    into it. The final layer is linear and one unit wide.
     """
 
     layer_dims: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         dims = self.layer_dims
-        if len(dims) < 2 or any(d <= 0 for d in dims):
+        if len(dims) < 2 or not all(is_integer(d) and d > 0 for d in dims):
             raise InvalidInputError(f"layer_dims must be >=2 positive ints, got {dims}")
         if dims[-1] != 1:
             raise InvalidInputError("final layer must produce exactly one scalar")
@@ -54,6 +61,9 @@ class MlpNetwork:
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise InvalidInputError(f"layer {i}: non-finite parameters")
+        pairs = zip(self.weights, self.biases)
+        self.params = np.concatenate([a.ravel() for pair in pairs for a in pair], dtype=np.float64)
+        self.weights, self.biases = self.layers(self.params)
 
     @classmethod
     def initialize(cls, layer_dims: list[int], seed: int) -> "MlpNetwork":
@@ -66,13 +76,20 @@ class MlpNetwork:
             biases.append(np.zeros(fan_out))
         return cls(list(layer_dims), weights, biases)
 
+    def layers(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """(weights, biases) views of a vector laid out as params."""
+        shapes = [(rows, cols) for cols, rows in zip(self.layer_dims, self.layer_dims[1:])]
+        ends = np.cumsum([n for rows, cols in shapes for n in (rows * cols, rows)])
+        parts = np.split(flat, ends[:-1])
+        return tuple(w.reshape(s) for w, s in zip(parts[::2], shapes)), tuple(parts[1::2])
+
     @property
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def _check_batch(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -146,8 +163,11 @@ class MlpNetwork:
             g = self._backward_step(g, i, workspace)
         return logits, np.matmul(g, self.weights[0], out=workspace.input_grad)
 
-    def grad_params_batch(self, forward: "Workspace", upstream: np.ndarray) -> "ParamGradient":
-        """Gradient of sum_i upstream[i] * logit(x_i) w.r.t. every parameter.
+    def grad_params_batch(
+        self, forward: "Workspace", upstream: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """Gradient of sum_i upstream[i] * logit(x_i) w.r.t. every parameter,
+        written into out, a vector laid out as params, and returned.
 
         forward is the workspace of a `forward_batch(x, forward)` call on
         this network; the gradient is built from the activations that pass
@@ -165,16 +185,18 @@ class MlpNetwork:
             raise InvalidInputError(
                 f"upstream must have shape ({len(forward)},), got {upstream.shape}"
             )
+        if out.shape != self.params.shape:
+            raise InvalidInputError(f"out must have shape {self.params.shape}, got {out.shape}")
         acts = [forward.inputs, *forward.acts]
         forward.inputs = None
-        d_weights, d_biases = [], []  # last layer first
+        d_weights, d_biases = self.layers(out)
         g = upstream[:, None]
         for i in range(len(self.weights) - 1, -1, -1):
-            d_weights.append(g.T @ acts[i])
-            d_biases.append(g.sum(axis=0))
+            np.matmul(g.T, acts[i], out=d_weights[i])
+            g.sum(axis=0, out=d_biases[i])
             if i > 0:
                 g = self._backward_step(g, i, forward)
-        return ParamGradient(d_weights[::-1], d_biases[::-1])
+        return out
 
 
 class Workspace:
@@ -217,28 +239,17 @@ class Workspace:
 
 
 @dataclass
-class ParamGradient:
-    """Per-layer gradient arrays, shape-congruent with a network."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.weights + self.biases)
-
-
-@dataclass
 class AdamState:
-    """First and second moments, one array per parameter in the
-    `weights + biases` order `adam_update` walks."""
+    """Adam's moments m and v and the two scratch vectors of its step, laid out as params."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    step: np.ndarray
+    denom: np.ndarray
 
     @classmethod
     def zeros_for(cls, net: MlpNetwork) -> "AdamState":
-        params = net.weights + net.biases
-        return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
+        return cls(*np.zeros((4, net.n_params)))
 
 
 ADAM_BETA1 = 0.9
@@ -247,45 +258,40 @@ ADAM_EPS = 1e-8
 
 
 def adam_update(
-    net: MlpNetwork,
-    grads: ParamGradient,
-    state: AdamState,
-    step_index: int,
-    learning_rate: float,
+    net: MlpNetwork, grad: np.ndarray, state: AdamState, step_index: int, learning_rate: float
 ) -> None:
     """One Adam step with bias correction, in place; step_index starts at 1.
 
-    Updates the parameters of net and the moments of state where they
-    lie, so a caller that must keep a network unchanged passes a copy. A
-    non-finite gradient raises TrainingDivergenceError before anything is
-    written; a step that leaves a parameter non-finite raises it after.
+    grad is laid out as net.params. Updates the parameters of net and the
+    moments of state where they lie, so a caller that must keep a network
+    unchanged passes a copy. A non-finite gradient raises
+    TrainingDivergenceError before anything is written; a step that leaves
+    a parameter non-finite raises it after.
     """
-    if not grads.is_finite():
+    if not np.all(np.isfinite(grad)):
         raise TrainingDivergenceError("non-finite gradient entries in Adam update")
     if step_index < 1:
         raise InvalidInputError("step_index must be >= 1")
     bc1 = 1.0 - ADAM_BETA1**step_index
     bc2 = 1.0 - ADAM_BETA2**step_index
-    params = net.weights + net.biases
-    for p, g, m, v in zip(params, grads.weights + grads.biases, state.m, state.v):
-        # The arithmetic, operation for operation, of
-        #   m = beta1 * m + (1 - beta1) * g
-        #   v = beta2 * v + (1 - beta2) * g * g
-        #   p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        # in two scratch arrays.
-        step = np.multiply(g, 1.0 - ADAM_BETA1)
-        m *= ADAM_BETA1
-        m += step
-        np.multiply(g, 1.0 - ADAM_BETA2, out=step)
-        step *= g
-        v *= ADAM_BETA2
-        v += step
-        denom = np.divide(v, bc2)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        np.divide(m, bc1, out=step)
-        step *= learning_rate
-        step /= denom
-        p -= step
-    if not all(np.all(np.isfinite(p)) for p in params):
+    # The arithmetic, operation for operation, of
+    #   m = beta1 * m + (1 - beta1) * g
+    #   v = beta2 * v + (1 - beta2) * g * g
+    #   p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+    # in the two scratch vectors.
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=state.step)
+    state.m *= ADAM_BETA1
+    state.m += state.step
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=state.step)
+    state.step *= grad
+    state.v *= ADAM_BETA2
+    state.v += state.step
+    np.divide(state.v, bc2, out=state.denom)
+    np.sqrt(state.denom, out=state.denom)
+    state.denom += ADAM_EPS
+    np.divide(state.m, bc1, out=state.step)
+    state.step *= learning_rate
+    state.step /= state.denom
+    net.params -= state.step
+    if not np.all(np.isfinite(net.params)):
         raise TrainingDivergenceError("non-finite parameters after Adam update")

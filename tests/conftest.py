@@ -71,26 +71,31 @@ def forward_pass(net, x) -> nnet.Workspace:
     return workspace
 
 
-def reference_param_grad(net, x, upstream) -> nnet.ParamGradient:
+def reference_param_grad(net, x, upstream) -> np.ndarray:
     """Oracle for grad_params_batch: a fresh out-of-place forward on x,
-    then the backward recurrence, with the library's operation order."""
+    then the backward recurrence, with the library's operation order,
+    concatenated layer by layer, weight matrix then bias."""
     acts = [np.asarray(x, dtype=np.float64)]
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = acts[-1] @ w.T + b
         acts.append(z if i == last else np.tanh(z))
-    d_weights, d_biases = [None] * len(net.weights), [None] * len(net.weights)
+    per_layer = [None] * len(net.weights)
     g = np.asarray(upstream, dtype=np.float64)[:, None]
     for i in range(last, -1, -1):
-        d_weights[i] = g.T @ acts[i]
-        d_biases[i] = g.sum(axis=0)
+        per_layer[i] = [(g.T @ acts[i]).ravel(), g.sum(axis=0)]
         if i > 0:
             g = (g @ net.weights[i]) * (1.0 - acts[i] ** 2)
-    return nnet.ParamGradient(d_weights, d_biases)
+    return np.concatenate([a for pair in per_layer for a in pair])
 
 
-def same_bytes(a: nnet.ParamGradient, b: nnet.ParamGradient) -> bool:
-    return all(x.tobytes() == y.tobytes() for x, y in zip(a.weights + a.biases, b.weights + b.biases))
+def param_grad(net, x, upstream) -> np.ndarray:
+    """grad_params_batch on a fresh forward of x, into a fresh vector."""
+    return net.grad_params_batch(forward_pass(net, x), upstream, np.empty(net.n_params))
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def count_passes(monkeypatch) -> dict:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from cdrm import binref, data, inference, kde, langevin, metrics, model, nnet
 from cdrm.cli import run as cli_run
-from conftest import forward_pass, train_toy
+from conftest import param_grad, train_toy
 
 ACCEPT_ALPHA = 0.60
 GAP_PROBES = np.linspace(-0.30, 0.30, 21)
@@ -82,13 +82,6 @@ def test_c01_gradients_match_finite_differences(capsys):
                 + [1]
             )
         net = nnet.MlpNetwork.initialize(layer_dims, seed=100 + net_index)
-        coords = []
-        for li, w in enumerate(net.weights):
-            for r in range(w.shape[0]):
-                for c in range(w.shape[1]):
-                    coords.append((0, li, (r, c)))
-            for b in range(net.biases[li].shape[0]):
-                coords.append((1, li, b))
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, layer_dims[0])
 
@@ -103,21 +96,19 @@ def test_c01_gradients_match_finite_differences(capsys):
                 np.abs(fd_in).max(), np.abs(an_in).max(), 1e-12
             )
 
-            picks = rng.choice(len(coords), size=min(40, len(coords)), replace=False)
-            grad = net.grad_params_batch(forward_pass(net, x[None, :]), np.ones(1))
+            # params holds each layer's weights row by row, then its bias
+            picks = rng.choice(net.n_params, size=min(40, net.n_params), replace=False)
+            grad = param_grad(net, x[None, :], np.ones(1))
             fd_p, an_p = [], []
             for p in picks:
-                kind, li, idx = coords[p]
-                arr = net.weights[li] if kind == 0 else net.biases[li]
-                garr = grad.weights[li] if kind == 0 else grad.biases[li]
-                old = arr[idx]
-                arr[idx] = old + h
+                old = net.params[p]
+                net.params[p] = old + h
                 fp = logit(net, x)
-                arr[idx] = old - h
+                net.params[p] = old - h
                 fm = logit(net, x)
-                arr[idx] = old
+                net.params[p] = old
                 fd_p.append((fp - fm) / (2 * h))
-                an_p.append(garr[idx])
+                an_p.append(grad[p])
             fd_p, an_p = np.array(fd_p), np.array(an_p)
             err_p = np.abs(fd_p - an_p).max() / max(
                 np.abs(fd_p).max(), np.abs(an_p).max(), 1e-12

@@ -1,11 +1,18 @@
 """Command-line surface: artifacts, determinism, config precedence, exit codes."""
 
+import contextlib
 import importlib
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from cdrm import cli, data, inference, model_io
 from cdrm.cli import run
 from cdrm.model import TrainConfig
@@ -419,6 +426,37 @@ def test_count_below_one_is_usage_error(capsys, tmp_path, tiny_toy_csv, toy_mode
     assert flag in stderr
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["infer", "--query", "-0.7", "--samples"], "--samples"),
+        (["gen", "room", "--out", "r.csv", "--steps"], "--steps"),
+        (["gen", "toy", "--out", "t.csv", "--n-per-region"], "--n-per-region"),
+        (["oracle", "--data", "t.csv", "--bins"], "--bins"),
+    ],
+    ids=["infer", "gen-room", "gen-toy", "oracle"],
+)
+def test_count_beyond_the_index_range_is_usage_error(capsys, tmp_path, monkeypatch, argv, flag):
+    # numpy cannot size an array past intp, so such a count is refused at parse time
+    monkeypatch.chdir(tmp_path)
+    model = ["--model", "m.json"] if argv[0] in ("infer", "oracle") else []
+    for count in (2**63, 2**64):
+        code, stdout, stderr = run_cli(capsys, *argv, str(count), *model)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: {flag}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_of_memory_is_a_runtime_error(capsys, toy_model):
+    # 2**40 chains of 51 steps need 816 TiB, past the user address space,
+    # so the first allocation fails before any memory is touched
+    code, stdout, stderr = run_cli(
+        capsys, "infer", "--model", str(toy_model), "--query", "-0.7", "--samples", str(2**40)
+    )
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize("command", ["infer", "eval", "oracle"])
 def test_chain_without_steps_is_usage_error(capsys, tmp_path, tiny_toy_csv, request, command):
     # training chains may have no step; an inference chain needs one
@@ -573,3 +611,142 @@ def test_console_script_resolves_to_run(capsys):
         entry(["--help"])
     assert exc_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: cdrm")
+
+
+# Hostile values for one knob: (flag text, config-file JSON text). The file
+# names resolve in each run's own directory, where "missing" does not
+# exist, "dir" is a directory and "binary" holds bytes that are not UTF-8.
+HOSTILE = [
+    ("", '""'),
+    ("nan", "NaN"),
+    ("inf", "Infinity"),
+    ("-inf", "-Infinity"),
+    ("1e400", "1e400"),
+    ("0", "0"),
+    ("-1", "-1"),
+    (str(2**64), str(2**64)),
+    ("x", '"x"'),
+    ("missing", '"missing"'),
+    ("dir", '"dir"'),
+    ("binary", '"binary"'),
+]
+PATH_KNOBS = {"out", "data", "model", "loss_out", "probes_out"}
+SWITCH_KNOBS = {"multimodal"}
+LIST_KNOBS = {"hidden", "b_values", "l_values", "query"}  # "" is an empty list
+COUNT_KNOBS = {
+    "n_per_region", "steps", "epochs", "hidden", "positive_batch", "negative_batch",
+    "langevin_steps", "samples", "grid", "bins", "grid_probes", "b_values", "l_values",
+    "reps", "bin_queries", "dataset_size",
+}
+
+
+def refused(knob: str, value: tuple[str, str], as_config: bool) -> bool:
+    """Whether the value must be a usage error naming the flag, by the
+    knob's kind alone: a switch takes no value, a path is any string, and
+    every other knob is numeric, refusing text that is not a finite number
+    and, for a count, a negative number or one beyond the index range."""
+    text, json_text = value
+    if knob in SWITCH_KNOBS:
+        return True
+    if knob in PATH_KNOBS:
+        return as_config and not json_text.startswith('"')
+    if text == "":
+        return knob not in LIST_KNOBS
+    if text in ("-1", str(2**64)):
+        return knob in COUNT_KNOBS
+    return text != "0"
+
+
+@contextlib.contextmanager
+def in_directory(path):
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
+def test_hostile_tables_name_real_knobs():
+    knobs = {key for table in cli._KNOBS.values() for key in table}
+    assert PATH_KNOBS | SWITCH_KNOBS | LIST_KNOBS | COUNT_KNOBS <= knobs
+
+
+@pytest.fixture(scope="module")
+def cheap_inputs(tmp_path_factory):
+    """A tiny toy dataset, and a toy and a room model trained for one epoch."""
+    root = tmp_path_factory.mktemp("hostile")
+    toy, room = str(root / "toy.csv"), str(root / "room.csv")
+    data.save_csv(data.gen_toy(n_per_region=6, seed=3), toy)
+    data.save_csv(data.gen_room(20, seed=3), room)
+    models = {}
+    for name, dataset in [("toy", toy), ("room", room)]:
+        models[name] = str(root / f"{name}.json")
+        argv = ["train", "--data", dataset, "--out", models[name], "--epochs", "1", "--hidden", "4",
+                "--positive-batch", "8", "--negative-batch", "4", "--langevin-steps", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == 0
+    return toy, models
+
+
+def cheap_knobs(command: str, toy: str, models: dict) -> dict:
+    """Valid values that keep each command to a few milliseconds of work."""
+    chain = {"samples": 8, "steps": 2}
+    return {
+        "gen toy": {"out": "g.csv", "n_per_region": 4},
+        "gen room": {"out": "g.csv", "steps": 5},
+        "train": {"data": toy, "out": "m.json", "epochs": 1, "hidden": 4, "positive_batch": 8,
+                  "negative_batch": 4, "langevin_steps": 1},
+        "infer": {"model": models["toy"], "query": -0.7, **chain},
+        "eval": {"model": models["room"], "out": "e.csv", "grid": 2, **chain},
+        "oracle": {"model": models["toy"], "data": toy, "grid_probes": 2, "bins": 4, **chain},
+        "bench": {"out": "b.csv", "b_values": 2, "l_values": 2, "reps": 1, "bin_queries": 1,
+                  "samples": 8, "dataset_size": 8},
+    }[command]
+
+
+KNOB_CASES = [(command, knob) for command, table in cli._KNOBS.items() for knob in table]
+
+
+# Twice the number of distinct cases: Hypothesis stops once it has tried them all.
+@settings(max_examples=2 * len(KNOB_CASES) * len(HOSTILE) * 2, deadline=None)
+@given(st.sampled_from(KNOB_CASES), st.sampled_from(HOSTILE), st.booleans())
+def test_hostile_knob_values_end_in_an_exit_code(cheap_inputs, case, value, as_config):
+    # Any value of any knob ends in exit 0, 1 or 2, never in a traceback;
+    # exit 1 comes only from a runtime failure, and a value of the wrong
+    # kind is refused before the handler runs, naming its flag.
+    command, knob = case
+    text, json_text = value
+    flag = cli._flag(knob)
+    must_refuse = refused(knob, value, as_config)
+    others = cheap_knobs(command, *cheap_inputs)
+    argv = command.split() + [f"{cli._flag(k)}={v}" for k, v in others.items() if k != knob]
+    argv += ["--config", "cfg.json"] if as_config else [f"{flag}={text}"]
+    raised, real_handler = [], cli._HANDLERS[command]
+
+    def handler(cfg):
+        assert not must_refuse, f"{flag} value {text!r} reached the handler"
+        try:
+            return real_handler(cfg)
+        except BaseException as exc:
+            raised.append(exc)
+            raise
+
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir, in_directory(workdir):
+        Path("dir").mkdir()
+        Path("binary").write_bytes(b"\xff\xfe\x00\x81 not utf-8")
+        Path("cfg.json").write_text(f'{{"{knob}": {json_text}}}')
+        with mock.patch.dict(cli._HANDLERS, {command: handler}):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = run(argv)
+                except SystemExit as exc:  # argparse refuses a value given to a switch
+                    code = exc.code
+    assert code in (0, 1, 2), err.getvalue()
+    if must_refuse:
+        assert (code, out.getvalue()) == (2, ""), err.getvalue()
+        assert flag in err.getvalue()
+    if code == 1:
+        assert isinstance(raised[-1], (*cli._RUNTIME_ERRORS, OSError, MemoryError)), raised
+        assert err.getvalue().startswith("error: ")

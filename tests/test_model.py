@@ -198,8 +198,10 @@ class TestContrastiveLoss:
             mm = CdrmModel(net=net, input_bounds=m.input_bounds, dims=m.dims)
             return contrastive_loss(score_batch(mm, pos), score_batch(mm, neg), eps)
 
-        loss, grad = _loss_and_gradient(m, pos, forward_pass(m.net, neg), eps)
+        grads = np.empty((2, m.net.n_params))
+        loss, grad = _loss_and_gradient(m, pos, forward_pass(m.net, neg), eps, grads)
         assert loss == loss_of(m.net)
+        grad_weights, grad_biases = m.net.layers(grad)
 
         h = 1e-6
         for li in range(len(m.net.weights)):
@@ -213,7 +215,7 @@ class TestContrastiveLoss:
                     loss_of(MlpNetwork(m.net.layer_dims, wp, list(m.net.biases)))
                     - loss_of(MlpNetwork(m.net.layer_dims, wm, list(m.net.biases)))
                 ) / (2 * h)
-                assert grad.weights[li][idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+                assert grad_weights[li][idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
             b = m.net.biases[li]
             for idx in np.ndindex(b.shape):
                 bp = [a.copy() for a in m.net.biases]
@@ -224,7 +226,7 @@ class TestContrastiveLoss:
                     loss_of(MlpNetwork(m.net.layer_dims, list(m.net.weights), bp))
                     - loss_of(MlpNetwork(m.net.layer_dims, list(m.net.weights), bm))
                 ) / (2 * h)
-                assert grad.biases[li][idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+                assert grad_biases[li][idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 class TestTrainConfig:
@@ -299,7 +301,7 @@ class TestGenerateNegatives:
         eps = 1e-6
         up_neg = (1.0 / len(x)) / (1.0 - rho_neg + eps) * rho_neg * (1.0 - rho_neg) * in_range
         want_neg = reference_param_grad(m.net, x, up_neg)
-        assert same_bytes(m.net.grad_params_batch(neg, up_neg), want_neg)
+        assert same_bytes(m.net.grad_params_batch(neg, up_neg, np.empty(m.net.n_params)), want_neg)
 
         # The whole update against fresh forwards of both batches; the
         # gradient above consumed the chain's final pass, so run it again.
@@ -308,9 +310,8 @@ class TestGenerateNegatives:
         rho_pos, in_pos = _clamped_scores(m.net.forward_batch(pos), m.logit_clip)
         up_pos = -(1.0 / 16) / (rho_pos + eps) * rho_pos * (1.0 - rho_pos) * in_pos
         want = reference_param_grad(m.net, pos, up_pos)
-        for a, b in zip(want.weights + want.biases, want_neg.weights + want_neg.biases):
-            a += b
-        loss, grad = _loss_and_gradient(m, pos, neg, eps)
+        want += want_neg
+        loss, grad = _loss_and_gradient(m, pos, neg, eps, np.empty((2, m.net.n_params)))
         assert loss == contrastive_loss(rho_pos, score_batch(m, x), eps)
         assert same_bytes(grad, want)
 
@@ -408,15 +409,31 @@ class TestTrain:
             train(tiny_model(), ds, TrainConfig(epochs=1))
 
     def test_divergence_error_names_epoch(self):
-        # a poisoned weight turns the first loss non-finite; steps=0 keeps
-        # the negative chain from tripping over it first
-        m = tiny_model(seed=4)
-        m.net.weights[0][0, 0] = np.nan
+        # a poisoned positive turns the first loss non-finite; steps=0
+        # keeps the negative chain from tripping over anything first
         ds = tiny_dataset(n=16)
+        ds.tuples[0, 0] = np.nan
         cfg = TrainConfig(epochs=1, positive_batch=16, negative_batch=8, langevin_steps=0)
         with pytest.raises(TrainingDivergenceError) as exc_info:
-            train(m, ds, cfg)
+            train(tiny_model(seed=4), ds, cfg)
         assert "epoch 0" in str(exc_info.value)
+
+    def test_net_poisoned_after_construction_is_refused(self):
+        # train copies the network through the constructor, which checks it
+        m = tiny_model(seed=4)
+        m.net.weights[0][0, 0] = np.nan
+        with pytest.raises(InvalidInputError):
+            train(m, tiny_dataset(n=16), TrainConfig(epochs=1, langevin_steps=0))
+
+    def test_trained_parameters_are_views_of_its_params(self):
+        m = tiny_model(seed=4, layers=[2, 6, 5, 1])
+        cfg = TrainConfig(epochs=2, positive_batch=4, negative_batch=4, langevin_steps=2)
+        out, _ = train(m, tiny_dataset(n=10), cfg)
+        weights, biases = out.net.layers(out.net.params)
+        for a, b in zip(out.net.weights + out.net.biases, weights + biases):
+            assert np.shares_memory(a, out.net.params)
+            assert a.__array_interface__ == b.__array_interface__
+        assert not np.shares_memory(out.net.params, m.net.params)
 
     def test_full_pass_covers_every_tuple_each_epoch(self):
         # with positive_batch >= n every update sees a permutation of the

@@ -245,6 +245,28 @@ class TestFormatErrors:
             load_model(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("layer_dims", [2, 6.0, 1]),
+        ("layer_dims", [2, 6, True]),
+        ("dims", [1, 0, 1.0]),
+        ("dims", [1.0, 0, 1]),
+        ("dims", [True, 0, 1]),
+    ],
+)
+def test_non_integer_dims_rejected(tmp_path, key, value):
+    # an integral float or a bool compares equal to the integer, but the
+    # file must hold the integer itself
+    path = tmp_path / "model.json"
+    save_model(path, make_model())
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="malformed"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("end, bad", [(0, float("nan")), (0, float("-inf")), (1, float("inf"))])
 def test_non_finite_input_bound_rejected(tmp_path, end, bad):
     path = tmp_path / "model.json"

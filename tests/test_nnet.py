@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import forward_pass, reference_param_grad, same_bytes
+from conftest import forward_pass, param_grad, reference_param_grad, same_bytes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -14,7 +14,6 @@ from cdrm.nnet import (
     ADAM_EPS,
     AdamState,
     MlpNetwork,
-    ParamGradient,
     Workspace,
     adam_update,
     sigmoid,
@@ -159,7 +158,7 @@ def test_grad_params_matches_finite_difference():
     rng = np.random.default_rng(2)
     x = rng.uniform(-1, 1, (5, 2))
     upstream = rng.normal(size=5)
-    analytic = net.grad_params_batch(forward_pass(net, x), upstream)
+    analytic, _ = net.layers(param_grad(net, x, upstream))
 
     h = 1e-6
     for li in range(len(net.weights)):
@@ -172,28 +171,39 @@ def test_grad_params_matches_finite_difference():
             fp = MlpNetwork(net.layer_dims, wp, net.biases).forward_batch(x)
             fm = MlpNetwork(net.layer_dims, wm, net.biases).forward_batch(x)
             fd = float(upstream @ (fp - fm)) / (2 * h)
-            assert abs(analytic.weights[li][idx] - fd) < 1e-5 * max(1.0, abs(fd))
+            assert abs(analytic[li][idx] - fd) < 1e-5 * max(1.0, abs(fd))
 
 
 def test_grad_params_upstream_shape_check():
     net = MlpNetwork.initialize([2, 3, 1], seed=0)
     with pytest.raises(InvalidInputError):
-        net.grad_params_batch(forward_pass(net, np.zeros((4, 2))), np.zeros(3))
+        param_grad(net, np.zeros((4, 2)), np.zeros(3))
+
+
+def test_grad_params_refuses_an_out_of_the_wrong_shape():
+    net = MlpNetwork.initialize([2, 3, 1], seed=0)
+    x = np.zeros((4, 2))
+    for shape in [(net.n_params - 1,), (net.n_params + 1,), (1, net.n_params), (2, net.n_params)]:
+        ws = forward_pass(net, x)
+        with pytest.raises(InvalidInputError):
+            net.grad_params_batch(ws, np.zeros(4), np.empty(shape))
+        assert ws.inputs is x  # refused before the backward pass touched the workspace
 
 
 def test_grad_params_needs_a_forward_pass_of_this_shape():
     net = MlpNetwork.initialize([2, 3, 1], seed=0)
     x = np.zeros((4, 2))
     ws = Workspace(net.layer_dims, 4)
+    out = np.empty(net.n_params)
     with pytest.raises(InvalidInputError):
-        net.grad_params_batch(ws, np.zeros(4))  # nothing forwarded yet
+        net.grad_params_batch(ws, np.zeros(4), out)  # nothing forwarded yet
     net.forward_batch(x, ws)
     net.forward_and_grad_input_batch(x, ws)  # overwrites the activations
     with pytest.raises(InvalidInputError):
-        net.grad_params_batch(ws, np.zeros(4))
+        net.grad_params_batch(ws, np.zeros(4), out)
     other = MlpNetwork.initialize([2, 5, 1], seed=0)
     with pytest.raises(InvalidInputError):
-        other.grad_params_batch(forward_pass(net, x), np.zeros(4))
+        other.grad_params_batch(forward_pass(net, x), np.zeros(4), np.empty(other.n_params))
     with pytest.raises(InvalidInputError):
         net.forward_batch(x, Workspace(net.layer_dims, 5))
 
@@ -204,12 +214,14 @@ def test_grad_params_consumes_the_forward_it_differentiates():
     net = MlpNetwork.initialize([2, 5, 4, 1], seed=1)
     x = np.random.default_rng(4).uniform(-1, 1, (3, 2))
     ws = forward_pass(net, x)
-    net.grad_params_batch(ws, np.ones(3))
+    out = np.empty(net.n_params)
+    assert net.grad_params_batch(ws, np.ones(3), out) is out
     assert ws.inputs is None
     with pytest.raises(InvalidInputError):
-        net.grad_params_batch(ws, np.ones(3))
+        net.grad_params_batch(ws, np.ones(3), out)
     net.forward_batch(x, ws)  # a new forward makes it differentiable again
-    assert same_bytes(net.grad_params_batch(ws, np.ones(3)), reference_param_grad(net, x, np.ones(3)))
+    want = reference_param_grad(net, x, np.ones(3))
+    assert same_bytes(net.grad_params_batch(ws, np.ones(3), out), want)
 
 
 @pytest.mark.parametrize("rows", [1, 32])
@@ -217,6 +229,7 @@ def test_grad_params_from_kept_forward_matches_fresh_forward(rows):
     net = MlpNetwork.initialize([2, 64, 128, 64, 1], seed=6)
     rng = np.random.default_rng(rows)
     ws = Workspace(net.layer_dims, rows)
+    out = np.empty(net.n_params)
     for _ in range(2):  # the workspace is reused: a chain step, then a forward
         net.forward_and_grad_input_batch(rng.uniform(-1, 1, (rows, 2)), ws)
         x = rng.uniform(-1, 1, (rows, 2))
@@ -224,7 +237,8 @@ def test_grad_params_from_kept_forward_matches_fresh_forward(rows):
         assert logits.tobytes() == net.forward_batch(x).tobytes()
         assert ws.logits.tobytes() == logits.tobytes() and ws.inputs is x
         upstream = rng.normal(size=rows)
-        assert same_bytes(net.grad_params_batch(ws, upstream), reference_param_grad(net, x, upstream))
+        want = reference_param_grad(net, x, upstream)
+        assert same_bytes(net.grad_params_batch(ws, upstream, out), want)
 
 
 def test_grad_params_batch_is_sum_of_singles():
@@ -232,21 +246,17 @@ def test_grad_params_batch_is_sum_of_singles():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, (4, 3))
     upstream = rng.normal(size=4)
-    batch = net.grad_params_batch(forward_pass(net, x), upstream)
-    acc = [np.zeros_like(w) for w in net.weights]
+    batch = param_grad(net, x, upstream)
+    acc = np.zeros(net.n_params)
     for i in range(4):
-        single = net.grad_params_batch(forward_pass(net, x[i][None, :]), upstream[i : i + 1])
-        for li in range(len(acc)):
-            acc[li] += single.weights[li]
-    for li in range(len(acc)):
-        np.testing.assert_allclose(batch.weights[li], acc[li], atol=1e-12)
+        acc += param_grad(net, x[i][None, :], upstream[i : i + 1])
+    np.testing.assert_allclose(batch, acc, atol=1e-12)
 
 
 def test_adam_moves_against_gradient():
     net = MlpNetwork.initialize([2, 1], seed=0)
     before = net.weights[0].copy()
-    g = ParamGradient([np.ones_like(net.weights[0])], [np.ones_like(net.biases[0])])
-    adam_update(net, g, AdamState.zeros_for(net), 1, 0.1)
+    adam_update(net, np.ones(net.n_params), AdamState.zeros_for(net), 1, 0.1)
     assert np.all(net.weights[0] < before)
 
 
@@ -263,6 +273,13 @@ def adam_out_of_place(p, g, m, v, step_index, lr):
 
 _ADAM_DIMS = [2, 3, 1]
 _ADAM_SHAPES = [(3, 2), (1, 3), (3,), (1,)]  # weights, then biases
+
+
+def in_layout(arrays):
+    """The four _ADAM_SHAPES arrays as one vector laid out as params:
+    each layer's weight matrix, then its bias."""
+    w0, w1, b0, b1 = arrays
+    return np.concatenate([w0.ravel(), b0, w1.ravel(), b1])
 
 
 @st.composite
@@ -288,57 +305,88 @@ def adam_cases(draw):
 @given(adam_cases())
 def test_adam_in_place_matches_out_of_place_formula(case):
     params, grads, ms, vs, step_index, lr = case
-    net = MlpNetwork(_ADAM_DIMS, [p.copy() for p in params[:2]], [p.copy() for p in params[2:]])
-    state = AdamState([a.copy() for a in ms], [a.copy() for a in vs])
+    net = MlpNetwork(_ADAM_DIMS, params[:2], params[2:])
+    state = AdamState.zeros_for(net)
+    state.m[:], state.v[:] = in_layout(ms), in_layout(vs)
+    g = in_layout(grads)
     with np.errstate(over="ignore", invalid="ignore"):
-        want = [adam_out_of_place(*args, step_index, lr) for args in zip(params, grads, ms, vs)]
-    g = ParamGradient(grads[:2], grads[2:])
-    if not all(np.all(np.isfinite(p_new)) for p_new, _, _ in want):
+        p_new, m_new, v_new = adam_out_of_place(
+            in_layout(params), g, in_layout(ms), in_layout(vs), step_index, lr
+        )
+    if not np.all(np.isfinite(p_new)):
         with pytest.raises(TrainingDivergenceError), np.errstate(over="ignore", invalid="ignore"):
             adam_update(net, g, state, step_index, lr)
         return
     with np.errstate(over="ignore"):  # g * g may overflow to an infinite second moment
         adam_update(net, g, state, step_index, lr)
-    for (p_new, m_new, v_new), p, m, v in zip(want, net.weights + net.biases, state.m, state.v):
-        assert p.tobytes() == p_new.tobytes()
-        assert m.tobytes() == m_new.tobytes()
-        assert v.tobytes() == v_new.tobytes()
+    assert net.params.tobytes() == p_new.tobytes()
+    assert state.m.tobytes() == m_new.tobytes()
+    assert state.v.tobytes() == v_new.tobytes()
 
 
 def test_adam_rejects_nonfinite_gradient():
     net = MlpNetwork.initialize([2, 1], seed=0)
-    before = net.weights[0].copy()
+    before = net.params.copy()
     state = AdamState.zeros_for(net)
-    g = ParamGradient([np.full_like(net.weights[0], np.inf)], [np.zeros(1)])
+    g = np.array([np.inf, np.inf, 0.0])  # the weights, then the bias
     with pytest.raises(TrainingDivergenceError):
         adam_update(net, g, state, 1, 0.1)
-    assert net.weights[0].tobytes() == before.tobytes()
-    assert not any(np.any(m) or np.any(v) for m, v in zip(state.m, state.v))
+    assert net.params.tobytes() == before.tobytes()
+    assert not (np.any(state.m) or np.any(state.v))
 
 
 def test_adam_rejects_step_that_leaves_a_parameter_non_finite():
     # the first step moves each parameter by about lr against the gradient
     net = MlpNetwork([1, 1], [np.array([[1.7e308]])], [np.array([0.0])])
-    g = ParamGradient([np.array([[-1.0]])], [np.array([0.0])])
+    g = np.array([-1.0, 0.0])
     with pytest.raises(TrainingDivergenceError), np.errstate(over="ignore"):
         adam_update(net, g, AdamState.zeros_for(net), 1, 1e308)
 
 
 def test_adam_rejects_bad_step_index():
     net = MlpNetwork.initialize([2, 1], seed=0)
-    g = ParamGradient([np.zeros_like(net.weights[0])], [np.zeros(1)])
     with pytest.raises(InvalidInputError):
-        adam_update(net, g, AdamState.zeros_for(net), 0, 0.1)
+        adam_update(net, np.zeros(net.n_params), AdamState.zeros_for(net), 0, 0.1)
 
 
 def test_adam_first_step_size_is_learning_rate():
     # with bias correction the very first step has magnitude ~lr per entry
     net = MlpNetwork([1, 1], [np.array([[1.0]])], [np.array([0.0])])
-    g = ParamGradient([np.array([[0.5]])], [np.array([0.0])])
-    adam_update(net, g, AdamState.zeros_for(net), 1, 0.01)
+    adam_update(net, np.array([0.5, 0.0]), AdamState.zeros_for(net), 1, 0.01)
     assert net.weights[0][0, 0] == pytest.approx(1.0 - 0.01, abs=1e-6)
 
 
 def test_n_params_counts_everything():
     net = MlpNetwork.initialize([3, 4, 1], seed=0)
     assert net.n_params == 3 * 4 + 4 + 4 * 1 + 1
+
+
+def test_parameters_are_views_of_one_vector_in_layout_order():
+    net = MlpNetwork.initialize([3, 4, 2, 1], seed=2)
+    assert net.params.shape == (net.n_params,) and net.params.dtype == np.float64
+    pairs = zip(net.weights, net.biases)
+    assert net.params.tobytes() == np.concatenate([a.ravel() for p in pairs for a in p]).tobytes()
+    for a in net.weights + net.biases:
+        assert np.shares_memory(a, net.params)
+    net.params[:] = np.arange(net.n_params)
+    assert net.weights[0][0, 1] == 1.0 and net.biases[0][0] == 12.0
+    assert net.weights[1][0, 0] == 16.0 and net.biases[2][0] == net.n_params - 1
+
+
+def test_constructor_copies_its_arrays():
+    weights = [np.ones((3, 2)), np.ones((1, 3))]
+    biases = [np.zeros(3), np.zeros(1)]
+    net = MlpNetwork([2, 3, 1], weights, biases)
+    before = net.params.copy()
+    for a in weights + biases:
+        a += 5.0
+    assert net.params.tobytes() == before.tobytes()
+    assert all(not np.shares_memory(a, net.params) for a in weights + biases)
+
+
+def test_a_layer_cannot_be_rebound_away_from_params():
+    net = MlpNetwork.initialize([2, 3, 1], seed=0)
+    with pytest.raises(TypeError):
+        net.weights[0] = np.zeros((3, 2))
+    with pytest.raises(TypeError):
+        net.biases[0] = np.zeros(3)
