@@ -36,13 +36,8 @@ from .errors import (
 )
 from .inference import DEFAULT_ALPHA, default_inference_config, infer
 from .langevin import LangevinConfig
-from .model import CdrmModel, TrainConfig, train
+from .model import CdrmModel, TrainConfig, fit
 from .nnet import MlpNetwork
-
-# Stream tags separating the weight-init and density-fit RNG streams from
-# the training streams derived from the same user seed.
-_INIT_STREAM_TAG = 0xA11
-_KDE_STREAM_TAG = 0xDE
 
 # Each bench timing sample repeats its block of calls until this much wall
 # time has passed, so that one preemption or a short slow spell of the
@@ -200,9 +195,8 @@ _KNOBS: dict[str, dict[str, tuple]] = {
         "data": (_REQUIRED, _path),
         "out": (_REQUIRED, _path),
         "loss_out": (None, _path),
-        "epochs": (100, _count_or_zero),  # TrainConfig.epochs has no default of its own
-        "hidden": ((64, 128, 64), _list_of(_count)),
-        "bandwidth": ("median", _bandwidth),
+        **_knobs_of(TrainConfig, epochs=_count_or_zero),
+        **_knobs_of(fit, hidden=_list_of(_count), bandwidth=_bandwidth),
         **_knobs_of(TrainConfig, positive_batch=_count, negative_batch=_count),
         **_knobs_of(TrainConfig, langevin_steps=_count_or_zero, langevin_step_size=_real),
         **_knobs_of(TrainConfig, langevin_noise=_real, learning_rate=_real),
@@ -343,23 +337,9 @@ def cmd_gen_room(cfg: dict) -> int:
 
 def cmd_train(cfg: dict) -> int:
     dataset = data.load_csv(cfg["data"])
-    if len(dataset) == 0:
-        raise InvalidInputError("cannot train on an empty dataset")
     train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
-
-    d_total = sum(dataset.dims)
-    net = MlpNetwork.initialize(
-        [d_total, *cfg["hidden"], 1],
-        seed=langevin.derive_seed(train_cfg.seed, _INIT_STREAM_TAG),
-    )
-    model = CdrmModel(net=net, input_bounds=dataset.bounds, dims=dataset.dims)
-    model, losses = train(model, dataset, train_cfg)
-    stats = kde.fit(
-        dataset.inputs,
-        bandwidth_rule=cfg["bandwidth"],
-        seed=langevin.derive_seed(train_cfg.seed, _KDE_STREAM_TAG),
-    )
-    model = replace(model, kde_stats=stats, provenance=model_io.provenance_for(train_cfg))
+    model, losses = fit(dataset, train_cfg, cfg["hidden"], cfg["bandwidth"])
+    model = replace(model, provenance=model_io.provenance_for(train_cfg))
     model_io.save_model(cfg["out"], model)
     loss_out = cfg["loss_out"] or cfg["out"] + ".loss.csv"
     _write_csv(loss_out, ["epoch", "loss"], [[i, v] for i, v in enumerate(losses)])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import langevin
+from . import kde, langevin
 from .errors import InvalidInputError, TrainingDivergenceError
 from .kde import KdeStats
 from .langevin import LangevinConfig, ScoreFn, SeedLike
@@ -26,6 +26,9 @@ LOGIT_CLIP = math.log((1.0 - 1e-6) / 1e-6)
 # Stream tags keeping positive sampling and negative chains independent.
 _TAG_POSITIVE = 1
 _TAG_NEGATIVE = 2
+# Stream tags of `fit`'s weight init and density fit, apart from the above.
+_TAG_INIT = 0xA11
+_TAG_DENSITY = 0xDE
 
 
 @dataclass
@@ -33,15 +36,14 @@ class CdrmModel:
     """Network plus the joint-space geometry it is scored over.
 
     input_bounds has one finite (low, high) row per joint dimension; dims
-    is the (d_s, d_a, d_next) split of the input layout. kde_stats is
-    attached after training and feeds the epistemic-uncertainty base term;
-    its reference points are (n, d_s + d_a) inputs.
+    is the (d_s, d_a, d_next) split of the input layout. kde_stats, which
+    `fit` attaches, feeds the epistemic-uncertainty base term; its
+    reference points are (n, d_s + d_a) inputs.
     """
 
     net: MlpNetwork
     input_bounds: np.ndarray
     dims: tuple[int, int, int]
-    logit_clip: float = LOGIT_CLIP
     kde_stats: KdeStats | None = None
     provenance: dict | None = None  # training config hash, seed, epochs
 
@@ -61,8 +63,6 @@ class CdrmModel:
             raise InvalidInputError("input_bounds must be finite")
         if np.any(self.input_bounds[:, 0] >= self.input_bounds[:, 1]):
             raise InvalidInputError("input_bounds must satisfy low < high")
-        if not (self.logit_clip > 0):
-            raise InvalidInputError("logit_clip must be positive")
         if self.kde_stats is not None and self.kde_stats.reference_points.shape[1] != d_s + d_a:
             raise InvalidInputError(
                 f"kde reference points must be (n, {d_s + d_a}) for dims {self.dims}"
@@ -79,10 +79,10 @@ class CdrmModel:
         return np.arange(d_s + d_a, d_s + d_a + d_next)
 
 
-def _clamped_scores(logits: np.ndarray, clip: float) -> tuple[np.ndarray, np.ndarray]:
-    """sigmoid(logit clamped to +-clip), and the |logit| < clip mask where the
-    clamp has gradient 1 (0 elsewhere)."""
-    return sigmoid(np.clip(logits, -clip, clip)), np.abs(logits) < clip
+def _clamped_scores(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigmoid(logit clamped to +-LOGIT_CLIP), and the |logit| < LOGIT_CLIP
+    mask where the clamp has gradient 1 (0 elsewhere)."""
+    return sigmoid(np.clip(logits, -LOGIT_CLIP, LOGIT_CLIP)), np.abs(logits) < LOGIT_CLIP
 
 
 def score_batch(model: CdrmModel, x: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
@@ -91,7 +91,7 @@ def score_batch(model: CdrmModel, x: np.ndarray, workspace: Workspace | None = N
     workspace is passed on to the network's forward pass, which leaves
     its activations there.
     """
-    return _clamped_scores(model.net.forward_batch(x, workspace), model.logit_clip)[0]
+    return _clamped_scores(model.net.forward_batch(x, workspace))[0]
 
 
 def score_and_grad(
@@ -105,7 +105,7 @@ def score_and_grad(
     """
     x = np.asarray(x, dtype=np.float64)
     logits, dlogit = model.net.forward_and_grad_input_batch(x, workspace)
-    rho, in_range = _clamped_scores(logits, model.logit_clip)
+    rho, in_range = _clamped_scores(logits)
     grads = (rho * (1.0 - rho) * in_range)[:, None] * dlogit
     return rho, grads
 
@@ -142,7 +142,7 @@ def contrastive_loss(rho_pos: np.ndarray, rho_neg: np.ndarray, eps: float) -> fl
 
 @dataclass
 class TrainConfig:
-    epochs: int
+    epochs: int = 100
     positive_batch: int = 32
     negative_batch: int = 32
     langevin_steps: int = 10
@@ -210,8 +210,8 @@ def _loss_and_gradient(
     """
     net = model.net
     pos_pass = Workspace(net.layer_dims, len(pos))
-    rho_pos, in_pos = _clamped_scores(net.forward_batch(pos, pos_pass), model.logit_clip)
-    rho_neg, in_neg = _clamped_scores(neg.logits, model.logit_clip)
+    rho_pos, in_pos = _clamped_scores(net.forward_batch(pos, pos_pass))
+    rho_neg, in_neg = _clamped_scores(neg.logits)
     loss = contrastive_loss(rho_pos, rho_neg, eps)
     if not np.isfinite(loss):
         raise TrainingDivergenceError("non-finite loss")
@@ -274,3 +274,27 @@ def train(
         losses.append(float(np.mean(epoch_losses)))
 
     return trained, losses
+
+
+def fit(
+    dataset,
+    cfg: TrainConfig,
+    hidden: tuple[int, ...] = (64, 128, 64),
+    bandwidth: float | str = "median",
+) -> tuple[CdrmModel, list[float]]:
+    """A model of dataset with its density attached, and its loss trace.
+
+    The density is fitted first, so a dataset it refuses (fewer than two
+    tuples, coinciding inputs) is refused before any update. The density
+    fit, the [d_total, *hidden, 1] init and `train` draw from separate
+    streams of cfg.seed, so none moves another.
+    """
+    if len(dataset) == 0:
+        raise InvalidInputError("cannot train on an empty dataset")
+    stats = kde.fit(dataset.inputs, bandwidth, seed=langevin.derive_seed(cfg.seed, _TAG_DENSITY))
+    net = MlpNetwork.initialize(
+        [sum(dataset.dims), *hidden, 1], seed=langevin.derive_seed(cfg.seed, _TAG_INIT)
+    )
+    model = CdrmModel(net=net, input_bounds=dataset.bounds, dims=dataset.dims)
+    model, losses = train(model, dataset, cfg)
+    return replace(model, kde_stats=stats), losses

@@ -6,7 +6,8 @@ file carries a small battery of probe inputs, drawn from the input
 bounds, together with their scores at save time; load() rebuilds the
 battery from the loaded bounds, scores it, and refuses the file on any
 difference from the stored probes or scores, so silent corruption of the
-network or the bounds, or a numerics drift, cannot go unnoticed.
+network or the bounds, or a numerics drift, cannot go unnoticed. The
+stored clamp half-width must equal `model.LOGIT_CLIP`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import langevin
 from .errors import ModelFormatError, UnsupportedVersionError
 from .kde import KdeStats
-from .model import CdrmModel, TrainConfig, score_batch
+from .model import LOGIT_CLIP, CdrmModel, TrainConfig, score_batch
 from .nnet import MlpNetwork
 
 SCHEMA_VERSION = 1
@@ -60,7 +61,7 @@ def save_model(path, model: CdrmModel) -> None:
         "schema_version": SCHEMA_VERSION,
         "dims": list(model.dims),
         "layer_dims": list(model.net.layer_dims),
-        "logit_clip": model.logit_clip,
+        "logit_clip": LOGIT_CLIP,
         "input_bounds": _nested(model.input_bounds),
         "weights": [_nested(w) for w in model.net.weights],
         "biases": [_nested(b) for b in model.net.biases],
@@ -93,6 +94,8 @@ def load_model(path) -> CdrmModel:
             f"schema_version {doc['schema_version']} not supported (this build reads {SCHEMA_VERSION})"
         )
     try:
+        if doc["logit_clip"] != LOGIT_CLIP:
+            raise ModelFormatError(f"logit_clip {doc['logit_clip']!r} is not {LOGIT_CLIP!r}")
         net = MlpNetwork(
             layer_dims=list(doc["layer_dims"]),
             weights=[np.array(w, dtype=np.float64) for w in doc["weights"]],
@@ -111,7 +114,6 @@ def load_model(path) -> CdrmModel:
             net=net,
             input_bounds=np.array(doc["input_bounds"], dtype=np.float64),
             dims=tuple(doc["dims"]),
-            logit_clip=float(doc["logit_clip"]),
             kde_stats=kde_stats,
             provenance=doc["provenance"],
         )

@@ -2,13 +2,11 @@
 acceptance battery and the example-level tests reuse one training run."""
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from cdrm import data, kde, langevin, model, nnet
+from cdrm import data, model, nnet
 
-TOY_HIDDEN = [64, 128, 64]
 TOY_EPOCHS = 100
 TOY_BATCH = 16
 
@@ -28,10 +26,6 @@ def train_toy(
 ) -> TrainedToy:
     t0 = time.perf_counter()
     ds = data.gen_toy(multimodal=multimodal, seed=seed)
-    net = nnet.MlpNetwork.initialize(
-        [2] + TOY_HIDDEN + [1], seed=langevin.derive_seed(seed, 0xA11)
-    )
-    m = model.CdrmModel(net=net, input_bounds=ds.bounds, dims=ds.dims)
     cfg = model.TrainConfig(
         epochs=TOY_EPOCHS,
         positive_batch=TOY_BATCH,
@@ -39,8 +33,7 @@ def train_toy(
         seed=seed,
         **overrides,
     )
-    m, losses = model.train(m, ds, cfg)
-    m = replace(m, kde_stats=kde.fit(ds.inputs, seed=langevin.derive_seed(seed, 0xDE)))
+    m, losses = model.fit(ds, cfg)
     return TrainedToy(m, ds, losses, time.perf_counter() - t0)
 
 

@@ -210,25 +210,13 @@ def room_models():
     for seed in ROOM_SEEDS:
         t0 = time.perf_counter()
         ds = data.gen_room(5000, seed=seed)
-        net = nnet.MlpNetwork.initialize(
-            [3, 64, 128, 64, 1], seed=langevin.derive_seed(seed, 0xA11)
-        )
-        m = model.CdrmModel(net=net, input_bounds=ds.bounds, dims=ds.dims)
         cfg = model.TrainConfig(
             epochs=ROOM_EPOCHS,
             positive_batch=ROOM_BATCH,
             learning_rate=ROOM_LR,
             seed=seed,
         )
-        m, _ = model.train(m, ds, cfg)
-        m = replace(
-            m,
-            kde_stats=kde.fit(
-                ds.inputs,
-                bandwidth_rule=ROOM_KDE_BW,
-                seed=langevin.derive_seed(seed, 0xDE),
-            ),
-        )
+        m, _ = model.fit(ds, cfg, bandwidth=ROOM_KDE_BW)
         out.append((seed, m, time.perf_counter() - t0))
     return out
 

@@ -209,6 +209,19 @@ class TestTrain:
         assert code == 2
         assert "empty" in stderr
 
+    def test_coincident_inputs_refused_before_training(self, capsys, tmp_path, monkeypatch):
+        # The density fit refuses the set, and it runs before the first update.
+        path, out = tmp_path / "same.csv", tmp_path / "m.json"
+        tuples = np.column_stack([np.full(400, 0.3), np.linspace(-0.9, 0.9, 400)])
+        data.save_csv(data.TransitionDataset(tuples, (1, 0, 1), np.tile([-1.0, 1.0], (2, 1))), path)
+        monkeypatch.setattr("cdrm.model.train", mock.Mock(side_effect=AssertionError("trained")))
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--data", str(path), "--out", str(out), "--epochs", "200"
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: all subsampled points coincide; bandwidth undefined\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_default_config_provenance(self, capsys, tmp_path, tiny_toy_csv):
         out = tmp_path / "m.json"
         code, _, _ = run_cli(
@@ -321,6 +334,13 @@ class TestInfer:
         assert code == 2
         assert stdout == ""
         assert "input_bounds must be finite" in stderr
+
+    def test_model_with_another_clamp_is_usage_error(self, capsys, tmp_path, toy_model):
+        edited = tmp_path / "edited.json"
+        edited.write_text(toy_model.read_text().replace('"logit_clip": 13.8', '"logit_clip": 12.8'))
+        code, stdout, stderr = run_cli(capsys, "infer", "--model", str(edited), "--query", "-0.7")
+        assert (code, stdout) == (2, "")
+        assert "logit_clip" in stderr
 
     def test_missing_model_file_is_runtime_error(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -1,11 +1,14 @@
 """Scored field, contrastive loss, and training loop."""
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
-from cdrm import langevin, model
+from cdrm import data, kde, langevin, model
 from conftest import count_passes, forward_pass, reference_param_grad, same_bytes
 from cdrm.data import TransitionDataset
-from cdrm.errors import InvalidInputError, TrainingDivergenceError
+from cdrm.errors import DegenerateDatasetError, InvalidInputError, TrainingDivergenceError
 from cdrm.model import (
     LOGIT_CLIP,
     _clamped_scores,
@@ -72,16 +75,6 @@ class TestModelConstruction:
         bounds[0, end] = bad
         with pytest.raises(InvalidInputError, match="finite"):
             CdrmModel(net=net, input_bounds=bounds, dims=(1, 0, 1))
-
-    def test_logit_clip_must_be_positive(self):
-        net = MlpNetwork.initialize([2, 4, 1], seed=0)
-        with pytest.raises(InvalidInputError):
-            CdrmModel(
-                net=net,
-                input_bounds=np.tile([-1.0, 1.0], (2, 1)),
-                dims=(1, 0, 1),
-                logit_clip=0.0,
-            )
 
     def test_next_state_dims_indexes_last_block(self):
         m = tiny_model(dims=(2, 1, 2), layers=[5, 4, 1], bounds=np.tile([-1.0, 1.0], (5, 1)))
@@ -279,23 +272,22 @@ class TestGenerateNegatives:
 
     @pytest.mark.parametrize("steps", [0, 1, 10])
     def test_update_reads_the_chains_final_pass(self, steps):
-        # With steps = 0 the chain's last batch is also its only batch. A
-        # small clip saturates some samples, so the clamp mask is mixed.
-        m = CdrmModel(
-            net=MlpNetwork.initialize([2, 64, 128, 64, 1], seed=3),
-            input_bounds=np.tile([-1.0, 1.0], (2, 1)),
-            dims=(1, 0, 1),
-            logit_clip=0.05,
-        )
+        # With steps = 0 the chain's last batch is also its only batch. An
+        # output layer scaled up saturates some samples, so the clamp mask
+        # is mixed.
+        net = MlpNetwork.initialize([2, 64, 128, 64, 1], seed=3)
+        for layer in (net.weights[-1], net.biases[-1]):
+            layer *= LOGIT_CLIP / 0.05
+        m = CdrmModel(net=net, input_bounds=np.tile([-1.0, 1.0], (2, 1)), dims=(1, 0, 1))
         cfg = TrainConfig(epochs=1, langevin_steps=steps).negative_chain_config(m)
         seed = langevin.derive_seed(7, steps)
         neg = generate_negatives(m, cfg, seed)
         x = langevin.run(score_fn(m), cfg, None, seed).samples[-1]
         assert neg.inputs.tobytes() == x.tobytes()
 
-        rho_neg, in_neg = _clamped_scores(neg.logits, m.logit_clip)
+        rho_neg, in_neg = _clamped_scores(neg.logits)
         assert rho_neg.tobytes() == score_batch(m, x).tobytes()
-        in_range = np.abs(m.net.forward_batch(x)) < m.logit_clip
+        in_range = np.abs(m.net.forward_batch(x)) < LOGIT_CLIP
         assert np.array_equal(in_neg, in_range) and in_range.any() and not in_range.all()
 
         eps = 1e-6
@@ -307,7 +299,7 @@ class TestGenerateNegatives:
         # gradient above consumed the chain's final pass, so run it again.
         neg = generate_negatives(m, cfg, seed)
         pos = np.random.default_rng(steps).uniform(-1, 1, (16, 2))
-        rho_pos, in_pos = _clamped_scores(m.net.forward_batch(pos), m.logit_clip)
+        rho_pos, in_pos = _clamped_scores(m.net.forward_batch(pos))
         up_pos = -(1.0 / 16) / (rho_pos + eps) * rho_pos * (1.0 - rho_pos) * in_pos
         want = reference_param_grad(m.net, pos, up_pos)
         want += want_neg
@@ -449,6 +441,71 @@ class TestTrain:
         # update; trajectories agree because the update sums over the batch
         for wf, wr in zip(out_f.net.weights, out_r.net.weights):
             np.testing.assert_allclose(wf, wr, atol=1e-12)
+
+
+def hand_recipe(ds, cfg, hidden, bandwidth):
+    """Init, train, then fit the density, each from its own stream of the seed."""
+    net = MlpNetwork.initialize(
+        [sum(ds.dims), *hidden, 1], seed=langevin.derive_seed(cfg.seed, model._TAG_INIT)
+    )
+    m, losses = train(CdrmModel(net=net, input_bounds=ds.bounds, dims=ds.dims), ds, cfg)
+    stats = kde.fit(
+        ds.inputs, bandwidth_rule=bandwidth, seed=langevin.derive_seed(cfg.seed, model._TAG_DENSITY)
+    )
+    return replace(m, kde_stats=stats), losses
+
+
+class TestFit:
+    @pytest.mark.parametrize(
+        "ds, hidden, bandwidth",
+        [
+            (data.gen_toy(n_per_region=20, seed=1), (64, 128, 64), "median"),
+            (data.gen_room(120, seed=2), (8,), 0.06),
+        ],
+        ids=["toy", "room"],
+    )
+    def test_equals_the_hand_recipe(self, ds, hidden, bandwidth):
+        cfg = TrainConfig(epochs=2, positive_batch=16, negative_batch=8, langevin_steps=2, seed=5)
+        got, got_losses = model.fit(ds, cfg, hidden, bandwidth)
+        want, want_losses = hand_recipe(ds, cfg, hidden, bandwidth)
+        assert got.net.layer_dims == [sum(ds.dims), *hidden, 1]
+        assert same_bytes(got.net.params, want.net.params)
+        assert same_bytes(got.input_bounds, want.input_bounds) and got.dims == want.dims
+        assert same_bytes(got.kde_stats.reference_points, want.kde_stats.reference_points)
+        got_fields = (got.kde_stats.bandwidth, got.kde_stats.mu, got.kde_stats.sigma)
+        want_fields = (want.kde_stats.bandwidth, want.kde_stats.mu, want.kde_stats.sigma)
+        assert same_bytes(np.array(got_fields), np.array(want_fields))
+        assert same_bytes(np.array(got_losses), np.array(want_losses))
+        assert got.provenance is None
+
+    def test_default_widths_and_bandwidth_rule(self):
+        ds = data.gen_toy(n_per_region=20, seed=1)
+        cfg = TrainConfig(epochs=0)
+        m, losses = model.fit(ds, cfg)
+        assert m.net.layer_dims == [2, 64, 128, 64, 1] and losses == []
+        median = kde.fit(ds.inputs, seed=langevin.derive_seed(cfg.seed, model._TAG_DENSITY))
+        assert m.kde_stats.bandwidth == median.bandwidth
+        assert TrainConfig().epochs == 100
+
+    @pytest.mark.parametrize(
+        "n, bandwidth, error, words",
+        [
+            (0, "median", InvalidInputError, "empty"),
+            (1, "median", InvalidInputError, "at least 2"),
+            (40, "median", DegenerateDatasetError, "coincide"),
+            (40, 0.5, DegenerateDatasetError, "constant"),
+        ],
+        ids=["empty", "one-tuple", "coincident", "coincident-fixed-bandwidth"],
+    )
+    def test_unfit_dataset_is_refused_before_training(self, monkeypatch, n, bandwidth, error, words):
+        # n tuples whose inputs all coincide
+        counted = mock.Mock(wraps=train)
+        monkeypatch.setattr(model, "train", counted)
+        tuples = np.column_stack([np.full(n, 0.2), np.linspace(-0.9, 0.9, n)])
+        ds = TransitionDataset(tuples, (1, 0, 1), np.tile([-1.0, 1.0], (2, 1)))
+        with pytest.raises(error, match=words):
+            model.fit(ds, TrainConfig(epochs=200), bandwidth=bandwidth)
+        assert counted.call_count == 0
 
 
 class TestConvergedSeparation:

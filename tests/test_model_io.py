@@ -7,7 +7,7 @@ import pytest
 from cdrm import kde
 from cdrm.kde import KdeStats
 from cdrm.errors import ModelFormatError, UnsupportedVersionError
-from cdrm.model import CdrmModel, TrainConfig
+from cdrm.model import LOGIT_CLIP, CdrmModel, TrainConfig
 from cdrm.model_io import load_model, provenance_for, save_model
 from cdrm.nnet import MlpNetwork
 from hypothesis import given, settings
@@ -37,7 +37,6 @@ class TestRoundTrip:
         save_model(path, m)
         out = load_model(path)
         assert out.dims == m.dims
-        assert out.logit_clip == m.logit_clip
         np.testing.assert_array_equal(out.input_bounds, m.input_bounds)
         assert out.net.layer_dims == m.net.layer_dims
         for wa, wb in zip(out.net.weights, m.net.weights):
@@ -99,7 +98,6 @@ def models(draw):
         net=net,
         input_bounds=np.column_stack([lows, lows + widths]),
         dims=dims,
-        logit_clip=draw(_floats(min_value=1e-3, max_value=50.0)),
         kde_stats=stats,
         provenance=provenance_for(
             TrainConfig(epochs=draw(st.integers(0, 9)), seed=draw(st.integers(-(2**70), 2**70)))
@@ -117,7 +115,7 @@ def test_save_load_is_exact_for_random_models(tmp_path_factory, m):
     path = tmp_path_factory.mktemp("prop") / "model.json"
     save_model(path, m)
     out = load_model(path)
-    assert (out.dims, out.logit_clip, out.provenance) == (m.dims, m.logit_clip, m.provenance)
+    assert (out.dims, out.provenance) == (m.dims, m.provenance)
     assert _bits(out.input_bounds) == _bits(m.input_bounds)
     assert out.net.layer_dims == m.net.layer_dims
     for a, b in zip(out.net.weights + out.net.biases, m.net.weights + m.net.biases):
@@ -154,6 +152,27 @@ def test_any_single_digit_change_loads_or_is_refused_as_a_format_error(tmp_path)
             load_model(edited)
         except (ModelFormatError, UnsupportedVersionError):
             pass
+
+
+def test_a_clamp_digit_change_is_refused_unless_it_keeps_the_float(tmp_path):
+    # Every digit of the stored clamp, replaced by each other digit: a text
+    # that denotes another float is refused; one that rounds to the same
+    # float (a last-digit change can) loads the same model.
+    path, edited = tmp_path / "model.json", tmp_path / "edited.json"
+    save_model(path, make_model())
+    text, value = path.read_text(), repr(LOGIT_CLIP)
+    start = text.index(f'"logit_clip": {value}') + len('"logit_clip": ')
+    refused = 0
+    for j, old in enumerate(value):
+        for new in sorted(set("0123456789") - {old}) if old.isdigit() else []:
+            edited.write_text(text[: start + j] + new + text[start + j + 1 :])
+            if float(value[:j] + new + value[j + 1 :]) == LOGIT_CLIP:
+                assert load_model(edited).net.layer_dims == [2, 6, 1]
+                continue
+            with pytest.raises(ModelFormatError):  # "03.8..." is not JSON
+                load_model(edited)
+            refused += 1
+    assert refused == 17 * 9 - 1  # 3 -> 4 in the last digit is the same float
 
 
 class TestSelfCheck:
