@@ -59,6 +59,10 @@ _RUNTIME_ERRORS = (
     DegenerateDatasetError,
 )
 
+# Start of numpy's ValueError for an array whose byte size overflows, which
+# it raises in place of MemoryError, before asking for any memory.
+_ARRAY_TOO_BIG = "array is too big"
+
 _REQUIRED = object()  # default of a knob the user must give
 
 
@@ -563,4 +567,9 @@ def run(argv=None) -> int:
         return 2
     except (*_RUNTIME_ERRORS, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        if not str(exc).startswith(_ARRAY_TOO_BIG):
+            raise
+        print(f"error: cannot allocate: {exc}", file=sys.stderr)
         return 1

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kde, langevin
 from .errors import EmptyValidSetError, InvalidInputError, OutOfBoundsError, UnpreparedModelError
 from .langevin import ChainTrace, LangevinConfig, SeedLike
-from .model import CdrmModel, score_fn
+from .model import CdrmModel, score_batch, score_fn
 
 DEFAULT_ALPHA = 0.5
 DEDUP_RANGE_FRACTION = 1e-3
@@ -143,6 +143,16 @@ def _first_seen_members(points: np.ndarray, cells: np.ndarray, tol: np.ndarray) 
     return kept
 
 
+def _rescored(model: CdrmModel, valid: ValidSet, fixed: np.ndarray, free: np.ndarray) -> ValidSet:
+    """valid with its members scored by model, each member's free dims set
+    into the full-width row fixed, as the chain held them."""
+    if len(valid) == 0:
+        return valid
+    rows = np.repeat(fixed[None, :], len(valid), axis=0)
+    rows[:, free] = valid.samples
+    return ValidSet(valid.samples, score_batch(model, rows))
+
+
 def predict(valid: ValidSet) -> np.ndarray:
     """Highest-scoring member; the earliest in chain order wins ties."""
     if len(valid) == 0:
@@ -199,6 +209,12 @@ def infer(
     outside them raises OutOfBoundsError instead of extrapolating the field.
     The chain needs at least one step, since steps 1..L supply both the
     candidates and the EU statistic; cfg.steps = 0 raises InvalidInputError.
+
+    The chain's network passes run on a float32 copy of the network, and
+    the candidates above alpha are chosen by those scores. The members
+    kept are then scored once more with the float64 network, so the
+    prediction, the valid set's scores and the max score in EU are float64
+    scores; the per-step maxima behind sigma_phi are the chain's own.
     """
     if model.kde_stats is None:
         raise UnpreparedModelError("model has no fitted density stats; train or fit first")
@@ -225,8 +241,9 @@ def infer(
     _tol_and_width(tol, cfg.free_dims.size)  # a bad tolerance fails before the chain
 
     fixed = np.concatenate([query, np.zeros(d_next)])
-    trace = langevin.run(score_fn(model), cfg, fixed, seed)
-    valid = collect_valid(trace, alpha, tol)
+    chain_model = replace(model, net=model.net.astype(np.float32))
+    trace = langevin.run(score_fn(chain_model), cfg, fixed, seed)
+    valid = _rescored(model, collect_valid(trace, alpha, tol), fixed, cfg.free_dims)
 
     per_step_max = trace.per_step_max
     eu = epistemic(valid, per_step_max, kde.base_eu(model.kde_stats, query))

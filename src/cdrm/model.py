@@ -89,9 +89,11 @@ def score_batch(model: CdrmModel, x: np.ndarray, workspace: Workspace | None = N
     """rho = sigmoid(clamped logit) for each row of x.
 
     workspace is passed on to the network's forward pass, which leaves
-    its activations there.
+    its activations there. The pass runs in the network's dtype; the
+    logits are cast to float64 before the clamp, so scores are float64.
     """
-    return _clamped_scores(model.net.forward_batch(x, workspace))[0]
+    logits = np.asarray(model.net.forward_batch(x, workspace), dtype=np.float64)
+    return _clamped_scores(logits)[0]
 
 
 def score_and_grad(
@@ -101,10 +103,12 @@ def score_and_grad(
 
     The clamp contributes gradient 1 inside its range and 0 outside, so
     saturated samples report an exactly zero gradient. workspace is passed
-    on to the network's forward and input-gradient pass.
+    on to the network's forward and input-gradient pass, which runs in the
+    network's dtype; its logits and input gradients are cast to float64
+    before anything else, so both results are float64.
     """
-    x = np.asarray(x, dtype=np.float64)
     logits, dlogit = model.net.forward_and_grad_input_batch(x, workspace)
+    logits, dlogit = np.asarray(logits, np.float64), np.asarray(dlogit, np.float64)
     rho, in_range = _clamped_scores(logits)
     grads = (rho * (1.0 - rho) * in_range)[:, None] * dlogit
     return rho, grads
@@ -113,17 +117,17 @@ def score_and_grad(
 def score_fn(model: CdrmModel, workspace: Workspace | None = None) -> ScoreFn:
     """Closure shape the Langevin sampler consumes.
 
-    The closure owns one network workspace, the one given or one sized on
-    its first call, so a chain reuses the same buffers on every step and
-    they are freed with the closure; a batch of another size is refused.
-    A call without gradients runs the forward pass alone, and its
-    activations stay in the workspace.
+    The closure owns one network workspace, the one given or one made for
+    the network on its first call, so a chain reuses the same buffers on
+    every step and they are freed with the closure; a batch of another
+    size is refused. A call without gradients runs the forward pass alone,
+    and its activations stay in the workspace.
     """
 
     def fn(batch, with_grad):
         nonlocal workspace
         if workspace is None:
-            workspace = Workspace(model.net.layer_dims, len(batch))
+            workspace = Workspace(model.net.layer_dims, len(batch), model.net.params.dtype)
         if with_grad:
             return score_and_grad(model, batch, workspace)
         return score_batch(model, batch, workspace), None
@@ -237,8 +241,11 @@ def train(
     stale snapshot. The returned trace holds one mean loss per epoch.
     Everything is keyed off cfg.seed, so a rerun reproduces the trace
     bit for bit, and the per-sample noise streams make the result
-    independent of batch-size-induced layout.
+    independent of batch-size-induced layout. Training runs in float64: a
+    network of another dtype (an `MlpNetwork.astype` copy) is refused.
     """
+    if model.net.params.dtype != np.float64:
+        raise InvalidInputError(f"training needs a float64 network, got {model.net.params.dtype}")
     tuples = np.asarray(dataset.tuples, dtype=np.float64)
     if len(tuples) == 0:
         raise InvalidInputError("dataset is empty")

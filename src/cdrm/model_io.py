@@ -19,7 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import langevin
-from .errors import ModelFormatError, UnsupportedVersionError
+from .errors import InvalidInputError, ModelFormatError, UnsupportedVersionError
 from .kde import KdeStats
 from .model import LOGIT_CLIP, CdrmModel, TrainConfig, score_batch
 from .nnet import MlpNetwork
@@ -55,6 +55,10 @@ def provenance_for(cfg: TrainConfig) -> dict:
 
 
 def save_model(path, model: CdrmModel) -> None:
+    """Write model to path; a network that is not float64 (an
+    `MlpNetwork.astype` copy) is refused, since the file stores float64."""
+    if model.net.params.dtype != np.float64:
+        raise InvalidInputError(f"only a float64 network is saved, got {model.net.params.dtype}")
     probes = _check_probes(model)
     scores = score_batch(model, probes)
     doc = {

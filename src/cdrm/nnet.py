@@ -3,11 +3,16 @@
 The network maps a real vector to a single scalar (the pre-sigmoid logit).
 Both gradient directions are exact: gradients with respect to the input feed
 the Langevin sampler, gradients with respect to the parameters feed Adam.
-Everything is float64 numpy; there is no autodiff framework underneath.
+Everything is numpy; there is no autodiff framework underneath. A network
+is built in float64, which training, saving and the model self-check keep;
+`MlpNetwork.astype(np.float32)` gives a float32 copy whose passes run the
+same code in float32, as the inference chain does.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,13 +21,14 @@ from .errors import InvalidInputError, TrainingDivergenceError
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise, in float64.
+
+    With e = exp(-|x|), which never overflows, it is 1 / (1 + e) where
+    x >= 0 and e / (1 + e) elsewhere (NaN included).
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return out if out.ndim else float(out)
 
 
@@ -36,9 +42,11 @@ class MlpNetwork:
     """Fully connected scalar-output network with tanh hidden activations.
 
     weights[i], shape (layer_dims[i+1], layer_dims[i]), and biases[i], length
-    layer_dims[i+1], are views of params, one float64 vector holding each
-    layer's weight matrix row-major, then its bias; the constructor copies
-    into it. The final layer is linear and one unit wide.
+    layer_dims[i+1], are views of params, one vector holding each layer's
+    weight matrix row-major, then its bias. The constructor copies into a
+    float64 params; `astype` makes a copy of another float dtype, and every
+    pass runs in the dtype of params. The final layer is linear and one
+    unit wide.
     """
 
     layer_dims: list[int]
@@ -61,6 +69,14 @@ class MlpNetwork:
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise InvalidInputError(f"layer {i}: non-finite parameters")
+        # (start, stop, shape) of each layer's weight and bias within params
+        self._spans = []
+        start = 0
+        for rows, cols in zip(dims[1:], dims):
+            for shape in ((rows, cols), (rows,)):
+                stop = start + math.prod(shape)
+                self._spans.append((start, stop, shape))
+                start = stop
         pairs = zip(self.weights, self.biases)
         self.params = np.concatenate([a.ravel() for pair in pairs for a in pair], dtype=np.float64)
         self.weights, self.biases = self.layers(self.params)
@@ -78,10 +94,20 @@ class MlpNetwork:
 
     def layers(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """(weights, biases) views of a vector laid out as params."""
-        shapes = [(rows, cols) for cols, rows in zip(self.layer_dims, self.layer_dims[1:])]
-        ends = np.cumsum([n for rows, cols in shapes for n in (rows * cols, rows)])
-        parts = np.split(flat, ends[:-1])
-        return tuple(w.reshape(s) for w, s in zip(parts[::2], shapes)), tuple(parts[1::2])
+        parts = [flat[start:stop].reshape(shape) for start, stop, shape in self._spans]
+        return tuple(parts[::2]), tuple(parts[1::2])
+
+    def astype(self, dtype) -> "MlpNetwork":
+        """A copy whose params, and the weights and biases viewing them, are
+        of dtype, float32 or float64; this network is left as it is."""
+        dtype = np.dtype(dtype)
+        if dtype not in (np.float32, np.float64):
+            raise InvalidInputError(f"a network is float32 or float64, not {dtype}")
+        net = copy.copy(self)
+        net.layer_dims = list(self.layer_dims)
+        net.params = self.params.astype(dtype)
+        net.weights, net.biases = net.layers(net.params)
+        return net
 
     @property
     def input_dim(self) -> int:
@@ -92,7 +118,7 @@ class MlpNetwork:
         return self.params.size
 
     def _check_batch(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.params.dtype)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise InvalidInputError(
                 f"expected input of width {self.input_dim}, got shape {x.shape}"
@@ -100,14 +126,17 @@ class MlpNetwork:
         return x
 
     def _workspace(self, rows: int, workspace: "Workspace | None") -> "Workspace":
-        """The given workspace, checked against this network and row count,
-        or a fresh one sized for them."""
+        """The given workspace, checked against this network, its dtype and
+        the row count, or a fresh one made for them."""
+        dtype = self.params.dtype
         if workspace is None:
-            return Workspace(self.layer_dims, rows)
-        if workspace.layer_dims != tuple(self.layer_dims) or workspace.rows != rows:
+            return Workspace(self.layer_dims, rows, dtype)
+        if (workspace.layer_dims, workspace.rows, workspace.dtype) != (
+            tuple(self.layer_dims), rows, dtype
+        ):
             raise InvalidInputError(
-                f"workspace is sized for {workspace.rows} rows of {list(workspace.layer_dims)}, "
-                f"got {rows} rows of {self.layer_dims}"
+                f"workspace is sized for {workspace.rows} rows of {list(workspace.layer_dims)} "
+                f"in {workspace.dtype}, got {rows} rows of {self.layer_dims} in {dtype}"
             )
         return workspace
 
@@ -180,7 +209,7 @@ class MlpNetwork:
         if forward.inputs is None:
             raise InvalidInputError("workspace holds no forward pass to differentiate")
         self._workspace(len(forward), forward)
-        upstream = np.asarray(upstream, dtype=np.float64)
+        upstream = np.asarray(upstream, dtype=self.params.dtype)
         if upstream.shape != (len(forward),):
             raise InvalidInputError(
                 f"upstream must have shape ({len(forward)},), got {upstream.shape}"
@@ -212,17 +241,20 @@ class Workspace:
     input-gradient pass writes d logit / d input to input_grad. Neither
     leaves a forward to read, so both set `inputs` to None.
 
-    A workspace belongs to one caller. The network itself holds none, so
-    a network stays safe to share.
+    Every buffer has the dtype of the network's params, which a network
+    checks before it runs a pass in the workspace. A workspace belongs to
+    one caller. The network itself holds none, so a network stays safe to
+    share.
     """
 
-    def __init__(self, layer_dims: list[int], rows: int):
+    def __init__(self, layer_dims: list[int], rows: int, dtype=np.float64):
         self.layer_dims = tuple(layer_dims)
         self.rows = rows
-        self.acts = [np.empty((rows, d)) for d in layer_dims[1:]]
-        self.input_grad = np.empty((rows, layer_dims[0]))
-        self.ones = np.ones((rows, 1))
-        self._scratch = np.empty(rows * max(layer_dims[1:-1], default=0))
+        self.dtype = np.dtype(dtype)
+        self.acts = [np.empty((rows, d), dtype) for d in layer_dims[1:]]
+        self.input_grad = np.empty((rows, layer_dims[0]), dtype)
+        self.ones = np.ones((rows, 1), dtype)
+        self._scratch = np.empty(rows * max(layer_dims[1:-1], default=0), dtype)
         self.inputs: np.ndarray | None = None
 
     def __len__(self) -> int:

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from cdrm import kde, langevin
+from cdrm import inference, kde, langevin
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from cdrm.errors import (
@@ -26,7 +26,7 @@ from cdrm.inference import (
     predict,
 )
 from cdrm.langevin import ChainTrace, LangevinConfig
-from cdrm.model import CdrmModel, score_fn
+from cdrm.model import CdrmModel, score_batch, score_fn
 from cdrm.nnet import MlpNetwork
 from conftest import count_passes
 
@@ -469,11 +469,16 @@ class TestInfer:
         assert type(empty.eu) is float and type(empty.valid_count) is int
 
     def test_deterministic_for_fixed_seed(self):
-        m = ramp_model()
-        a = infer(m, [0.0], [], cfg=small_chain(), seed=11)
-        b = infer(m, [0.0], [], cfg=small_chain(), seed=11)
-        np.testing.assert_array_equal(a.prediction, b.prediction)
-        assert a.eu == b.eu and a.au == b.au and a.valid_count == b.valid_count
+        # the ramp field on a short chain, and a toy-shaped net at the defaults
+        toy = dataclasses.replace(
+            ramp_model(), net=MlpNetwork.initialize([2, 64, 128, 64, 1], seed=3)
+        )
+        for m, cfg, s in [(ramp_model(), small_chain(), 0.0), (toy, None, -0.5)]:
+            a, b = (infer(m, [s], [], cfg=cfg, seed=11) for _ in range(2))
+            assert a.valid_count == b.valid_count > 0
+            assert a.prediction.tobytes() == b.prediction.tobytes()
+            assert a.per_step_max.tobytes() == b.per_step_max.tobytes()
+            assert (a.eu, a.au) == (b.eu, b.au)
 
     def test_seed_changes_chain(self):
         m = ramp_model()
@@ -500,12 +505,51 @@ class TestInfer:
             infer(ramp_model(), [0.0], [], cfg=small_chain(steps=0))
 
     def test_passes_per_query(self, monkeypatch):
-        # The default 512 x 50 chain: fifty steps with input gradients,
-        # then one score-only pass over the final batch.
+        # The default 512 x 50 chain runs in float32: fifty steps with input
+        # gradients, then one score-only pass over the final batch. Then one
+        # float64 forward re-scores the kept members.
         m = dataclasses.replace(ramp_model(), net=MlpNetwork.initialize([2, 64, 128, 64, 1], seed=0))
         counts = count_passes(monkeypatch)
-        infer(m, [0.0], [], seed=1)
-        assert counts == {"forward": 51, "input_grad": 50, "param_grad": 0}
+        passes, counted = [], MlpNetwork._forward
+
+        def recorded(net, x, workspace):
+            passes.append((net.params.dtype, len(x)))
+            return counted(net, x, workspace)
+
+        monkeypatch.setattr(MlpNetwork, "_forward", recorded)
+        res = infer(m, [0.0], [], seed=1)
+        assert res.valid_count > 0
+        assert counts == {"forward": 52, "input_grad": 50, "param_grad": 0}
+        assert passes == [(np.float32, 512)] * 51 + [(np.float64, res.valid_count)]
+
+    def test_an_empty_valid_set_is_not_rescored(self, monkeypatch):
+        counts = count_passes(monkeypatch)
+        res = infer(ramp_model(), [0.0], [], cfg=small_chain(), alpha=1.0, seed=3)
+        assert res.valid_count == 0
+        assert counts == {"forward": 26, "input_grad": 25, "param_grad": 0}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_valid_scores_are_the_float64_scores_of_the_members(self, monkeypatch, seed):
+        # members are chosen by the float32 chain, then scored by score_batch
+        m = dataclasses.replace(
+            ramp_model(), net=MlpNetwork.initialize([2, 64, 128, 64, 1], seed=seed)
+        )
+        kept = []
+        rescore = inference._rescored
+        monkeypatch.setattr(
+            inference, "_rescored", lambda *args: kept.append(rescore(*args)) or kept[-1]
+        )
+        query = [0.25]
+        res = infer(m, query, [], seed=seed)
+        (valid,) = kept
+        assert len(valid) == res.valid_count > 0
+        rows = np.column_stack([np.full(len(valid), query[0]), valid.samples])
+        assert valid.scores.dtype == np.float64
+        assert valid.scores.tobytes() == score_batch(m, rows).tobytes()
+        assert res.prediction.tobytes() == valid.samples[np.argmax(valid.scores)].tobytes()
+        base = kde.base_eu(m.kde_stats, np.array(query))
+        assert res.eu == epistemic(valid, res.per_step_max, base)
+        assert res.au == aleatoric(valid)
 
     def test_nan_dedup_tol_rejected_before_the_chain(self):
         m = ramp_model()

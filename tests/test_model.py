@@ -101,6 +101,48 @@ class TestScoring:
         assert lo == pytest.approx(1e-6, abs=1e-9)
 
 
+class TestFloat32Passes:
+    """A model on `MlpNetwork.astype(np.float32)`: float32 passes, float64 results."""
+
+    # Each entry lies within this fraction of the batch's largest magnitude
+    # of the float64 value: about 1000 float32 ulps. The trained toy net
+    # measured 1.9e-7 (logits up to 12) and 1.2e-6 (input gradients up to 217).
+    REL_TO_BATCH_SCALE = 2.0**-13
+
+    def test_toy_net_passes_match_float64_at_512_rows(self, toy_model_2):
+        net, bounds = toy_model_2.model.net, toy_model_2.model.input_bounds
+        x = np.random.default_rng(0).uniform(bounds[:, 0], bounds[:, 1], (512, 2))
+        logits, grads = (a.copy() for a in net.forward_and_grad_input_batch(x))
+        logits32, grads32 = net.astype(np.float32).forward_and_grad_input_batch(x)
+        for got, want in ((logits32, logits), (grads32, grads)):
+            assert got.dtype == np.float32
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= self.REL_TO_BATCH_SCALE * scale
+
+    def test_scores_and_gradients_come_back_float64(self, toy_model_2):
+        m = toy_model_2.model
+        fast = replace(m, net=m.net.astype(np.float32))
+        x = np.random.default_rng(1).uniform(m.input_bounds[:, 0], m.input_bounds[:, 1], (64, 2))
+        rho, grads = score_and_grad(fast, x)
+        rho_only = score_batch(fast, x)
+        assert rho.dtype == grads.dtype == rho_only.dtype == np.float64
+        assert rho.tobytes() == rho_only.tobytes()
+        # the clamp and sigmoid run on the float32 logits cast to float64
+        logits = fast.net.forward_batch(x).astype(np.float64)
+        assert rho.tobytes() == sigmoid(np.clip(logits, -LOGIT_CLIP, LOGIT_CLIP)).tobytes()
+        np.testing.assert_allclose(rho, score_batch(m, x), rtol=0, atol=1e-5)
+
+    def test_score_fn_makes_a_workspace_of_the_networks_dtype(self):
+        m = tiny_model(seed=9)
+        fast = replace(m, net=m.net.astype(np.float32))
+        x = np.random.default_rng(3).uniform(-1, 1, size=(5, 2))
+        fn = score_fn(fast)
+        for with_grad in (True, False, True):
+            rho, grads = fn(x, with_grad)
+            assert rho.tobytes() == score_batch(fast, x).tobytes()
+        assert grads.tobytes() == score_and_grad(fast, x)[1].tobytes()
+
+
 class TestScoreGradient:
     def test_input_gradient_matches_finite_differences(self):
         m = tiny_model(seed=5, layers=[2, 6, 5, 1])
@@ -316,6 +358,12 @@ class TestTrain:
         assert losses == []
         for w0, w1 in zip(m.net.weights, out.net.weights):
             np.testing.assert_array_equal(w0, w1)
+
+    def test_float32_network_is_refused(self):
+        m = tiny_model(seed=4)
+        fast = replace(m, net=m.net.astype(np.float32))
+        with pytest.raises(InvalidInputError, match="float64 network"):
+            train(fast, tiny_dataset(), TrainConfig(epochs=1))
 
     def test_one_loss_entry_per_epoch(self):
         m = tiny_model(seed=4)

@@ -1,12 +1,13 @@
 """Model file round-trip, self-check battery, and provenance hashing."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from cdrm import kde
 from cdrm.kde import KdeStats
-from cdrm.errors import ModelFormatError, UnsupportedVersionError
+from cdrm.errors import InvalidInputError, ModelFormatError, UnsupportedVersionError
 from cdrm.model import LOGIT_CLIP, CdrmModel, TrainConfig
 from cdrm.model_io import load_model, provenance_for, save_model
 from cdrm.nnet import MlpNetwork
@@ -173,6 +174,14 @@ def test_a_clamp_digit_change_is_refused_unless_it_keeps_the_float(tmp_path):
                 load_model(edited)
             refused += 1
     assert refused == 17 * 9 - 1  # 3 -> 4 in the last digit is the same float
+
+
+def test_float32_network_is_not_saved(tmp_path):
+    m = make_model()
+    path = tmp_path / "model.json"
+    with pytest.raises(InvalidInputError, match="float64 network"):
+        save_model(path, replace(m, net=m.net.astype(np.float32)))
+    assert not path.exists()
 
 
 class TestSelfCheck:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cdrm.errors import InvalidInputError, TrainingDivergenceError
+from cdrm.model import LOGIT_CLIP
 from cdrm.nnet import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -56,6 +57,30 @@ def test_sigmoid_extremes_finite():
 
 def test_sigmoid_scalar_returns_float():
     assert isinstance(sigmoid(0.3), float)
+
+
+def masked_sigmoid(x):
+    """The boolean-mask form of the logistic, the oracle of `sigmoid`."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_is_bit_equal_to_the_masked_form():
+    # the same operations on every element, so the same bits; NaN stays NaN
+    edges = [0.0, -0.0, LOGIT_CLIP, -LOGIT_CLIP, np.nextafter(LOGIT_CLIP, 0.0), -1e-300, 1e-300,
+             745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
+    for x in (np.random.default_rng(9).normal(0.0, 8.0, (200, 512)), np.array(edges)):
+        got, want = sigmoid(x), masked_sigmoid(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert same_bytes(got[~nan], want[~nan])
+    assert np.isnan(sigmoid(np.nan))
 
 
 def test_initialize_is_deterministic():
@@ -142,6 +167,30 @@ def test_workspace_single_layer_network():
     logits, grads = net.forward_and_grad_input_batch(x, Workspace(net.layer_dims, 4))
     assert logits.tobytes() == net.forward_batch(x).tobytes()
     assert np.array_equal(grads, np.tile(net.weights[0], (4, 1)))
+
+
+def test_workspace_takes_the_networks_dtype_and_refuses_another():
+    net = MlpNetwork.initialize([2, 8, 1], seed=0)
+    fast = net.astype(np.float32)
+    x = np.random.default_rng(0).uniform(-1, 1, (4, 2))
+    for n in (net, fast):
+        logits, grads = n.forward_and_grad_input_batch(x)
+        assert logits.dtype == grads.dtype == n.params.dtype
+        assert n.forward_batch(x).dtype == n.params.dtype
+    ws = Workspace(fast.layer_dims, 4, np.float32)
+    assert ws.dtype == np.float32 and all(a.dtype == np.float32 for a in ws.acts)
+    with pytest.raises(InvalidInputError, match="float64"):
+        fast.forward_batch(x, Workspace(net.layer_dims, 4))
+    with pytest.raises(InvalidInputError, match="float32"):
+        net.forward_and_grad_input_batch(x, ws)
+
+
+def test_a_float32_network_casts_its_input():
+    fast = MlpNetwork.initialize([2, 8, 5, 1], seed=1).astype(np.float32)
+    x = np.random.default_rng(2).uniform(-1, 1, (6, 2))
+    logits, grads = fast.forward_and_grad_input_batch(x)
+    logits32, grads32 = fast.forward_and_grad_input_batch(x.astype(np.float32))
+    assert same_bytes(logits, logits32) and same_bytes(grads, grads32)
 
 
 def test_workspace_size_mismatch_rejected():
@@ -390,3 +439,42 @@ def test_a_layer_cannot_be_rebound_away_from_params():
         net.weights[0] = np.zeros((3, 2))
     with pytest.raises(TypeError):
         net.biases[0] = np.zeros(3)
+
+
+def split_layers(net, flat):
+    """The cumsum-and-split form of `MlpNetwork.layers`, its oracle."""
+    shapes = [(rows, cols) for cols, rows in zip(net.layer_dims, net.layer_dims[1:])]
+    ends = np.cumsum([n for rows, cols in shapes for n in (rows * cols, rows)])
+    parts = np.split(flat, ends[:-1])
+    return [w.reshape(s) for w, s in zip(parts[::2], shapes)], list(parts[1::2])
+
+
+@pytest.mark.parametrize("dims", [[3, 1], [3, 4, 2, 1], [2, 64, 128, 64, 1]])
+def test_layers_are_the_split_views(dims):
+    net = MlpNetwork.initialize(dims, seed=0)
+    flat = np.arange(net.n_params, dtype=np.float64)
+    weights, biases = net.layers(flat)
+    want_weights, want_biases = split_layers(net, flat)
+    for got, want in zip(weights + biases, want_weights + want_biases):
+        assert same_bytes(got, want) and np.shares_memory(got, flat)
+
+
+def test_astype_float32_is_a_float32_copy():
+    net = MlpNetwork.initialize([2, 64, 128, 64, 1], seed=4)
+    before = net.params.copy()
+    fast = net.astype(np.float32)
+    assert fast.params.dtype == np.float32
+    assert same_bytes(fast.params, net.params.astype(np.float32))
+    assert fast.layer_dims == net.layer_dims and fast.layer_dims is not net.layer_dims
+    for got, want in zip(fast.weights + fast.biases, net.weights + net.biases):
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert np.shares_memory(got, fast.params)
+    fast.params[:] = 0.0
+    assert same_bytes(net.params, before)
+    assert net.astype(np.float64).params.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int64, np.complex128, bool])
+def test_astype_refuses_a_dtype_that_is_not_float32_or_float64(dtype):
+    with pytest.raises(InvalidInputError, match="float32 or float64"):
+        MlpNetwork.initialize([2, 3, 1], seed=0).astype(dtype)
