@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetFormatError, InvalidInputError, OutOfBoundsError
+from .nnet import is_integer
 
 TOY_GAP = (-0.33, 0.33)  # input interval generating no samples at all
 ROOM_DIMS = (2, 0, 1)  # (x, y) state, no action, sensed temperature
@@ -31,7 +32,12 @@ class TransitionDataset:
     bounds: np.ndarray  # (d_total, 2) rows of (low, high)
 
     def __post_init__(self):
-        if any(d < 0 for d in self.dims) or self.dims[0] < 1 or self.dims[2] < 1:
+        if (
+            not all(map(is_integer, self.dims))
+            or any(d < 0 for d in self.dims)
+            or self.dims[0] < 1
+            or self.dims[2] < 1
+        ):
             raise InvalidInputError(f"bad dims {self.dims}")
         d_total = sum(self.dims)
         arr = np.asarray(self.tuples, dtype=np.float64)

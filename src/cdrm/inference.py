@@ -55,7 +55,7 @@ def _cell_index(points: np.ndarray, width: np.ndarray) -> np.ndarray:
 class ValidSet:
     """Deduplicated above-threshold chain samples, built by `collect_valid`.
 
-    samples (k, d) over the chain's free dims and scores (k,) are in chain
+    samples (k, d) over the chain's moved block and scores (k,) are in chain
     order, (step, sample index). A candidate is dropped, whatever its score,
     when an earlier member lies within dedup_tol of it componentwise and in
     one of the 3^d cells adjacent to its own; cells are one tolerance wide.
@@ -86,11 +86,11 @@ def collect_valid(trace: ChainTrace, alpha: float, dedup_tol) -> ValidSet:
     index lies beyond +-MAX_CELL_INDEX (a tolerance far too small for its
     magnitude, or a non-finite sample), raises InvalidInputError.
     """
-    free = trace.free_dims
-    tol, width = _tol_and_width(dedup_tol, free.size)
+    moved = trace.samples[1:, :, trace.n_fixed :]
+    tol, width = _tol_and_width(dedup_tol, moved.shape[2])
     # One mask over (step, index); row-major selection keeps that order.
     above = trace.scores[1:] > alpha
-    points, scores = trace.samples[1:][above][:, free], trace.scores[1:][above]
+    points, scores = moved[above], trace.scores[1:][above]
     kept = _first_seen_members(points, _cell_index(points, width), tol) if len(scores) else []
     return ValidSet(points[kept], scores[kept])
 
@@ -143,13 +143,12 @@ def _first_seen_members(points: np.ndarray, cells: np.ndarray, tol: np.ndarray) 
     return kept
 
 
-def _rescored(model: CdrmModel, valid: ValidSet, fixed: np.ndarray, free: np.ndarray) -> ValidSet:
-    """valid with its members scored by model, each member's free dims set
-    into the full-width row fixed, as the chain held them."""
+def _rescored(model: CdrmModel, valid: ValidSet, query: np.ndarray) -> ValidSet:
+    """valid with its members scored by model, each member after the
+    query, as the chain held them."""
     if len(valid) == 0:
         return valid
-    rows = np.repeat(fixed[None, :], len(valid), axis=0)
-    rows[:, free] = valid.samples
+    rows = np.hstack([np.tile(query, (len(valid), 1)), valid.samples])
     return ValidSet(valid.samples, score_batch(model, rows))
 
 
@@ -177,21 +176,18 @@ def epistemic(valid: ValidSet, per_step_max: np.ndarray, kde_base: float) -> flo
 
 def default_inference_config(model: CdrmModel) -> LangevinConfig:
     """Chain over the next-state block with the query held fixed."""
-    free = model.next_state_dims
     return LangevinConfig(
         n_samples=512,
         steps=50,
         step_size=0.1,
         noise_scale=0.01,
-        free_dims=free,
-        bounds=model.input_bounds[free],
+        bounds=model.input_bounds[model.next_state_dims],
     )
 
 
 def default_dedup_tol(model: CdrmModel) -> np.ndarray:
-    free = model.next_state_dims
-    spans = model.input_bounds[free, 1] - model.input_bounds[free, 0]
-    return DEDUP_RANGE_FRACTION * spans
+    bounds = model.input_bounds[model.next_state_dims]
+    return DEDUP_RANGE_FRACTION * (bounds[:, 1] - bounds[:, 0])
 
 
 def infer(
@@ -207,8 +203,10 @@ def infer(
 
     (s, a) must lie inside the model's input bounds, ends included; a query
     outside them raises OutOfBoundsError instead of extrapolating the field.
-    The chain needs at least one step, since steps 1..L supply both the
-    candidates and the EU statistic; cfg.steps = 0 raises InvalidInputError.
+    The chain moves the next-state block after the query, so cfg needs
+    one bounds row per next-state dim, and at least one step, since steps
+    1..L supply both the candidates and the EU statistic; a cfg without
+    either raises InvalidInputError.
 
     The chain's network passes run on a float32 copy of the network, and
     the candidates above alpha are chosen by those scores. The members
@@ -235,15 +233,19 @@ def infer(
     if not 0.0 <= alpha <= 1.0:  # also false for NaN
         raise InvalidInputError(f"alpha must be a finite value in [0, 1], got {alpha}")
     cfg = cfg or default_inference_config(model)
+    if len(cfg.bounds) != d_next:
+        raise InvalidInputError(
+            f"an inference chain moves the {d_next} next-state dims, cfg has "
+            f"{len(cfg.bounds)} bounds rows"
+        )
     if cfg.steps < 1:
         raise InvalidInputError(f"an inference chain needs steps >= 1, got {cfg.steps}")
     tol = default_dedup_tol(model) if dedup_tol is None else dedup_tol
-    _tol_and_width(tol, cfg.free_dims.size)  # a bad tolerance fails before the chain
+    _tol_and_width(tol, d_next)  # a bad tolerance fails before the chain
 
-    fixed = np.concatenate([query, np.zeros(d_next)])
     chain_model = replace(model, net=model.net.astype(np.float32))
-    trace = langevin.run(score_fn(chain_model), cfg, fixed, seed)
-    valid = _rescored(model, collect_valid(trace, alpha, tol), fixed, cfg.free_dims)
+    trace = langevin.run(score_fn(chain_model), cfg, query, seed)
+    valid = _rescored(model, collect_valid(trace, alpha, tol), query)
 
     per_step_max = trace.per_step_max
     eu = epistemic(valid, per_step_max, kde.base_eu(model.kde_stats, query))

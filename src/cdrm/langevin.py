@@ -1,10 +1,12 @@
 """Batch-parallel Langevin dynamics over a scored vector space.
 
-One sampler serves two callers: training evolves negatives over the full
-joint tuple, inference evolves next-state candidates with the query
-coordinates frozen. A score function maps a batch of points to scores and
-per-point input gradients; the chain ascends the gradient, adds Gaussian
-noise, and projects back into bounds after every step.
+A chain moves the trailing block of each row and holds the leading
+coordinates at a fixed prefix. One sampler serves two callers: training
+evolves negatives over the full joint tuple (an empty prefix), inference
+evolves next-state candidates with the query (s, a) as the prefix. A score
+function maps a batch of points to scores and per-point input gradients;
+the chain ascends the gradient, adds Gaussian noise, and projects the
+moved block back into bounds after every step.
 
 Reproducibility contract: each sample's initialization and noise come from
 its own stream, the generator `sample_rng(seed, i)` for sample index i.
@@ -19,7 +21,7 @@ across NumPy releases; if one ever changes, the differential test against
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -131,16 +133,15 @@ def derive_seed(seed: SeedLike, *tags: int) -> tuple[int, ...]:
 class LangevinConfig:
     """Chain shape and update knobs.
 
-    free_dims lists the coordinates the chain updates; all others stay
-    frozen at caller-supplied values. bounds has one (low, high) row per
-    free dimension.
+    bounds has one (low, high) row per moved coordinate: the chain moves
+    the last len(bounds) coordinates of each row, and the leading ones
+    hold the prefix passed to `run`.
     """
 
     n_samples: int
     steps: int
     step_size: float
     noise_scale: float
-    free_dims: Sequence[int]
     bounds: np.ndarray
 
     def __post_init__(self):
@@ -152,12 +153,9 @@ class LangevinConfig:
             raise InvalidInputError("step_size must be finite and positive")
         if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0):
             raise InvalidInputError("noise_scale must be finite and >= 0")
-        self.free_dims = np.asarray(self.free_dims, dtype=np.intp)
-        if self.free_dims.ndim != 1 or self.free_dims.size == 0:
-            raise InvalidInputError("free_dims must be a non-empty list of indices")
         self.bounds = np.asarray(self.bounds, dtype=np.float64)
-        if self.bounds.shape != (self.free_dims.size, 2):
-            raise InvalidInputError("bounds must have shape (len(free_dims), 2)")
+        if self.bounds.ndim != 2 or self.bounds.shape[1] != 2 or len(self.bounds) == 0:
+            raise InvalidInputError("bounds must be a non-empty (d, 2) array")
         if not np.all(np.isfinite(self.bounds)):
             raise InvalidInputError("bounds must be finite")
         if np.any(self.bounds[:, 0] > self.bounds[:, 1]):
@@ -174,12 +172,13 @@ class ChainTrace:
 
     samples has shape (L+1, n, d): samples[l] is the batch after l steps
     (samples[0] is the initialization); scores has shape (L+1, n) with the
-    matching score values; free_dims lists the coordinates the chain moved.
+    matching score values. The first n_fixed coordinates of every row hold
+    the prefix; samples[:, :, n_fixed:] is the block the chain moved.
     """
 
     samples: np.ndarray
     scores: np.ndarray
-    free_dims: np.ndarray
+    n_fixed: int
 
     @property
     def per_step_max(self) -> np.ndarray:
@@ -188,42 +187,27 @@ class ChainTrace:
         return self.scores[1:].max(axis=1)
 
 
-def _base_row(free: np.ndarray, fixed_values: np.ndarray | None) -> np.ndarray:
-    """Full-width starting row; frozen dims hold fixed_values, free dims are overwritten."""
-    if fixed_values is None:
-        total_dim = len(free)
-        if not np.array_equal(np.sort(free), np.arange(total_dim)):
-            raise InvalidInputError("fixed_values required when some dims are frozen")
-        return np.zeros(total_dim)
-    base = np.asarray(fixed_values, dtype=np.float64)
-    if base.ndim != 1 or len(base) < len(free):
-        raise InvalidInputError("fixed_values must be a full-width vector")
-    if np.any(free >= len(base)):
-        raise InvalidInputError("free_dims exceed the width of fixed_values")
-    return base
-
-
 def _draw_streams(cfg: LangevinConfig, seed: SeedLike, init: np.ndarray) -> np.ndarray:
-    """Fill the free dims of `init` and return the noise, shape (L, n, n_free).
+    """Fill `init`, the (n, d) moved block, and return the noise, shape (L, n, d).
 
     Sample i draws its initialization, then its noise for all L steps,
     from stream i, exactly as `sample_rng(seed, i).uniform(lows, highs)`
-    followed by `.normal(0, noise_scale, (L, n_free))` would. One PCG64 is
+    followed by `.normal(0, noise_scale, (L, d))` would. One PCG64 is
     reused and loaded with each stream's state in turn; `lows + span * u`
     is the arithmetic `uniform` applies to its draws.
     """
-    n, L, free = cfg.n_samples, cfg.steps, cfg.free_dims
+    n, L, d = cfg.n_samples, cfg.steps, len(cfg.bounds)
     lows, highs = cfg.bounds[:, 0], cfg.bounds[:, 1]
-    unit = np.empty((n, free.size))
-    noise = np.zeros((L, n, free.size))
+    unit = np.empty((n, d))
+    noise = np.zeros((L, n, d))
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
     for i, state in enumerate(_stream_states(seed, n)):
         bitgen.state = state
         rng.random(out=unit[i])
         if cfg.noise_scale > 0:
-            noise[:, i] = rng.normal(0.0, cfg.noise_scale, (L, free.size))
-    init[:, free] = lows + (highs - lows) * unit
+            noise[:, i] = rng.normal(0.0, cfg.noise_scale, (L, d))
+    init[:] = lows + (highs - lows) * unit
     return noise
 
 
@@ -234,44 +218,38 @@ def _check_grads(grads):
         raise SamplingFailureError(f"non-finite gradient for sample {bad}")
 
 
-def run(
-    score_fn: ScoreFn,
-    cfg: LangevinConfig,
-    fixed_values: np.ndarray | None,
-    seed: SeedLike,
-) -> ChainTrace:
+def run(score_fn: ScoreFn, cfg: LangevinConfig, fixed: np.ndarray, seed: SeedLike) -> ChainTrace:
     """Initialize and advance a batch for cfg.steps steps, recording all of it.
 
-    Initialization is uniform over bounds on the free dims; frozen dims are
-    copied from fixed_values, a full-width vector that may be omitted when
-    every dimension is free. Per-sample noise for the whole chain is drawn
-    up front from each sample's own stream, so traces are bit-reproducible
-    for a given seed regardless of batch size changes elsewhere. Each step
-    moves the free dims by step_size times the gradient, adds the noise and
-    clips into bounds, writing straight into the preallocated trace. The
-    final batch is scored without gradients (with_grad false), since no
-    step reads them; with no steps that is the only pass.
+    Each row is the 1-D prefix fixed, held for the whole chain, followed by
+    len(cfg.bounds) moved coordinates; training passes an empty prefix.
+    Initialization is uniform over bounds on the moved block. Per-sample
+    noise for the whole chain is drawn up front from each sample's own
+    stream, so traces are bit-reproducible for a given seed regardless of
+    batch size changes elsewhere. Each step moves the block by step_size
+    times its gradient, adds the noise and clips into bounds, writing
+    straight into the preallocated trace. The final batch is scored
+    without gradients (with_grad false), since no step reads them; with no
+    steps that is the only pass.
     """
-    n, L, free = cfg.n_samples, cfg.steps, cfg.free_dims
-    base = _base_row(free, fixed_values)
-    samples = np.empty((L + 1, n, base.size))
-    scores = np.empty((L + 1, n))
-    samples[0] = base
-    noise = _draw_streams(cfg, seed, samples[0])
+    fixed = np.asarray(fixed, dtype=np.float64)
+    if fixed.ndim != 1:
+        raise InvalidInputError(f"fixed must be a 1-D prefix, got shape {fixed.shape}")
+    n, L, k = cfg.n_samples, cfg.steps, fixed.size
     lows, highs = cfg.bounds[:, 0], cfg.bounds[:, 1]
-    moved = np.empty((n, free.size))
-    held = np.empty((n, free.size))
+    samples = np.empty((L + 1, n, k + len(cfg.bounds)))
+    scores = np.empty((L + 1, n))
+    samples[:, :, :k] = fixed
+    moved = samples[:, :, k:]
+    noise = _draw_streams(cfg, seed, moved[0])
 
     scores[0], grads = score_fn(samples[0], L > 0)
     for l in range(L):
         _check_grads(grads)
-        # batch[:, free] + step_size * grads[:, free] + noise, clipped into bounds
-        np.multiply(grads[:, free], cfg.step_size, out=moved)
-        np.take(samples[l], free, axis=1, out=held)
-        np.add(held, moved, out=moved)
-        moved += noise[l]
-        np.clip(moved, lows, highs, out=moved)
-        samples[l + 1] = samples[l]
-        samples[l + 1][:, free] = moved
+        # moved + step_size * grads + noise, clipped into bounds
+        np.multiply(grads[:, k:], cfg.step_size, out=moved[l + 1])
+        moved[l + 1] += moved[l]
+        moved[l + 1] += noise[l]
+        np.clip(moved[l + 1], lows, highs, out=moved[l + 1])
         scores[l + 1], grads = score_fn(samples[l + 1], l + 1 < L)
-    return ChainTrace(samples, scores, free)
+    return ChainTrace(samples, scores, k)

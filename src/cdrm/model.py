@@ -173,13 +173,12 @@ class TrainConfig:
             raise InvalidInputError("stability_eps must lie in (0, 0.5)")
 
     def negative_chain_config(self, model: CdrmModel) -> LangevinConfig:
-        """Chain over the full joint tuple, every dimension free."""
+        """Chain over the full joint tuple: every dimension moves."""
         return LangevinConfig(
             n_samples=self.negative_batch,
             steps=self.langevin_steps,
             step_size=self.langevin_step_size,
             noise_scale=self.langevin_noise,
-            free_dims=np.arange(model.d_total),
             bounds=model.input_bounds,
         )
 
@@ -197,7 +196,7 @@ def generate_negatives(model: CdrmModel, cfg: LangevinConfig, seed: SeedLike) ->
     them.
     """
     workspace = Workspace(model.net.layer_dims, cfg.n_samples)
-    langevin.run(score_fn(model, workspace), cfg, None, seed)
+    langevin.run(score_fn(model, workspace), cfg, np.empty(0), seed)
     return workspace
 
 

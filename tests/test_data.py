@@ -51,6 +51,17 @@ class TestTransitionDataset:
         with pytest.raises(InvalidInputError):
             TransitionDataset(np.zeros((1, 1)), dims=(0, 0, 1), bounds=np.array([[0.0, 1.0]]))
 
+    @pytest.mark.parametrize("dims", [(1.0, 0, 1), (True, 0, True), (1, 0, np.float64(1.0))])
+    def test_rejects_dims_that_are_not_integers(self, dims):
+        # a float once reached model.fit as a raw TypeError, a bool only after the density fit
+        with pytest.raises(InvalidInputError, match="bad dims"):
+            TransitionDataset(np.array([[0.1, 0.9]]), dims=dims, bounds=np.array([[0, 1], [0, 1]]))
+
+    def test_accepts_numpy_integer_dims(self):
+        dims = tuple(np.int64(d) for d in (1, 0, 1))
+        ds = TransitionDataset(np.array([[0.1, 0.9]]), dims=dims, bounds=np.array([[0, 1], [0, 1]]))
+        assert ds.dims == (1, 0, 1)
+
     def test_rejects_inverted_bounds(self):
         with pytest.raises(InvalidInputError):
             TransitionDataset(

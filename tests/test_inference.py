@@ -51,14 +51,14 @@ def ramp_model(with_kde=True):
 
 
 def offered(rows, scores=None):
-    """A one-step trace over d free dims offering rows in order, by default
-    all above alpha 0.5; the initialization batch holds zeros."""
+    """A one-step trace that moves all d dims, offering rows in order, by
+    default all above alpha 0.5; the initialization batch holds zeros."""
     pts = np.asarray(rows, dtype=np.float64)
     scores = np.full(len(pts), 0.9) if scores is None else np.asarray(scores, dtype=np.float64)
     return ChainTrace(
         np.stack([np.zeros_like(pts), pts]),
         np.stack([np.zeros(len(pts)), scores]),
-        np.arange(pts.shape[1]),
+        0,
     )
 
 
@@ -162,7 +162,7 @@ class TestValidSet:
 
 
 def hand_trace():
-    """Three-batch trace over a 2-D joint space with next-state dim 1."""
+    """Three-batch trace over a 2-D joint space: query 0.0, then the next state."""
     samples = np.array(
         [
             [[0.0, 0.10], [0.0, 0.90]],  # init batch: must be ignored
@@ -171,7 +171,7 @@ def hand_trace():
         ]
     )
     scores = np.array([[0.99, 0.99], [0.40, 0.80], [0.90, 0.60]])
-    return ChainTrace(samples, scores, np.array([1]))
+    return ChainTrace(samples, scores, 1)
 
 
 class TestCollectValid:
@@ -217,7 +217,7 @@ class TestCollectValid:
         trace = ChainTrace(
             np.array([np.zeros((3, 1)), [[0.05], [0.12], [0.19]]]),
             np.array([np.zeros(3), [0.9, 0.8, 0.7]]),
-            np.array([0]),
+            0,
         )
         valid = collect_valid(trace, alpha=0.5, dedup_tol=0.1)
         assert valid.samples.tolist() == [[0.05], [0.19]]
@@ -238,12 +238,12 @@ def insert_oracle(trace, alpha, dedup_tol):
     componentwise and in an adjacent cell: every cell index floor(x / w)
     differs by at most 1, with w the tolerance, or 1 where it is zero.
     """
-    free = trace.free_dims
-    tol = np.broadcast_to(np.asarray(dedup_tol, dtype=np.float64), free.shape)
+    k, d = trace.n_fixed, trace.samples.shape[2] - trace.n_fixed
+    tol = np.broadcast_to(np.asarray(dedup_tol, dtype=np.float64), (d,))
     width = np.where(tol > 0, tol, 1.0)
     samples, scores = [], []
     for batch, batch_scores in zip(trace.samples[1:], trace.scores[1:]):
-        for x, score in zip(batch[:, free], batch_scores):
+        for x, score in zip(batch[:, k:], batch_scores):
             if score > alpha and not any(
                 np.all(np.abs(x - y) <= tol)
                 and np.all(np.abs(np.floor(x / width) - np.floor(y / width)) <= 1)
@@ -251,7 +251,7 @@ def insert_oracle(trace, alpha, dedup_tol):
             ):
                 samples.append(x)
                 scores.append(score)
-    return ValidSet(np.array(samples).reshape(-1, free.size), np.array(scores, dtype=np.float64))
+    return ValidSet(np.array(samples).reshape(-1, d), np.array(scores, dtype=np.float64))
 
 
 def assert_same_valid_set(got, want):
@@ -265,7 +265,7 @@ TOLERANCES = [0.0, 0.05, 0.1, 1 / 3, 1e-9]
 
 @st.composite
 def dedup_cases(draw):
-    """A chain trace whose free coordinates crowd cell boundaries and tolerances.
+    """A chain trace whose moved coordinates crowd cell boundaries and tolerances.
 
     Coordinates are multiples of half a cell width, optionally one
     tolerance further on, either moved by one ulp or not; the rest are
@@ -308,7 +308,7 @@ def dedup_cases(draw):
         samples.append(batch)
         levels = st.sampled_from([0.2, 0.5, 0.7, 0.9])  # alpha is 0.5: equal is not above
         scores.append(np.array(draw(st.lists(levels, min_size=n, max_size=n))))
-    trace = ChainTrace(np.stack(samples), np.stack(scores), np.arange(frozen, frozen + d))
+    trace = ChainTrace(np.stack(samples), np.stack(scores), frozen)
     return trace, tol
 
 
@@ -327,7 +327,7 @@ class TestCollectValidMatchesInsert:
         rng = np.random.default_rng(5)
         pts = rng.uniform(-1000.0, 1000.0, size=(40, 3))
         pts[20:] = pts[:20] + rng.uniform(-2e-9, 2e-9, size=(20, 3))
-        trace = ChainTrace(np.stack([pts, pts]), np.ones((2, 40)), np.arange(3))
+        trace = ChainTrace(np.stack([pts, pts]), np.ones((2, 40)), 0)
         got = collect_valid(trace, alpha=0.5, dedup_tol=1e-9)
         assert 20 <= len(got) < 40
         assert_same_valid_set(got, insert_oracle(trace, 0.5, 1e-9))
@@ -335,7 +335,7 @@ class TestCollectValidMatchesInsert:
     def test_chain_trace_matches_insert(self):
         m = ramp_model()
         cfg = small_chain(steps=30, n=64)
-        trace = langevin.run(score_fn(m), cfg, np.array([0.2, 0.0]), seed=4)
+        trace = langevin.run(score_fn(m), cfg, np.array([0.2]), seed=4)
         tol = default_dedup_tol(m)
         got = collect_valid(trace, DEFAULT_ALPHA, tol)
         assert len(got) > 10
@@ -386,8 +386,7 @@ class TestDefaults:
     def test_inference_config_frees_next_state_block(self):
         m = ramp_model(with_kde=False)
         cfg = default_inference_config(m)
-        np.testing.assert_array_equal(cfg.free_dims, [1])
-        np.testing.assert_array_equal(cfg.bounds, [[-1.0, 1.0]])
+        np.testing.assert_array_equal(cfg.bounds, [[-1.0, 1.0]])  # one row: s' moves, s holds
 
     def test_dedup_tol_scales_with_bounds_span(self):
         m = ramp_model(with_kde=False)
@@ -400,7 +399,6 @@ def small_chain(steps=25, n=48):
         steps=steps,
         step_size=0.1,
         noise_scale=0.01,
-        free_dims=np.array([1]),
         bounds=np.array([[-1.0, 1.0]]),
     )
 
@@ -437,10 +435,9 @@ class TestInfer:
             dims=(1, 1, 1),
             kde_stats=kde.fit(inputs, seed=0),
         )
-        cfg = dataclasses.replace(small_chain(), free_dims=[2])
         with pytest.raises(OutOfBoundsError):
-            infer(m, [0.0], [0.6], cfg=cfg)
-        assert 0.0 <= infer(m, [0.0], [0.5], cfg=cfg).eu <= 1.0  # the upper end is inside
+            infer(m, [0.0], [0.6], cfg=small_chain())
+        assert 0.0 <= infer(m, [0.0], [0.5], cfg=small_chain()).eu <= 1.0  # the upper end is inside
 
     @pytest.mark.parametrize("s", [-1.0, 1.0])
     def test_query_on_input_bounds_accepted(self, s):
@@ -503,6 +500,13 @@ class TestInfer:
     def test_chain_without_steps_rejected(self):
         with pytest.raises(InvalidInputError, match="steps"):
             infer(ramp_model(), [0.0], [], cfg=small_chain(steps=0))
+
+    def test_chain_that_would_move_the_query_rejected(self, toy_model_2):
+        # two bounds rows on the (1, 0, 1) toy model would move x as well as y
+        m = toy_model_2.model
+        cfg = dataclasses.replace(default_inference_config(m), bounds=m.input_bounds)
+        with pytest.raises(InvalidInputError, match="next-state"):
+            infer(m, [0.7], [], cfg=cfg)
 
     def test_passes_per_query(self, monkeypatch):
         # The default 512 x 50 chain runs in float32: fifty steps with input

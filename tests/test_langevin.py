@@ -27,13 +27,15 @@ def quadratic_score(center):
     return fn
 
 
+NO_PREFIX = np.empty(0)  # a chain that moves every coordinate, as training runs it
+
+
 def full_cfg(d=2, **kw):
     base = dict(
         n_samples=8,
         steps=5,
         step_size=0.05,
         noise_scale=0.01,
-        free_dims=np.arange(d),
         bounds=np.array([[-1.0, 1.0]] * d),
     )
     base.update(kw)
@@ -66,9 +68,9 @@ def test_config_validation():
     with pytest.raises(InvalidInputError):
         full_cfg(bounds=np.array([[1.0, -1.0], [0.0, 1.0]]))
     with pytest.raises(InvalidInputError):
-        full_cfg(free_dims=[])
+        full_cfg(bounds=np.empty((0, 2)))  # a chain that moves nothing
     with pytest.raises(InvalidInputError):
-        full_cfg(bounds=np.array([[-1.0, 1.0]]))  # one row for two free dims
+        full_cfg(bounds=np.array([[-1.0, 0.0, 1.0]]))  # rows are (low, high) pairs
     with pytest.raises(InvalidInputError):
         full_cfg(bounds=np.array([-1.0, 1.0, -1.0, 1.0]))
     with pytest.raises(TypeError):
@@ -77,31 +79,36 @@ def test_config_validation():
 
 def test_init_uniform_within_bounds_and_deterministic():
     cfg = full_cfg(n_samples=32, steps=0)
-    a = run(quadratic_score([0.0, 0.0]), cfg, None, seed=3).samples[0]
-    b = run(quadratic_score([0.0, 0.0]), cfg, None, seed=3).samples[0]
+    a = run(quadratic_score([0.0, 0.0]), cfg, NO_PREFIX, seed=3).samples[0]
+    b = run(quadratic_score([0.0, 0.0]), cfg, NO_PREFIX, seed=3).samples[0]
     assert np.array_equal(a, b)
     assert np.all(a >= -1.0) and np.all(a <= 1.0)
 
 
 def test_init_uniform_freezes_fixed_dims():
-    cfg = full_cfg(d=3, free_dims=[2], bounds=np.array([[-1.0, 1.0]]), steps=0)
-    fixed = np.array([0.25, -0.5, 0.0])
+    cfg = full_cfg(d=1, steps=0)
+    fixed = np.array([0.25, -0.5])
     batch = run(quadratic_score([0.0, 0.0, 0.0]), cfg, fixed, seed=0).samples[0]
     assert np.all(batch[:, 0] == 0.25)
     assert np.all(batch[:, 1] == -0.5)
     assert np.ptp(batch[:, 2]) > 0
 
 
-def test_init_uniform_requires_fixed_values_when_frozen():
-    cfg = full_cfg(d=3, free_dims=[2], bounds=np.array([[-1.0, 1.0]]), steps=0)
-    with pytest.raises(InvalidInputError):
-        run(quadratic_score([0.0, 0.0, 0.0]), cfg, None, seed=0)
+def test_prefix_must_be_one_dimensional():
+    cfg = full_cfg(d=1, steps=0)
+    for fixed in (None, 0.5, [[0.1, 0.2]]):
+        with pytest.raises(InvalidInputError, match="1-D"):
+            run(quadratic_score([0.0, 0.0, 0.0]), cfg, fixed, seed=0)
 
 
-def test_fixed_values_must_cover_free_dims():
-    cfg = full_cfg(d=3, free_dims=[2], bounds=np.array([[-1.0, 1.0]]), steps=0)
-    with pytest.raises(InvalidInputError):
-        run(quadratic_score([0.0, 0.0]), cfg, np.array([0.1, 0.2]), seed=0)
+def test_prefix_length_sets_the_row_width():
+    # rows are the k prefix coordinates followed by the two moved ones
+    cfg = full_cfg(d=2, steps=2, n_samples=3)
+    for k in (0, 1, 3):
+        fixed = np.arange(k, dtype=np.float64) + 0.5
+        trace = run(quadratic_score(np.zeros(k + 2)), cfg, fixed, seed=1)
+        assert trace.samples.shape == (3, 3, k + 2) and trace.n_fixed == k
+        assert np.all(trace.samples[:, :, :k] == fixed)
 
 
 def test_bounds_width_must_be_finite():
@@ -111,7 +118,7 @@ def test_bounds_width_must_be_finite():
 
 def test_run_trace_shapes():
     cfg = full_cfg(steps=6)
-    trace = run(quadratic_score([0.0, 0.0]), cfg, None, seed=0)
+    trace = run(quadratic_score([0.0, 0.0]), cfg, NO_PREFIX, seed=0)
     assert len(trace.samples) == 7  # init plus one batch per step
     assert len(trace.scores) == 7
     assert trace.per_step_max.shape == (6,)
@@ -120,8 +127,8 @@ def test_run_trace_shapes():
 
 def test_run_is_bit_reproducible():
     cfg = full_cfg()
-    t1 = run(quadratic_score([0.3, -0.2]), cfg, None, seed=11)
-    t2 = run(quadratic_score([0.3, -0.2]), cfg, None, seed=11)
+    t1 = run(quadratic_score([0.3, -0.2]), cfg, NO_PREFIX, seed=11)
+    t2 = run(quadratic_score([0.3, -0.2]), cfg, NO_PREFIX, seed=11)
     for a, b in zip(t1.samples, t2.samples):
         assert np.array_equal(a, b)
 
@@ -130,8 +137,8 @@ def test_sample_streams_unaffected_by_batch_size():
     # sample i's trajectory must not depend on how many other samples run
     small = full_cfg(n_samples=2)
     large = full_cfg(n_samples=16)
-    ts = run(quadratic_score([0.0, 0.0]), small, None, seed=5)
-    tl = run(quadratic_score([0.0, 0.0]), large, None, seed=5)
+    ts = run(quadratic_score([0.0, 0.0]), small, NO_PREFIX, seed=5)
+    tl = run(quadratic_score([0.0, 0.0]), large, NO_PREFIX, seed=5)
     for a, b in zip(ts.samples, tl.samples):
         assert np.array_equal(a[:2], b[:2])
 
@@ -139,7 +146,7 @@ def test_sample_streams_unaffected_by_batch_size():
 def test_ascent_climbs_quadratic():
     cfg = full_cfg(steps=50, noise_scale=0.0, n_samples=16)
     fn = quadratic_score([0.2, 0.2])
-    trace = run(fn, cfg, None, seed=1)
+    trace = run(fn, cfg, NO_PREFIX, seed=1)
     assert trace.scores[-1].mean() > trace.scores[0].mean()
     final = trace.samples[-1]
     assert np.abs(final - 0.2).max() < 0.05
@@ -147,14 +154,14 @@ def test_ascent_climbs_quadratic():
 
 def test_samples_stay_inside_bounds():
     cfg = full_cfg(steps=30, step_size=0.5, noise_scale=0.3)
-    trace = run(quadratic_score([5.0, 5.0]), cfg, None, seed=7)
+    trace = run(quadratic_score([5.0, 5.0]), cfg, NO_PREFIX, seed=7)
     for batch in trace.samples:
         assert np.all(batch >= -1.0) and np.all(batch <= 1.0)
 
 
 def test_fixed_dims_never_move():
-    cfg = full_cfg(d=3, free_dims=[2], bounds=np.array([[-1.0, 1.0]]), steps=10)
-    fixed = np.array([0.6, -0.4, 0.0])
+    cfg = full_cfg(d=1, steps=10)
+    fixed = np.array([0.6, -0.4])
     trace = run(quadratic_score([0.0, 0.0, 0.0]), cfg, fixed, seed=4)
     for batch in trace.samples:
         assert np.all(batch[:, 0] == 0.6)
@@ -164,7 +171,7 @@ def test_fixed_dims_never_move():
 def test_zero_noise_is_pure_gradient():
     cfg = full_cfg(steps=1, noise_scale=0.0, n_samples=1)
     fn = quadratic_score([0.0, 0.0])
-    trace = run(fn, cfg, None, seed=9)
+    trace = run(fn, cfg, NO_PREFIX, seed=9)
     x0 = trace.samples[0][0]
     expect = np.clip(x0 + 0.05 * (-2.0 * x0), -1.0, 1.0)
     np.testing.assert_allclose(trace.samples[1][0], expect, atol=1e-15)
@@ -172,7 +179,7 @@ def test_zero_noise_is_pure_gradient():
 
 def test_per_step_max_tracks_batch_max():
     cfg = full_cfg(steps=4)
-    trace = run(quadratic_score([0.0, 0.0]), cfg, None, seed=0)
+    trace = run(quadratic_score([0.0, 0.0]), cfg, NO_PREFIX, seed=0)
     for l in range(4):
         assert trace.per_step_max[l] == trace.scores[l + 1].max()
 
@@ -185,14 +192,14 @@ def test_nonfinite_gradient_raises():
 
     cfg = full_cfg(steps=2)
     with pytest.raises(SamplingFailureError):
-        run(bad_fn, cfg, None, seed=0)
+        run(bad_fn, cfg, NO_PREFIX, seed=0)
 
 
 def test_step_single_update():
     # one noiseless step is x + step_size * grad, clipped, on every sample
     cfg = full_cfg(steps=1, noise_scale=0.0)
     fn = quadratic_score([0.0, 0.0])
-    trace = run(fn, cfg, None, seed=0)
+    trace = run(fn, cfg, NO_PREFIX, seed=0)
     x0 = trace.samples[0]
     expect = np.clip(x0 + 0.05 * fn(x0)[1], -1.0, 1.0)
     assert np.array_equal(trace.samples[1], expect)
@@ -209,42 +216,42 @@ def test_only_the_final_pass_goes_without_gradients(steps):
         scores, grads = inner(batch)
         return scores, grads if with_grad else None
 
-    trace = run(fn, full_cfg(steps=steps), None, seed=2)
+    trace = run(fn, full_cfg(steps=steps), NO_PREFIX, seed=2)
     assert calls == [True] * steps + [False]
     assert np.array_equal(trace.scores[-1], inner(trace.samples[-1])[0])
 
 
 def test_zero_steps_returns_init_only():
     cfg = full_cfg(steps=0)
-    trace = run(quadratic_score([0.0, 0.0]), cfg, None, seed=0)
+    trace = run(quadratic_score([0.0, 0.0]), cfg, NO_PREFIX, seed=0)
     assert len(trace.samples) == 1
     assert trace.per_step_max.shape == (0,)
 
 
 def test_run_streams_follow_sample_rng():
-    # stream i draws sample i's init, then its noise for every step
+    # stream i draws sample i's init, then its noise for every step; each
+    # step is clip((x + step_size * grad) + noise), bit for bit
     bounds = np.array([[-2.0, 0.5], [-10.0, 10.0]])
-    cfg = full_cfg(d=3, free_dims=[2, 0], bounds=bounds, steps=3, noise_scale=0.02, n_samples=5)
-    fixed = np.array([0.0, 0.75, 0.0])
+    cfg = full_cfg(bounds=bounds, steps=4, step_size=0.3, noise_scale=0.02, n_samples=5)
+    fixed = np.array([0.75])
+    fn = quadratic_score([0.1, 0.4, -9.0])
 
-    def flat(batch, with_grad):
-        return np.zeros(len(batch)), np.zeros_like(batch)
-
-    trace = run(flat, cfg, fixed, seed=(4, 2**63 + 5))
+    trace = run(fn, cfg, fixed, seed=(4, 2**63 + 5))
     for i in range(cfg.n_samples):
         rng = sample_rng((4, 2**63 + 5), i)
-        x = np.array(fixed)
-        x[[2, 0]] = rng.uniform(bounds[:, 0], bounds[:, 1])
-        assert np.array_equal(trace.samples[0, i], x)
-        noise = rng.normal(0.0, 0.02, size=(3, 2))
-        for l in range(3):
-            x[[2, 0]] = np.clip(x[[2, 0]] + 0.0 + noise[l], bounds[:, 0], bounds[:, 1])
-            assert np.array_equal(trace.samples[l + 1, i], x)
+        x = np.concatenate([fixed, rng.uniform(bounds[:, 0], bounds[:, 1])])
+        assert trace.samples[0, i].tobytes() == x.tobytes()
+        noise = rng.normal(0.0, 0.02, size=(4, 2))
+        for l in range(4):
+            grad = fn(x[None, :])[1][0, 1:]
+            assert np.all(grad != 0.0)
+            x[1:] = np.clip((x[1:] + 0.3 * grad) + noise[l], bounds[:, 0], bounds[:, 1])
+            assert trace.samples[l + 1, i].tobytes() == x.tobytes()
 
 
 def test_run_records_into_stacked_arrays():
     cfg = full_cfg(steps=4, n_samples=6)
-    trace = run(quadratic_score([0.1, 0.0]), cfg, None, seed=2)
+    trace = run(quadratic_score([0.1, 0.0]), cfg, NO_PREFIX, seed=2)
     assert trace.samples.shape == (5, 6, 2)
     assert trace.scores.shape == (5, 6)
     assert np.array_equal(trace.per_step_max, trace.scores[1:].max(axis=1))
@@ -252,24 +259,22 @@ def test_run_records_into_stacked_arrays():
 
 @st.composite
 def bounded_chains(draw):
-    """A chain over a random subset of dims with random, possibly zero-width,
-    bounds; frozen dims hold arbitrary finite values, even outside bounds."""
+    """A d-wide chain with a k-coordinate prefix, k in [0, d - 1], and random,
+    possibly zero-width, bounds on the moved block; the prefix holds
+    arbitrary finite values, even outside bounds."""
     d = draw(st.integers(1, 4))
-    free = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
-    lows = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=len(free), max_size=len(free))))
+    k = draw(st.integers(0, d - 1))
+    lows = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d - k, max_size=d - k)))
     width = st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e-300))
-    widths = np.array(draw(st.lists(width, min_size=len(free), max_size=len(free))))
+    widths = np.array(draw(st.lists(width, min_size=d - k, max_size=d - k)))
     cfg = LangevinConfig(
         n_samples=draw(st.integers(1, 8)),
         steps=draw(st.integers(0, 6)),
         step_size=draw(st.floats(1e-6, 1e3)),
         noise_scale=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e2))),
-        free_dims=free,
         bounds=np.column_stack([lows, lows + widths]),
     )
-    fixed = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d)))
-    if len(free) == d and draw(st.booleans()):
-        fixed = None
+    fixed = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=k, max_size=k)))
     gain = draw(st.floats(1.0, 1e8))
     phase = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)))
     return cfg, fixed, gain, phase, draw(st.integers(0, 2**64 - 1))
@@ -285,12 +290,11 @@ def test_samples_stay_in_bounds_and_frozen_dims_hold(case):
         return np.sin(batch + phase).sum(axis=1), gain * np.cos(3.0 * batch + phase)
 
     trace = run(steep, cfg, fixed, seed=case[4])
-    free = cfg.free_dims
-    moved = trace.samples[:, :, free]
+    k = fixed.size
+    moved = trace.samples[:, :, k:]
     assert np.all(moved >= cfg.bounds[:, 0]) and np.all(moved <= cfg.bounds[:, 1])
-    frozen = np.setdiff1d(np.arange(trace.samples.shape[2]), free)
-    if fixed is not None:
-        assert np.all(trace.samples[:, :, frozen] == fixed[frozen])
+    prefix = np.ascontiguousarray(trace.samples[:, :, :k])
+    assert prefix.tobytes() == np.broadcast_to(fixed, prefix.shape).tobytes()
 
 
 seeds = st.one_of(

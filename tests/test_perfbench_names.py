@@ -1,12 +1,14 @@
-"""The library names the benchmark in `perfbench/` calls or traces exist.
+"""The library names the benchmark in `perfbench/` calls or traces exist,
+and each of its workloads runs one op that passes its check.
 
 The benchmark's own tests run outside the tier-1 suite, so without this a
-renamed library function would break only `perfbench/run.py --trace 1`.
+renamed library function would break only `perfbench/run.py`.
 """
 
 import importlib
 from pathlib import Path
 
+import pytest
 from cdrm import nnet
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -25,3 +27,15 @@ def test_traced_names_and_workloads_exist(monkeypatch):
     assert sorted(workloads.WORKLOADS) == ["infer_data", "infer_gap", "train_toy"]
     # the traced row counter of grad_params_batch reads len(workspace)
     assert len(nnet.Workspace([2, 3, 1], 5)) == 5
+
+
+@pytest.mark.parametrize("name", ["train_toy", "infer_data", "infer_gap"])
+def test_each_workload_runs_one_checked_op(monkeypatch, tmp_path, name):
+    # set-up trains the infer model and reads what perfbench reads of the
+    # library (next_state_dims, provenance_for, model_io), so a change that
+    # drops one of them fails here and not only in the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = importlib.import_module("workloads").WORKLOADS[name]
+    state = workload.setup(1, 0, str(tmp_path))
+    args = workload.prepare(state, 0)
+    assert workload.check(state, args, workload.run(state, args), str(tmp_path))
