@@ -116,18 +116,17 @@ class MemoryReport:
     saturated: bool
 
 
-def memory_report(d_s: int, d_a: int, b: int, d_next: int | None = None) -> MemoryReport:
+def memory_report(d_s: int, d_a: int, b: int, d_next: int) -> MemoryReport:
     """Cell counts for the joint grid and for the b^3-style estimate.
 
     The joint scheme is what build() allocates: one cell per combination
-    over all dimensions (next-state dims defaulting to d_s). The second
+    over all d_s + d_a + d_next dimensions. The second
     figure is the d_s^2 * d_a * b^3 scaling estimate, reported alongside
     for comparison; the two coincide at d_s = d_a = 1. The estimate is 0
     whenever d_a = 0, as for both generated datasets and every bench row.
     """
-    if d_s < 1 or d_a < 0 or b < 1:
+    if d_s < 1 or d_a < 0 or d_next < 1 or b < 1:
         raise InvalidInputError("dims must be positive and b >= 1")
-    d_next = d_s if d_next is None else d_next
     joint = b ** (d_s + d_a + d_next)
     formula = d_s * d_s * d_a * b**3
     saturated = joint > _SATURATION_LIMIT

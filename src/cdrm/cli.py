@@ -34,7 +34,7 @@ from .errors import (
     UnpreparedModelError,
     UnsupportedVersionError,
 )
-from .inference import DEFAULT_ALPHA, default_inference_config, infer
+from .inference import DEFAULT_ALPHA, DEFAULT_CHAIN, infer
 from .langevin import LangevinConfig
 from .model import CdrmModel, TrainConfig, fit
 from .nnet import MlpNetwork
@@ -169,15 +169,14 @@ _LAYOUT_KNOBS = {
     "noise_std": (_ROOM_LAYOUT.noise_std, _real),
 }
 
-# Inference chain knob -> (LangevinConfig field it sets, parse); a knob left
-# unset keeps the value of inference.default_inference_config.
-_CHAIN_FIELDS = {
-    "samples": ("n_samples", _count),
-    "steps": ("steps", _count),
-    "step_size": ("step_size", _real),
-    "noise": ("noise_scale", _real),
+# Inference chain knobs, one per LangevinConfig field, defaulting to
+# inference.DEFAULT_CHAIN.
+_CHAIN_KNOBS = {
+    "samples": (DEFAULT_CHAIN.n_samples, _count),
+    "steps": (DEFAULT_CHAIN.steps, _count),
+    "step_size": (DEFAULT_CHAIN.step_size, _real),
+    "noise": (DEFAULT_CHAIN.noise_scale, _real),
 }
-_CHAIN_KNOBS = {knob: (None, parse) for knob, (_, parse) in _CHAIN_FIELDS.items()}
 
 # Command -> knob -> (default or _REQUIRED, parse). A parse turns flag text
 # or a config-file JSON value into the typed value the handler gets, and
@@ -313,10 +312,14 @@ def _layout(cfg: dict) -> data.RoomLayout:
     )
 
 
-def _chain_config(model: CdrmModel, cfg: dict) -> LangevinConfig:
-    """The library's inference chain with the chain knobs the user set."""
-    given = {f: cfg[k] for k, (f, _) in _CHAIN_FIELDS.items() if cfg[k] is not None}
-    return replace(default_inference_config(model), **given)
+def _chain_config(cfg: dict) -> LangevinConfig:
+    """The inference chain the chain knobs give."""
+    return LangevinConfig(
+        n_samples=cfg["samples"],
+        steps=cfg["steps"],
+        step_size=cfg["step_size"],
+        noise_scale=cfg["noise"],
+    )
 
 
 def _save_dataset(out: str, dataset: data.TransitionDataset, meta: dict) -> int:
@@ -362,7 +365,7 @@ def cmd_infer(cfg: dict) -> int:
         model,
         query[:d_s],
         query[d_s:],
-        cfg=_chain_config(model, cfg),
+        cfg=_chain_config(cfg),
         alpha=cfg["alpha"],
         dedup_tol=tol,
         seed=cfg["seed"],
@@ -388,7 +391,7 @@ def cmd_eval(cfg: dict) -> int:
         model,
         layout=layout,
         grid_resolution=cfg["grid"],
-        langevin_cfg=_chain_config(model, cfg),
+        langevin_cfg=_chain_config(cfg),
         alpha=cfg["alpha"],
         seed=cfg["seed"],
     )
@@ -417,7 +420,7 @@ def cmd_oracle(cfg: dict) -> int:
     grid = binref.build(dataset, cfg["bins"])
     lo, hi = model.input_bounds[0]
     probes = np.linspace(lo, hi, cfg["grid_probes"])
-    chain_cfg = _chain_config(model, cfg)
+    chain_cfg = _chain_config(cfg)
     rows = []
     agreements = 0
     for i, x in enumerate(probes):
@@ -481,7 +484,7 @@ def cmd_bench(cfg: dict) -> int:
     # a lookup visits exactly b occupied cells and its cost grows with b.
     query, empty = np.array([0.5]), np.empty(0)
     grids = {b: binref.build(_full_column(b), b) for b in cfg["b_values"]}
-    bench_cfg = replace(default_inference_config(model), n_samples=cfg["samples"])
+    bench_cfg = replace(DEFAULT_CHAIN, n_samples=cfg["samples"])
     chains = {L: replace(bench_cfg, steps=L) for L in cfg["l_values"]}
 
     # Each rep times every cell once, so a slow spell of the machine lands

@@ -20,11 +20,44 @@ TOY_GAP = (-0.33, 0.33)  # input interval generating no samples at all
 ROOM_DIMS = (2, 0, 1)  # (x, y) state, no action, sensed temperature
 
 
+def checked_bounds(dims, bounds, name: str = "bounds") -> np.ndarray:
+    """bounds as a float64 array, after the layout rules datasets and
+    models share; name is the bounds field the errors name.
+
+    dims must be three integers (d_s, d_a, d_next) with d_s, d_next >= 1
+    and d_a >= 0, and bounds one finite (low, high) row per joint dim with
+    low < high and a finite width, since chains draw uniformly over it.
+    Anything else raises InvalidInputError.
+    """
+    if (
+        len(dims) != 3
+        or not all(map(is_integer, dims))
+        or dims[0] < 1
+        or dims[1] < 0
+        or dims[2] < 1
+    ):
+        raise InvalidInputError(f"bad dims {dims}")
+    d_total = sum(dims)
+    bounds = np.asarray(bounds, dtype=np.float64)
+    if bounds.shape != (d_total, 2):
+        raise InvalidInputError(f"{name} must be ({d_total}, 2)")
+    if not np.all(np.isfinite(bounds)):
+        raise InvalidInputError(f"{name} must be finite")
+    if np.any(bounds[:, 0] >= bounds[:, 1]):
+        raise InvalidInputError(f"{name} must satisfy low < high per dimension")
+    with np.errstate(over="ignore"):
+        width = bounds[:, 1] - bounds[:, 0]
+    if not np.all(np.isfinite(width)):
+        raise InvalidInputError(f"{name} must have a finite width")
+    return bounds
+
+
 @dataclass
 class TransitionDataset:
     """Ordered tuples stored as rows of a joint (state|action|next) matrix.
 
-    Tuples and bounds must be finite, and every tuple inside the bounds.
+    dims and bounds follow `checked_bounds`; tuples must be finite and
+    inside the bounds.
     """
 
     tuples: np.ndarray  # (n, d_s + d_a + d_next)
@@ -32,13 +65,7 @@ class TransitionDataset:
     bounds: np.ndarray  # (d_total, 2) rows of (low, high)
 
     def __post_init__(self):
-        if (
-            not all(map(is_integer, self.dims))
-            or any(d < 0 for d in self.dims)
-            or self.dims[0] < 1
-            or self.dims[2] < 1
-        ):
-            raise InvalidInputError(f"bad dims {self.dims}")
+        self.bounds = checked_bounds(self.dims, self.bounds)
         d_total = sum(self.dims)
         arr = np.asarray(self.tuples, dtype=np.float64)
         if arr.size == 0:
@@ -46,17 +73,10 @@ class TransitionDataset:
         elif arr.ndim != 2:
             arr = arr.reshape(len(arr), -1)
         self.tuples = arr
-        self.bounds = np.asarray(self.bounds, dtype=np.float64)
         if len(self.tuples) and self.tuples.shape[1] != d_total:
             raise InvalidInputError(
                 f"tuple width {self.tuples.shape[1]} does not match dims {self.dims}"
             )
-        if self.bounds.shape != (d_total, 2):
-            raise InvalidInputError(f"bounds must be ({d_total}, 2)")
-        if not np.all(np.isfinite(self.bounds)):
-            raise InvalidInputError("bounds must be finite")
-        if np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
-            raise InvalidInputError("bounds must satisfy low < high per dimension")
         if not np.all(np.isfinite(self.tuples)):
             raise InvalidInputError("dataset tuples must be finite")
         if len(self.tuples):

@@ -22,6 +22,7 @@ from .langevin import ChainTrace, LangevinConfig, SeedLike
 from .model import CdrmModel, score_batch, score_fn
 
 DEFAULT_ALPHA = 0.5
+DEFAULT_CHAIN = LangevinConfig(n_samples=512, steps=50, step_size=0.1, noise_scale=0.01)
 DEDUP_RANGE_FRACTION = 1e-3
 # Largest |floor(x / width)| a dedup cell may take: neighbour cells and the
 # differences between cell indices then stay inside int64.
@@ -174,17 +175,6 @@ def epistemic(valid: ValidSet, per_step_max: np.ndarray, kde_base: float) -> flo
     return (kde_base + (1.0 - float(valid.scores.max())) * sigma_phi) / 2.0
 
 
-def default_inference_config(model: CdrmModel) -> LangevinConfig:
-    """Chain over the next-state block with the query held fixed."""
-    return LangevinConfig(
-        n_samples=512,
-        steps=50,
-        step_size=0.1,
-        noise_scale=0.01,
-        bounds=model.input_bounds[model.next_state_dims],
-    )
-
-
 def default_dedup_tol(model: CdrmModel) -> np.ndarray:
     bounds = model.input_bounds[model.next_state_dims]
     return DEDUP_RANGE_FRACTION * (bounds[:, 1] - bounds[:, 0])
@@ -194,7 +184,7 @@ def infer(
     model: CdrmModel,
     s: np.ndarray,
     a: np.ndarray,
-    cfg: LangevinConfig | None = None,
+    cfg: LangevinConfig = DEFAULT_CHAIN,
     alpha: float = DEFAULT_ALPHA,
     dedup_tol: np.ndarray | None = None,
     seed: SeedLike = 0,
@@ -203,10 +193,10 @@ def infer(
 
     (s, a) must lie inside the model's input bounds, ends included; a query
     outside them raises OutOfBoundsError instead of extrapolating the field.
-    The chain moves the next-state block after the query, so cfg needs
-    one bounds row per next-state dim, and at least one step, since steps
-    1..L supply both the candidates and the EU statistic; a cfg without
-    either raises InvalidInputError.
+    The chain holds the query as its prefix and moves the next-state block
+    inside the model's input bounds. cfg needs at least one step, since
+    steps 1..L supply both the candidates and the EU statistic; a cfg
+    without one raises InvalidInputError.
 
     The chain's network passes run on a float32 copy of the network, and
     the candidates above alpha are chosen by those scores. The members
@@ -232,19 +222,13 @@ def infer(
         )
     if not 0.0 <= alpha <= 1.0:  # also false for NaN
         raise InvalidInputError(f"alpha must be a finite value in [0, 1], got {alpha}")
-    cfg = cfg or default_inference_config(model)
-    if len(cfg.bounds) != d_next:
-        raise InvalidInputError(
-            f"an inference chain moves the {d_next} next-state dims, cfg has "
-            f"{len(cfg.bounds)} bounds rows"
-        )
     if cfg.steps < 1:
         raise InvalidInputError(f"an inference chain needs steps >= 1, got {cfg.steps}")
     tol = default_dedup_tol(model) if dedup_tol is None else dedup_tol
     _tol_and_width(tol, d_next)  # a bad tolerance fails before the chain
 
     chain_model = replace(model, net=model.net.astype(np.float32))
-    trace = langevin.run(score_fn(chain_model), cfg, query, seed)
+    trace = langevin.run(score_fn(chain_model), cfg, model.input_bounds, query, seed)
     valid = _rescored(model, collect_valid(trace, alpha, tol), query)
 
     per_step_max = trace.per_step_max

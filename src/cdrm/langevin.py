@@ -129,20 +129,15 @@ def derive_seed(seed: SeedLike, *tags: int) -> tuple[int, ...]:
     return tuple(_entropy(seed)) + tuple(int(t) for t in tags)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LangevinConfig:
-    """Chain shape and update knobs.
-
-    bounds has one (low, high) row per moved coordinate: the chain moves
-    the last len(bounds) coordinates of each row, and the leading ones
-    hold the prefix passed to `run`.
-    """
+    """Chain shape and update knobs; the box the chain moves in is an
+    argument of `run`."""
 
     n_samples: int
     steps: int
     step_size: float
     noise_scale: float
-    bounds: np.ndarray
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -153,17 +148,6 @@ class LangevinConfig:
             raise InvalidInputError("step_size must be finite and positive")
         if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0):
             raise InvalidInputError("noise_scale must be finite and >= 0")
-        self.bounds = np.asarray(self.bounds, dtype=np.float64)
-        if self.bounds.ndim != 2 or self.bounds.shape[1] != 2 or len(self.bounds) == 0:
-            raise InvalidInputError("bounds must be a non-empty (d, 2) array")
-        if not np.all(np.isfinite(self.bounds)):
-            raise InvalidInputError("bounds must be finite")
-        if np.any(self.bounds[:, 0] > self.bounds[:, 1]):
-            raise InvalidInputError("bounds must satisfy low <= high")
-        with np.errstate(over="ignore"):
-            width = self.bounds[:, 1] - self.bounds[:, 0]
-        if not np.all(np.isfinite(width)):
-            raise InvalidInputError("bounds must have a finite width")
 
 
 @dataclass
@@ -187,8 +171,11 @@ class ChainTrace:
         return self.scores[1:].max(axis=1)
 
 
-def _draw_streams(cfg: LangevinConfig, seed: SeedLike, init: np.ndarray) -> np.ndarray:
-    """Fill `init`, the (n, d) moved block, and return the noise, shape (L, n, d).
+def _draw_streams(
+    cfg: LangevinConfig, bounds: np.ndarray, seed: SeedLike, init: np.ndarray
+) -> np.ndarray:
+    """Fill `init`, the (n, d) moved block, uniformly over its (d, 2)
+    bounds, and return the noise, shape (L, n, d).
 
     Sample i draws its initialization, then its noise for all L steps,
     from stream i, exactly as `sample_rng(seed, i).uniform(lows, highs)`
@@ -196,8 +183,8 @@ def _draw_streams(cfg: LangevinConfig, seed: SeedLike, init: np.ndarray) -> np.n
     reused and loaded with each stream's state in turn; `lows + span * u`
     is the arithmetic `uniform` applies to its draws.
     """
-    n, L, d = cfg.n_samples, cfg.steps, len(cfg.bounds)
-    lows, highs = cfg.bounds[:, 0], cfg.bounds[:, 1]
+    n, L, d = cfg.n_samples, cfg.steps, len(bounds)
+    lows, highs = bounds[:, 0], bounds[:, 1]
     unit = np.empty((n, d))
     noise = np.zeros((L, n, d))
     bitgen = np.random.PCG64(0)
@@ -218,30 +205,40 @@ def _check_grads(grads):
         raise SamplingFailureError(f"non-finite gradient for sample {bad}")
 
 
-def run(score_fn: ScoreFn, cfg: LangevinConfig, fixed: np.ndarray, seed: SeedLike) -> ChainTrace:
+def run(
+    score_fn: ScoreFn, cfg: LangevinConfig, bounds: np.ndarray, fixed: np.ndarray, seed: SeedLike
+) -> ChainTrace:
     """Initialize and advance a batch for cfg.steps steps, recording all of it.
 
-    Each row is the 1-D prefix fixed, held for the whole chain, followed by
-    len(cfg.bounds) moved coordinates; training passes an empty prefix.
-    Initialization is uniform over bounds on the moved block. Per-sample
-    noise for the whole chain is drawn up front from each sample's own
-    stream, so traces are bit-reproducible for a given seed regardless of
-    batch size changes elsewhere. Each step moves the block by step_size
-    times its gradient, adds the noise and clips into bounds, writing
-    straight into the preallocated trace. The final batch is scored
-    without gradients (with_grad false), since no step reads them; with no
-    steps that is the only pass.
+    bounds is the (d, 2) box of a whole row. Each row is the 1-D prefix
+    fixed, held for the whole chain, followed by the d - len(fixed)
+    coordinates the chain moves inside bounds[len(fixed):]; training
+    passes an empty prefix. A bounds that is not (d, 2) with d > len(fixed)
+    raises InvalidInputError; the caller owns the box's values (the
+    model's input bounds). Initialization is uniform over the moved
+    block's bounds. Per-sample noise for the whole chain is drawn up front
+    from each sample's own stream, so traces are bit-reproducible for a
+    given seed regardless of batch size changes elsewhere. Each step moves
+    the block by step_size times its gradient, adds the noise and clips
+    into bounds, writing straight into the preallocated trace. The final
+    batch is scored without gradients (with_grad false), since no step
+    reads them; with no steps that is the only pass.
     """
     fixed = np.asarray(fixed, dtype=np.float64)
     if fixed.ndim != 1:
         raise InvalidInputError(f"fixed must be a 1-D prefix, got shape {fixed.shape}")
     n, L, k = cfg.n_samples, cfg.steps, fixed.size
-    lows, highs = cfg.bounds[:, 0], cfg.bounds[:, 1]
-    samples = np.empty((L + 1, n, k + len(cfg.bounds)))
+    bounds = np.asarray(bounds, dtype=np.float64)
+    if bounds.ndim != 2 or bounds.shape[1] != 2 or len(bounds) <= k:
+        raise InvalidInputError(
+            f"bounds must be (d, 2) with d > {k}, the prefix length; got shape {bounds.shape}"
+        )
+    lows, highs = bounds[k:, 0], bounds[k:, 1]
+    samples = np.empty((L + 1, n, len(bounds)))
     scores = np.empty((L + 1, n))
     samples[:, :, :k] = fixed
     moved = samples[:, :, k:]
-    noise = _draw_streams(cfg, seed, moved[0])
+    noise = _draw_streams(cfg, bounds[k:], seed, moved[0])
 
     scores[0], grads = score_fn(samples[0], L > 0)
     for l in range(L):

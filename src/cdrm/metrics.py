@@ -14,7 +14,7 @@ import numpy as np
 from . import langevin
 from .data import RegionLabel, RoomLayout, label_probe
 from .errors import InvalidInputError, UndefinedMetricError
-from .inference import DEFAULT_ALPHA, default_inference_config, infer
+from .inference import DEFAULT_ALPHA, DEFAULT_CHAIN, infer
 from .langevin import LangevinConfig, SeedLike
 from .model import CdrmModel
 
@@ -107,7 +107,7 @@ def evaluate_room(
     model: CdrmModel,
     layout: RoomLayout | None = None,
     grid_resolution: int = 40,
-    langevin_cfg: LangevinConfig | None = None,
+    langevin_cfg: LangevinConfig = DEFAULT_CHAIN,
     alpha: float = DEFAULT_ALPHA,
     seed: SeedLike = 0,
 ) -> RoomEvaluation:
@@ -118,14 +118,13 @@ def evaluate_room(
     the evaluation is deterministic and independent of grid order.
     """
     layout = layout or RoomLayout()
-    cfg = langevin_cfg or default_inference_config(model)
     records: list[ProbeRecord] = []
     for i, probe in enumerate(probe_grid(grid_resolution)):
         result = infer(
             model,
             probe,
             np.empty(0),
-            cfg=cfg,
+            cfg=langevin_cfg,
             alpha=alpha,
             seed=langevin.derive_seed(seed, i),
         )

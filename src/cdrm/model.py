@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kde, langevin
+from .data import checked_bounds
 from .errors import InvalidInputError, TrainingDivergenceError
 from .kde import KdeStats
 from .langevin import LangevinConfig, ScoreFn, SeedLike
-from .nnet import AdamState, MlpNetwork, Workspace, adam_update, is_integer, sigmoid
+from .nnet import AdamState, MlpNetwork, Workspace, adam_update, sigmoid
 
 # Pre-sigmoid clamp half-width: confines scores to [1e-6, 1 - 1e-6].
 LOGIT_CLIP = math.log((1.0 - 1e-6) / 1e-6)
@@ -35,8 +36,9 @@ _TAG_DENSITY = 0xDE
 class CdrmModel:
     """Network plus the joint-space geometry it is scored over.
 
-    input_bounds has one finite (low, high) row per joint dimension; dims
-    is the (d_s, d_a, d_next) split of the input layout. kde_stats, which
+    dims is the (d_s, d_a, d_next) split of the input layout and
+    input_bounds the box every chain moves in, under the rules of
+    `data.checked_bounds`. kde_stats, which
     `fit` attaches, feeds the epistemic-uncertainty base term; its
     reference points are (n, d_s + d_a) inputs.
     """
@@ -48,21 +50,12 @@ class CdrmModel:
     provenance: dict | None = None  # training config hash, seed, epochs
 
     def __post_init__(self):
-        self.input_bounds = np.asarray(self.input_bounds, dtype=np.float64)
-        d_s, d_a, d_next = self.dims
-        if not all(map(is_integer, self.dims)) or d_s < 1 or d_a < 0 or d_next < 1:
-            raise InvalidInputError(f"bad dims {self.dims}")
-        d_total = d_s + d_a + d_next
-        if self.net.input_dim != d_total:
+        self.input_bounds = checked_bounds(self.dims, self.input_bounds, "input_bounds")
+        d_s, d_a, _ = self.dims
+        if self.net.input_dim != self.d_total:
             raise InvalidInputError(
-                f"net expects {self.net.input_dim} inputs, dims {self.dims} give {d_total}"
+                f"net expects {self.net.input_dim} inputs, dims {self.dims} give {self.d_total}"
             )
-        if self.input_bounds.shape != (d_total, 2):
-            raise InvalidInputError(f"input_bounds must be ({d_total}, 2)")
-        if not np.all(np.isfinite(self.input_bounds)):
-            raise InvalidInputError("input_bounds must be finite")
-        if np.any(self.input_bounds[:, 0] >= self.input_bounds[:, 1]):
-            raise InvalidInputError("input_bounds must satisfy low < high")
         if self.kde_stats is not None and self.kde_stats.reference_points.shape[1] != d_s + d_a:
             raise InvalidInputError(
                 f"kde reference points must be (n, {d_s + d_a}) for dims {self.dims}"
@@ -172,23 +165,25 @@ class TrainConfig:
         if not (0.0 < self.stability_eps < 0.5):
             raise InvalidInputError("stability_eps must lie in (0, 0.5)")
 
-    def negative_chain_config(self, model: CdrmModel) -> LangevinConfig:
-        """Chain over the full joint tuple: every dimension moves."""
+    @property
+    def negative_chain(self) -> LangevinConfig:
+        """The chain that draws each update's negatives; not a field, so
+        the model file's config hash does not see it."""
         return LangevinConfig(
             n_samples=self.negative_batch,
             steps=self.langevin_steps,
             step_size=self.langevin_step_size,
             noise_scale=self.langevin_noise,
-            bounds=model.input_bounds,
         )
 
 
 def generate_negatives(model: CdrmModel, cfg: LangevinConfig, seed: SeedLike) -> Workspace:
-    """Final batch of an ascent chain from uniform initialization, with the
-    network's forward pass on it.
+    """Final batch of an ascent chain from uniform initialization over the
+    model's input bounds, every joint dimension moving, with the network's
+    forward pass on it.
 
-    cfg is the chain `TrainConfig.negative_chain_config` builds, which
-    sets the batch size. The returned workspace is the one the chain's
+    cfg is the chain `TrainConfig.negative_chain` builds, which sets the
+    batch size. The returned workspace is the one the chain's
     final, score-only pass ran in: its `inputs` are the negatives and its
     buffers hold that pass's activations and logits, which the update
     reads instead of scoring the batch again. The positions are constants
@@ -196,7 +191,7 @@ def generate_negatives(model: CdrmModel, cfg: LangevinConfig, seed: SeedLike) ->
     them.
     """
     workspace = Workspace(model.net.layer_dims, cfg.n_samples)
-    langevin.run(score_fn(model, workspace), cfg, np.empty(0), seed)
+    langevin.run(score_fn(model, workspace), cfg, model.input_bounds, np.empty(0), seed)
     return workspace
 
 
@@ -257,7 +252,7 @@ def train(
     trained = replace(model, net=net)
     grads = np.empty((2, net.n_params))  # one gradient per batch, reused by every update
     adam = AdamState.zeros_for(net)
-    chain = cfg.negative_chain_config(model)  # bounds and dims only, not weights
+    chain = cfg.negative_chain
     step_index = 0  # Adam bias correction counts updates, not epochs
     losses: list[float] = []
     for epoch in range(cfg.epochs):

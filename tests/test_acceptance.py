@@ -226,11 +226,7 @@ def test_c05_room_walk_uncertainty_maps(room_models, capsys):
     wins = 0
     details = []
     for seed, m, _ in room_models:
-        cfg_inf = replace(
-            inference.default_inference_config(m),
-            n_samples=ROOM_CHAIN[0],
-            steps=ROOM_CHAIN[1],
-        )
+        cfg_inf = replace(inference.DEFAULT_CHAIN, n_samples=ROOM_CHAIN[0], steps=ROOM_CHAIN[1])
         ev = metrics.evaluate_room(
             m,
             grid_resolution=ROOM_GRID,

@@ -121,7 +121,7 @@ class TestBinInfer:
 
 class TestMemoryReport:
     def test_joint_and_cubic_forms_coincide_for_unit_dims(self):
-        rep = memory_report(1, 1, 10)
+        rep = memory_report(1, 1, 10, d_next=1)
         assert rep.joint_cells == 1000
         assert rep.cubic_scaling_cells == 1000
         assert not rep.saturated
@@ -131,18 +131,23 @@ class TestMemoryReport:
         assert rep.joint_cells == 4**5
         assert rep.cubic_scaling_cells == 2 * 2 * 1 * 64
 
-    def test_next_state_defaults_to_state_width(self):
-        assert memory_report(2, 0, 3).joint_cells == 3**4
+    def test_next_state_width_is_required(self):
+        # a default of d_s would count 3**4 cells for the room dims (2, 0, 1)
+        assert memory_report(2, 0, 3, d_next=1).joint_cells == 3**3
+        with pytest.raises(TypeError):
+            memory_report(2, 0, 3)
 
     def test_saturation_clamps(self):
-        rep = memory_report(5, 5, 100)
+        rep = memory_report(5, 5, 100, d_next=5)
         assert rep.saturated
         assert rep.joint_cells == 2**63 - 1
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
-            memory_report(0, 1, 10)
+            memory_report(0, 1, 10, d_next=1)
         with pytest.raises(InvalidInputError):
-            memory_report(1, -1, 10)
+            memory_report(1, -1, 10, d_next=1)
         with pytest.raises(InvalidInputError):
-            memory_report(1, 1, 0)
+            memory_report(1, 1, 0, d_next=1)
+        with pytest.raises(InvalidInputError):
+            memory_report(1, 1, 10, d_next=0)

@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, determinism, config precedence, exit codes."""
 
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -222,6 +223,16 @@ class TestTrain:
         assert stderr == "error: all subsampled points coincide; bandwidth undefined\n"
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_bound_of_infinite_width_refused_before_training(self, capsys, tmp_path, monkeypatch):
+        # both ends are finite, but no chain can draw uniformly over the box
+        path, out = tmp_path / "wide.csv", tmp_path / "m.json"
+        path.write_text("# dims=1,0,1\n# bounds=0.0:1.0,-1e308:1e308\n0.1,0.2\n0.3,0.4\n")
+        monkeypatch.setattr("cdrm.model.train", mock.Mock(side_effect=AssertionError("trained")))
+        code, stdout, stderr = run_cli(capsys, "train", "--data", str(path), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert "finite width" in stderr
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_default_config_provenance(self, capsys, tmp_path, tiny_toy_csv):
         out = tmp_path / "m.json"
         code, _, _ = run_cli(
@@ -322,18 +333,29 @@ class TestInfer:
         assert stdout == ""
         assert "outside" in stderr
 
-    def test_model_with_non_finite_bound_is_usage_error(self, capsys, tmp_path, toy_model):
-        # a NaN low bound once let any query through the bounds check
+    @pytest.mark.parametrize(
+        "row, words",
+        [
+            # a NaN low bound once let any query through the bounds check
+            ([float("nan"), 1.0], "input_bounds must be finite"),
+            # finite ends, but the self-check draw over it once raised OverflowError
+            ([-1e308, 1e308], "input_bounds must have a finite width"),
+        ],
+        ids=["nan-low", "infinite-width"],
+    )
+    def test_model_with_non_finite_bound_is_usage_error(
+        self, capsys, tmp_path, toy_model, row, words
+    ):
         doc = json.loads(toy_model.read_text())
-        doc["input_bounds"][0][0] = float("nan")
-        bad = tmp_path / "nan_bound.json"
+        doc["input_bounds"][0] = row
+        bad = tmp_path / "bad_bound.json"
         bad.write_text(json.dumps(doc))
         code, stdout, stderr = run_cli(
             capsys, "infer", "--model", str(bad), "--query", "-50", "--samples", "16", "--steps", "3"
         )
         assert code == 2
         assert stdout == ""
-        assert "input_bounds must be finite" in stderr
+        assert words in stderr
 
     def test_model_with_another_clamp_is_usage_error(self, capsys, tmp_path, toy_model):
         edited = tmp_path / "edited.json"
@@ -485,6 +507,14 @@ def test_count_too_big_to_size_an_array_is_a_runtime_error(capsys, toy_model):
     )
     assert (code, stdout) == (1, "")
     assert stderr.startswith("error: cannot allocate: array is too big")
+
+
+@pytest.mark.parametrize("command", ["infer", "eval", "oracle"])
+def test_chain_knob_defaults_are_the_default_chain(command):
+    knobs = cli._KNOBS[command]
+    defaults = tuple(knobs[k][0] for k in ("samples", "steps", "step_size", "noise"))
+    assert defaults == dataclasses.astuple(inference.DEFAULT_CHAIN)
+    assert cli._chain_config({k: knobs[k][0] for k in knobs}) == inference.DEFAULT_CHAIN
 
 
 @pytest.mark.parametrize("command", ["infer", "eval", "oracle"])

@@ -51,9 +51,12 @@ class TestTransitionDataset:
         with pytest.raises(InvalidInputError):
             TransitionDataset(np.zeros((1, 1)), dims=(0, 0, 1), bounds=np.array([[0.0, 1.0]]))
 
-    @pytest.mark.parametrize("dims", [(1.0, 0, 1), (True, 0, True), (1, 0, np.float64(1.0))])
+    @pytest.mark.parametrize(
+        "dims", [(1.0, 0, 1), (True, 0, True), (1, 0, np.float64(1.0)), (1, 1), (1, 0, 1, 1)]
+    )
     def test_rejects_dims_that_are_not_integers(self, dims):
-        # a float once reached model.fit as a raw TypeError, a bool only after the density fit
+        # a float once reached model.fit as a raw TypeError, a bool only after the
+        # density fit; (1, 1) raised a raw IndexError and (1, 0, 1, 1) was accepted
         with pytest.raises(InvalidInputError, match="bad dims"):
             TransitionDataset(np.array([[0.1, 0.9]]), dims=dims, bounds=np.array([[0, 1], [0, 1]]))
 
@@ -95,6 +98,13 @@ class TestTransitionDataset:
     def test_rejects_non_finite_bounds(self, bounds):
         with pytest.raises(InvalidInputError, match="bounds must be finite"):
             TransitionDataset(np.array([[0.5, 0.5]]), dims=(1, 0, 1), bounds=np.array(bounds))
+
+    def test_rejects_bounds_of_infinite_width(self):
+        # both ends finite, but every chain draws uniformly over this box
+        with pytest.raises(InvalidInputError, match="finite width"):
+            TransitionDataset(
+                np.array([[0.5, 0.5]]), dims=(1, 0, 1), bounds=np.array([[0, 1], [-1e308, 1e308]])
+            )
 
     def test_equality(self):
         assert small_dataset() == small_dataset()

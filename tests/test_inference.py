@@ -1,6 +1,7 @@
 """Valid-set collection, prediction, and the two uncertainty readouts."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from cdrm.errors import (
 from cdrm.inference import (
     DEDUP_RANGE_FRACTION,
     DEFAULT_ALPHA,
+    DEFAULT_CHAIN,
     ValidSet,
     aleatoric,
     collect_valid,
     default_dedup_tol,
-    default_inference_config,
     epistemic,
     infer,
     predict,
@@ -335,7 +336,7 @@ class TestCollectValidMatchesInsert:
     def test_chain_trace_matches_insert(self):
         m = ramp_model()
         cfg = small_chain(steps=30, n=64)
-        trace = langevin.run(score_fn(m), cfg, np.array([0.2]), seed=4)
+        trace = langevin.run(score_fn(m), cfg, m.input_bounds, np.array([0.2]), seed=4)
         tol = default_dedup_tol(m)
         got = collect_valid(trace, DEFAULT_ALPHA, tol)
         assert len(got) > 10
@@ -384,9 +385,19 @@ class TestSummaries:
 
 class TestDefaults:
     def test_inference_config_frees_next_state_block(self):
-        m = ramp_model(with_kde=False)
-        cfg = default_inference_config(m)
-        np.testing.assert_array_equal(cfg.bounds, [[-1.0, 1.0]])  # one row: s' moves, s holds
+        # the default chain holds the query and moves s' in the model's box
+        m = ramp_model()
+        with mock.patch.object(langevin, "run", wraps=langevin.run) as run:
+            infer(m, [0.3], [], seed=2)
+        _, cfg, bounds, fixed, _ = run.call_args.args
+        assert cfg is DEFAULT_CHAIN and bounds is m.input_bounds
+        assert fixed.tolist() == [0.3]
+
+    def test_default_chain_is_frozen(self):
+        assert DEFAULT_CHAIN == LangevinConfig(512, 50, 0.1, 0.01)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DEFAULT_CHAIN.steps = 0
+        assert DEFAULT_CHAIN.steps == 50
 
     def test_dedup_tol_scales_with_bounds_span(self):
         m = ramp_model(with_kde=False)
@@ -394,13 +405,7 @@ class TestDefaults:
 
 
 def small_chain(steps=25, n=48):
-    return LangevinConfig(
-        n_samples=n,
-        steps=steps,
-        step_size=0.1,
-        noise_scale=0.01,
-        bounds=np.array([[-1.0, 1.0]]),
-    )
+    return LangevinConfig(n_samples=n, steps=steps, step_size=0.1, noise_scale=0.01)
 
 
 class TestInfer:
@@ -470,7 +475,7 @@ class TestInfer:
         toy = dataclasses.replace(
             ramp_model(), net=MlpNetwork.initialize([2, 64, 128, 64, 1], seed=3)
         )
-        for m, cfg, s in [(ramp_model(), small_chain(), 0.0), (toy, None, -0.5)]:
+        for m, cfg, s in [(ramp_model(), small_chain(), 0.0), (toy, DEFAULT_CHAIN, -0.5)]:
             a, b = (infer(m, [s], [], cfg=cfg, seed=11) for _ in range(2))
             assert a.valid_count == b.valid_count > 0
             assert a.prediction.tobytes() == b.prediction.tobytes()
@@ -498,15 +503,11 @@ class TestInfer:
             infer(m, [0.0], [], cfg=small_chain(), alpha=alpha)
 
     def test_chain_without_steps_rejected(self):
-        with pytest.raises(InvalidInputError, match="steps"):
-            infer(ramp_model(), [0.0], [], cfg=small_chain(steps=0))
-
-    def test_chain_that_would_move_the_query_rejected(self, toy_model_2):
-        # two bounds rows on the (1, 0, 1) toy model would move x as well as y
-        m = toy_model_2.model
-        cfg = dataclasses.replace(default_inference_config(m), bounds=m.input_bounds)
-        with pytest.raises(InvalidInputError, match="next-state"):
-            infer(m, [0.7], [], cfg=cfg)
+        # a training chain may take no step, so such a config builds; an
+        # inference chain needs one
+        for cfg in (small_chain(steps=0), dataclasses.replace(DEFAULT_CHAIN, steps=0)):
+            with pytest.raises(InvalidInputError, match="steps"):
+                infer(ramp_model(), [0.0], [], cfg=cfg)
 
     def test_passes_per_query(self, monkeypatch):
         # The default 512 x 50 chain runs in float32: fifty steps with input

@@ -30,16 +30,15 @@ def quadratic_score(center):
 NO_PREFIX = np.empty(0)  # a chain that moves every coordinate, as training runs it
 
 
-def full_cfg(d=2, **kw):
-    base = dict(
-        n_samples=8,
-        steps=5,
-        step_size=0.05,
-        noise_scale=0.01,
-        bounds=np.array([[-1.0, 1.0]] * d),
-    )
+def full_cfg(**kw):
+    base = dict(n_samples=8, steps=5, step_size=0.05, noise_scale=0.01)
     base.update(kw)
     return LangevinConfig(**base)
+
+
+def box(d=2):
+    """The (d, 2) box [-1, 1]^d of a whole row."""
+    return np.array([[-1.0, 1.0]] * d)
 
 
 def test_derive_seed_extends_tuples():
@@ -65,60 +64,63 @@ def test_config_validation():
             full_cfg(step_size=value)
         with pytest.raises(InvalidInputError):
             full_cfg(noise_scale=value)
-    with pytest.raises(InvalidInputError):
-        full_cfg(bounds=np.array([[1.0, -1.0], [0.0, 1.0]]))
-    with pytest.raises(InvalidInputError):
-        full_cfg(bounds=np.empty((0, 2)))  # a chain that moves nothing
-    with pytest.raises(InvalidInputError):
-        full_cfg(bounds=np.array([[-1.0, 0.0, 1.0]]))  # rows are (low, high) pairs
-    with pytest.raises(InvalidInputError):
-        full_cfg(bounds=np.array([-1.0, 1.0, -1.0, 1.0]))
     with pytest.raises(TypeError):
-        LangevinConfig(n_samples=4, steps=1, step_size=0.1, noise_scale=0.0)
+        LangevinConfig(n_samples=4, steps=1, step_size=0.1)
+
+
+@pytest.mark.parametrize(
+    "bounds, fixed",
+    [
+        (np.empty((0, 2)), NO_PREFIX),  # a chain that moves nothing
+        (np.array([[-1.0, 1.0]]), np.array([0.5])),  # the prefix fills the row
+        (np.array([[-1.0, 0.0, 1.0]]), NO_PREFIX),  # rows are (low, high) pairs
+        (np.array([-1.0, 1.0, -1.0, 1.0]), NO_PREFIX),  # flat
+    ],
+    ids=["empty", "prefix-only", "three-columns", "flat"],
+)
+def test_bounds_must_be_a_box_wider_than_the_prefix(bounds, fixed):
+    # the box's values are the model's to check (data.checked_bounds)
+    with pytest.raises(InvalidInputError, match="bounds"):
+        run(quadratic_score(np.zeros(2)), full_cfg(steps=0), bounds, fixed, seed=0)
 
 
 def test_init_uniform_within_bounds_and_deterministic():
     cfg = full_cfg(n_samples=32, steps=0)
-    a = run(quadratic_score([0.0, 0.0]), cfg, NO_PREFIX, seed=3).samples[0]
-    b = run(quadratic_score([0.0, 0.0]), cfg, NO_PREFIX, seed=3).samples[0]
+    a = run(quadratic_score([0.0, 0.0]), cfg, box(), NO_PREFIX, seed=3).samples[0]
+    b = run(quadratic_score([0.0, 0.0]), cfg, box(), NO_PREFIX, seed=3).samples[0]
     assert np.array_equal(a, b)
     assert np.all(a >= -1.0) and np.all(a <= 1.0)
 
 
 def test_init_uniform_freezes_fixed_dims():
-    cfg = full_cfg(d=1, steps=0)
+    cfg = full_cfg(steps=0)
     fixed = np.array([0.25, -0.5])
-    batch = run(quadratic_score([0.0, 0.0, 0.0]), cfg, fixed, seed=0).samples[0]
+    batch = run(quadratic_score([0.0, 0.0, 0.0]), cfg, box(3), fixed, seed=0).samples[0]
     assert np.all(batch[:, 0] == 0.25)
     assert np.all(batch[:, 1] == -0.5)
     assert np.ptp(batch[:, 2]) > 0
 
 
 def test_prefix_must_be_one_dimensional():
-    cfg = full_cfg(d=1, steps=0)
+    cfg = full_cfg(steps=0)
     for fixed in (None, 0.5, [[0.1, 0.2]]):
         with pytest.raises(InvalidInputError, match="1-D"):
-            run(quadratic_score([0.0, 0.0, 0.0]), cfg, fixed, seed=0)
+            run(quadratic_score([0.0, 0.0, 0.0]), cfg, box(3), fixed, seed=0)
 
 
 def test_prefix_length_sets_the_row_width():
     # rows are the k prefix coordinates followed by the two moved ones
-    cfg = full_cfg(d=2, steps=2, n_samples=3)
+    cfg = full_cfg(steps=2, n_samples=3)
     for k in (0, 1, 3):
         fixed = np.arange(k, dtype=np.float64) + 0.5
-        trace = run(quadratic_score(np.zeros(k + 2)), cfg, fixed, seed=1)
+        trace = run(quadratic_score(np.zeros(k + 2)), cfg, box(k + 2), fixed, seed=1)
         assert trace.samples.shape == (3, 3, k + 2) and trace.n_fixed == k
         assert np.all(trace.samples[:, :, :k] == fixed)
 
 
-def test_bounds_width_must_be_finite():
-    with pytest.raises(InvalidInputError):
-        full_cfg(d=1, bounds=np.array([[-1e308, 1e308]]))
-
-
 def test_run_trace_shapes():
     cfg = full_cfg(steps=6)
-    trace = run(quadratic_score([0.0, 0.0]), cfg, NO_PREFIX, seed=0)
+    trace = run(quadratic_score([0.0, 0.0]), cfg, box(), NO_PREFIX, seed=0)
     assert len(trace.samples) == 7  # init plus one batch per step
     assert len(trace.scores) == 7
     assert trace.per_step_max.shape == (6,)
@@ -127,8 +129,8 @@ def test_run_trace_shapes():
 
 def test_run_is_bit_reproducible():
     cfg = full_cfg()
-    t1 = run(quadratic_score([0.3, -0.2]), cfg, NO_PREFIX, seed=11)
-    t2 = run(quadratic_score([0.3, -0.2]), cfg, NO_PREFIX, seed=11)
+    t1 = run(quadratic_score([0.3, -0.2]), cfg, box(), NO_PREFIX, seed=11)
+    t2 = run(quadratic_score([0.3, -0.2]), cfg, box(), NO_PREFIX, seed=11)
     for a, b in zip(t1.samples, t2.samples):
         assert np.array_equal(a, b)
 
@@ -137,8 +139,8 @@ def test_sample_streams_unaffected_by_batch_size():
     # sample i's trajectory must not depend on how many other samples run
     small = full_cfg(n_samples=2)
     large = full_cfg(n_samples=16)
-    ts = run(quadratic_score([0.0, 0.0]), small, NO_PREFIX, seed=5)
-    tl = run(quadratic_score([0.0, 0.0]), large, NO_PREFIX, seed=5)
+    ts = run(quadratic_score([0.0, 0.0]), small, box(), NO_PREFIX, seed=5)
+    tl = run(quadratic_score([0.0, 0.0]), large, box(), NO_PREFIX, seed=5)
     for a, b in zip(ts.samples, tl.samples):
         assert np.array_equal(a[:2], b[:2])
 
@@ -146,7 +148,7 @@ def test_sample_streams_unaffected_by_batch_size():
 def test_ascent_climbs_quadratic():
     cfg = full_cfg(steps=50, noise_scale=0.0, n_samples=16)
     fn = quadratic_score([0.2, 0.2])
-    trace = run(fn, cfg, NO_PREFIX, seed=1)
+    trace = run(fn, cfg, box(), NO_PREFIX, seed=1)
     assert trace.scores[-1].mean() > trace.scores[0].mean()
     final = trace.samples[-1]
     assert np.abs(final - 0.2).max() < 0.05
@@ -154,15 +156,15 @@ def test_ascent_climbs_quadratic():
 
 def test_samples_stay_inside_bounds():
     cfg = full_cfg(steps=30, step_size=0.5, noise_scale=0.3)
-    trace = run(quadratic_score([5.0, 5.0]), cfg, NO_PREFIX, seed=7)
+    trace = run(quadratic_score([5.0, 5.0]), cfg, box(), NO_PREFIX, seed=7)
     for batch in trace.samples:
         assert np.all(batch >= -1.0) and np.all(batch <= 1.0)
 
 
 def test_fixed_dims_never_move():
-    cfg = full_cfg(d=1, steps=10)
+    cfg = full_cfg(steps=10)
     fixed = np.array([0.6, -0.4])
-    trace = run(quadratic_score([0.0, 0.0, 0.0]), cfg, fixed, seed=4)
+    trace = run(quadratic_score([0.0, 0.0, 0.0]), cfg, box(3), fixed, seed=4)
     for batch in trace.samples:
         assert np.all(batch[:, 0] == 0.6)
         assert np.all(batch[:, 1] == -0.4)
@@ -171,7 +173,7 @@ def test_fixed_dims_never_move():
 def test_zero_noise_is_pure_gradient():
     cfg = full_cfg(steps=1, noise_scale=0.0, n_samples=1)
     fn = quadratic_score([0.0, 0.0])
-    trace = run(fn, cfg, NO_PREFIX, seed=9)
+    trace = run(fn, cfg, box(), NO_PREFIX, seed=9)
     x0 = trace.samples[0][0]
     expect = np.clip(x0 + 0.05 * (-2.0 * x0), -1.0, 1.0)
     np.testing.assert_allclose(trace.samples[1][0], expect, atol=1e-15)
@@ -179,7 +181,7 @@ def test_zero_noise_is_pure_gradient():
 
 def test_per_step_max_tracks_batch_max():
     cfg = full_cfg(steps=4)
-    trace = run(quadratic_score([0.0, 0.0]), cfg, NO_PREFIX, seed=0)
+    trace = run(quadratic_score([0.0, 0.0]), cfg, box(), NO_PREFIX, seed=0)
     for l in range(4):
         assert trace.per_step_max[l] == trace.scores[l + 1].max()
 
@@ -192,14 +194,14 @@ def test_nonfinite_gradient_raises():
 
     cfg = full_cfg(steps=2)
     with pytest.raises(SamplingFailureError):
-        run(bad_fn, cfg, NO_PREFIX, seed=0)
+        run(bad_fn, cfg, box(), NO_PREFIX, seed=0)
 
 
 def test_step_single_update():
     # one noiseless step is x + step_size * grad, clipped, on every sample
     cfg = full_cfg(steps=1, noise_scale=0.0)
     fn = quadratic_score([0.0, 0.0])
-    trace = run(fn, cfg, NO_PREFIX, seed=0)
+    trace = run(fn, cfg, box(), NO_PREFIX, seed=0)
     x0 = trace.samples[0]
     expect = np.clip(x0 + 0.05 * fn(x0)[1], -1.0, 1.0)
     assert np.array_equal(trace.samples[1], expect)
@@ -216,14 +218,14 @@ def test_only_the_final_pass_goes_without_gradients(steps):
         scores, grads = inner(batch)
         return scores, grads if with_grad else None
 
-    trace = run(fn, full_cfg(steps=steps), NO_PREFIX, seed=2)
+    trace = run(fn, full_cfg(steps=steps), box(), NO_PREFIX, seed=2)
     assert calls == [True] * steps + [False]
     assert np.array_equal(trace.scores[-1], inner(trace.samples[-1])[0])
 
 
 def test_zero_steps_returns_init_only():
     cfg = full_cfg(steps=0)
-    trace = run(quadratic_score([0.0, 0.0]), cfg, NO_PREFIX, seed=0)
+    trace = run(quadratic_score([0.0, 0.0]), cfg, box(), NO_PREFIX, seed=0)
     assert len(trace.samples) == 1
     assert trace.per_step_max.shape == (0,)
 
@@ -232,11 +234,12 @@ def test_run_streams_follow_sample_rng():
     # stream i draws sample i's init, then its noise for every step; each
     # step is clip((x + step_size * grad) + noise), bit for bit
     bounds = np.array([[-2.0, 0.5], [-10.0, 10.0]])
-    cfg = full_cfg(bounds=bounds, steps=4, step_size=0.3, noise_scale=0.02, n_samples=5)
+    cfg = full_cfg(steps=4, step_size=0.3, noise_scale=0.02, n_samples=5)
     fixed = np.array([0.75])
     fn = quadratic_score([0.1, 0.4, -9.0])
 
-    trace = run(fn, cfg, fixed, seed=(4, 2**63 + 5))
+    # the prefix's row of the box is not read
+    trace = run(fn, cfg, np.vstack([[np.nan, np.nan], bounds]), fixed, seed=(4, 2**63 + 5))
     for i in range(cfg.n_samples):
         rng = sample_rng((4, 2**63 + 5), i)
         x = np.concatenate([fixed, rng.uniform(bounds[:, 0], bounds[:, 1])])
@@ -251,7 +254,7 @@ def test_run_streams_follow_sample_rng():
 
 def test_run_records_into_stacked_arrays():
     cfg = full_cfg(steps=4, n_samples=6)
-    trace = run(quadratic_score([0.1, 0.0]), cfg, NO_PREFIX, seed=2)
+    trace = run(quadratic_score([0.1, 0.0]), cfg, box(), NO_PREFIX, seed=2)
     assert trace.samples.shape == (5, 6, 2)
     assert trace.scores.shape == (5, 6)
     assert np.array_equal(trace.per_step_max, trace.scores[1:].max(axis=1))
@@ -261,7 +264,7 @@ def test_run_records_into_stacked_arrays():
 def bounded_chains(draw):
     """A d-wide chain with a k-coordinate prefix, k in [0, d - 1], and random,
     possibly zero-width, bounds on the moved block; the prefix holds
-    arbitrary finite values, even outside bounds."""
+    arbitrary finite values, and its rows of the box are [0, 0]."""
     d = draw(st.integers(1, 4))
     k = draw(st.integers(0, d - 1))
     lows = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d - k, max_size=d - k)))
@@ -272,27 +275,27 @@ def bounded_chains(draw):
         steps=draw(st.integers(0, 6)),
         step_size=draw(st.floats(1e-6, 1e3)),
         noise_scale=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e2))),
-        bounds=np.column_stack([lows, lows + widths]),
     )
+    bounds = np.vstack([np.zeros((k, 2)), np.column_stack([lows, lows + widths])])
     fixed = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=k, max_size=k)))
     gain = draw(st.floats(1.0, 1e8))
     phase = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)))
-    return cfg, fixed, gain, phase, draw(st.integers(0, 2**64 - 1))
+    return cfg, bounds, fixed, gain, phase, draw(st.integers(0, 2**64 - 1))
 
 
 @settings(max_examples=150, deadline=None)
 @given(bounded_chains())
 def test_samples_stay_in_bounds_and_frozen_dims_hold(case):
-    cfg, fixed, gain, phase = case[:4]
+    cfg, bounds, fixed, gain, phase = case[:5]
 
     def steep(batch, with_grad):
         # gradients up to `gain` in size, changing sign across the box
         return np.sin(batch + phase).sum(axis=1), gain * np.cos(3.0 * batch + phase)
 
-    trace = run(steep, cfg, fixed, seed=case[4])
+    trace = run(steep, cfg, bounds, fixed, seed=case[5])
     k = fixed.size
     moved = trace.samples[:, :, k:]
-    assert np.all(moved >= cfg.bounds[:, 0]) and np.all(moved <= cfg.bounds[:, 1])
+    assert np.all(moved >= bounds[k:, 0]) and np.all(moved <= bounds[k:, 1])
     prefix = np.ascontiguousarray(trace.samples[:, :, :k])
     assert prefix.tobytes() == np.broadcast_to(fixed, prefix.shape).tobytes()
 

@@ -1,6 +1,6 @@
 """Scored field, contrastive loss, and training loop."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -9,6 +9,7 @@ from cdrm import data, kde, langevin, model
 from conftest import count_passes, forward_pass, reference_param_grad, same_bytes
 from cdrm.data import TransitionDataset
 from cdrm.errors import DegenerateDatasetError, InvalidInputError, TrainingDivergenceError
+from cdrm.langevin import LangevinConfig
 from cdrm.model import (
     LOGIT_CLIP,
     _clamped_scores,
@@ -49,6 +50,9 @@ class TestModelConstruction:
             CdrmModel(net=net, input_bounds=bounds, dims=(0, 1, 1))
         with pytest.raises(InvalidInputError):
             CdrmModel(net=net, input_bounds=bounds, dims=(1, 0, 0))
+        for dims in [(1, 1), (1, 0, 1, 1)]:  # (1, 1) once raised a raw ValueError
+            with pytest.raises(InvalidInputError, match="bad dims"):
+                CdrmModel(net=net, input_bounds=bounds, dims=dims)
         # zero action dims are legal
         CdrmModel(net=net, input_bounds=bounds, dims=(1, 0, 1))
 
@@ -74,6 +78,13 @@ class TestModelConstruction:
         bounds = np.tile([-1.0, 1.0], (2, 1))
         bounds[0, end] = bad
         with pytest.raises(InvalidInputError, match="finite"):
+            CdrmModel(net=net, input_bounds=bounds, dims=(1, 0, 1))
+
+    def test_bounds_width_must_be_finite(self):
+        # every chain draws uniformly over this box
+        net = MlpNetwork.initialize([2, 4, 1], seed=0)
+        bounds = np.array([[-1e308, 1e308], [-1.0, 1.0]])
+        with pytest.raises(InvalidInputError, match="finite width"):
             CdrmModel(net=net, input_bounds=bounds, dims=(1, 0, 1))
 
     def test_next_state_dims_indexes_last_block(self):
@@ -289,26 +300,32 @@ class TestTrainConfig:
 
     def test_negative_chain_frees_every_dimension(self):
         m = tiny_model(dims=(2, 1, 2), layers=[5, 4, 1], bounds=np.tile([-2.0, 2.0], (5, 1)))
-        cfg = TrainConfig(epochs=1, negative_batch=7).negative_chain_config(m)
-        np.testing.assert_array_equal(cfg.bounds, m.input_bounds)  # one row per joint dim
-        assert cfg.n_samples == 7
+        cfg = TrainConfig(
+            epochs=1, negative_batch=7, langevin_steps=3, langevin_step_size=0.2, langevin_noise=0.05
+        )
+        assert cfg.negative_chain == LangevinConfig(7, 3, 0.2, 0.05)
+        assert "negative_chain" not in asdict(cfg)  # the model file's config hash cannot see it
+        with mock.patch.object(langevin, "run", wraps=langevin.run) as run:
+            generate_negatives(m, cfg.negative_chain, seed=1)
+        _, _, bounds, fixed, _ = run.call_args.args
+        assert bounds is m.input_bounds and fixed.size == 0  # the whole box, every dim moving
 
 
 class TestGenerateNegatives:
     def test_shape_count_and_bounds(self):
         m = tiny_model(seed=2)
-        cfg = TrainConfig(epochs=1, negative_batch=9).negative_chain_config(m)
+        cfg = TrainConfig(epochs=1, negative_batch=9).negative_chain
         neg = generate_negatives(m, cfg, seed=5).inputs
         assert neg.shape == (9, 2)
         assert np.all(neg >= m.input_bounds[:, 0]) and np.all(neg <= m.input_bounds[:, 1])
 
     def test_deterministic_and_matches_chain_tail(self):
         m = tiny_model(seed=2)
-        cfg = TrainConfig(epochs=1, negative_batch=6).negative_chain_config(m)
+        cfg = TrainConfig(epochs=1, negative_batch=6).negative_chain
         a = generate_negatives(m, cfg, seed=8).inputs
         b = generate_negatives(m, cfg, seed=8).inputs
         np.testing.assert_array_equal(a, b)
-        trace = langevin.run(score_fn(m), cfg, np.empty(0), 8)
+        trace = langevin.run(score_fn(m), cfg, m.input_bounds, np.empty(0), 8)
         np.testing.assert_array_equal(a, trace.samples[-1])
 
     @pytest.mark.parametrize("steps", [0, 1, 10])
@@ -320,10 +337,10 @@ class TestGenerateNegatives:
         for layer in (net.weights[-1], net.biases[-1]):
             layer *= LOGIT_CLIP / 0.05
         m = CdrmModel(net=net, input_bounds=np.tile([-1.0, 1.0], (2, 1)), dims=(1, 0, 1))
-        cfg = TrainConfig(epochs=1, langevin_steps=steps).negative_chain_config(m)
+        cfg = TrainConfig(epochs=1, langevin_steps=steps).negative_chain
         seed = langevin.derive_seed(7, steps)
         neg = generate_negatives(m, cfg, seed)
-        x = langevin.run(score_fn(m), cfg, np.empty(0), seed).samples[-1]
+        x = langevin.run(score_fn(m), cfg, m.input_bounds, np.empty(0), seed).samples[-1]
         assert neg.inputs.tobytes() == x.tobytes()
 
         rho_neg, in_neg = _clamped_scores(neg.logits)
