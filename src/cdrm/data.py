@@ -20,9 +20,10 @@ TOY_GAP = (-0.33, 0.33)  # input interval generating no samples at all
 ROOM_DIMS = (2, 0, 1)  # (x, y) state, no action, sensed temperature
 
 
-def checked_bounds(dims, bounds, name: str = "bounds") -> np.ndarray:
-    """bounds as a float64 array, after the layout rules datasets and
-    models share; name is the bounds field the errors name.
+def checked_layout(dims, bounds, name: str = "bounds") -> tuple[tuple[int, int, int], np.ndarray]:
+    """dims as a tuple of Python ints and bounds as a float64 array, after
+    the layout rules datasets and models share; name is the bounds field
+    the errors name.
 
     dims must be three integers (d_s, d_a, d_next) with d_s, d_next >= 1
     and d_a >= 0, and bounds one finite (low, high) row per joint dim with
@@ -37,6 +38,7 @@ def checked_bounds(dims, bounds, name: str = "bounds") -> np.ndarray:
         or dims[2] < 1
     ):
         raise InvalidInputError(f"bad dims {dims}")
+    dims = tuple(int(d) for d in dims)
     d_total = sum(dims)
     bounds = np.asarray(bounds, dtype=np.float64)
     if bounds.shape != (d_total, 2):
@@ -49,15 +51,40 @@ def checked_bounds(dims, bounds, name: str = "bounds") -> np.ndarray:
         width = bounds[:, 1] - bounds[:, 0]
     if not np.all(np.isfinite(width)):
         raise InvalidInputError(f"{name} must have a finite width")
-    return bounds
+    return dims, bounds
+
+
+def checked_query(dims, bounds, s, a) -> np.ndarray:
+    """The query (s, a) as one float64 row, after the one query rule of
+    `inference.infer` and `binref`; dims and bounds are a checked layout.
+
+    s and a must be 1-D with d_s and d_a entries, all finite
+    (InvalidInputError), and the row must lie inside bounds[: d_s + d_a],
+    ends included (OutOfBoundsError).
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64)) if np.size(a) else np.empty(0)
+    d_s, d_a, _ = dims
+    if s.shape != (d_s,) or a.shape != (d_a,):
+        raise InvalidInputError(f"query shapes {s.shape}, {a.shape} are not ({d_s},), ({d_a},)")
+    query = np.concatenate([s, a])
+    if not np.all(np.isfinite(query)):
+        raise InvalidInputError("query must be finite")
+    bounds = bounds[: d_s + d_a]
+    if np.any(query < bounds[:, 0]) or np.any(query > bounds[:, 1]):
+        raise OutOfBoundsError(
+            f"query {query.tolist()} lies outside the input bounds {bounds.tolist()}"
+        )
+    return query
 
 
 @dataclass
 class TransitionDataset:
     """Ordered tuples stored as rows of a joint (state|action|next) matrix.
 
-    dims and bounds follow `checked_bounds`; tuples must be finite and
-    inside the bounds.
+    dims and bounds follow `checked_layout`, which stores dims as a tuple
+    of ints; tuples must be an (n, d_total) array, finite and inside the
+    bounds. An empty input of any shape becomes (0, d_total).
     """
 
     tuples: np.ndarray  # (n, d_s + d_a + d_next)
@@ -65,24 +92,21 @@ class TransitionDataset:
     bounds: np.ndarray  # (d_total, 2) rows of (low, high)
 
     def __post_init__(self):
-        self.bounds = checked_bounds(self.dims, self.bounds)
+        self.dims, self.bounds = checked_layout(self.dims, self.bounds)
         d_total = sum(self.dims)
         arr = np.asarray(self.tuples, dtype=np.float64)
         if arr.size == 0:
             arr = arr.reshape(0, d_total)
-        elif arr.ndim != 2:
-            arr = arr.reshape(len(arr), -1)
-        self.tuples = arr
-        if len(self.tuples) and self.tuples.shape[1] != d_total:
+        if arr.ndim != 2 or arr.shape[1] != d_total:
             raise InvalidInputError(
-                f"tuple width {self.tuples.shape[1]} does not match dims {self.dims}"
+                f"tuples of shape {arr.shape} are not (n, {d_total}) for dims {self.dims}"
             )
-        if not np.all(np.isfinite(self.tuples)):
+        if not np.all(np.isfinite(arr)):
             raise InvalidInputError("dataset tuples must be finite")
-        if len(self.tuples):
-            low, high = self.bounds[:, 0], self.bounds[:, 1]
-            if np.any(self.tuples < low) or np.any(self.tuples > high):
-                raise OutOfBoundsError("dataset contains tuples outside bounds")
+        low, high = self.bounds[:, 0], self.bounds[:, 1]
+        if np.any(arr < low) or np.any(arr > high):
+            raise OutOfBoundsError("dataset contains tuples outside bounds")
+        self.tuples = arr
 
     def __len__(self) -> int:
         return len(self.tuples)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kde, langevin
-from .errors import EmptyValidSetError, InvalidInputError, OutOfBoundsError, UnpreparedModelError
+from .data import checked_query
+from .errors import EmptyValidSetError, InvalidInputError, UnpreparedModelError
 from .langevin import ChainTrace, LangevinConfig, SeedLike
 from .model import CdrmModel, score_batch, score_fn
 
@@ -191,8 +192,9 @@ def infer(
 ) -> InferenceResult:
     """Full chain-collect-summarize pass for one query.
 
-    (s, a) must lie inside the model's input bounds, ends included; a query
-    outside them raises OutOfBoundsError instead of extrapolating the field.
+    (s, a) must pass `data.checked_query` against the model's layout: a
+    query outside the input bounds raises OutOfBoundsError instead of
+    extrapolating the field.
     The chain holds the query as its prefix and moves the next-state block
     inside the model's input bounds. cfg needs at least one step, since
     steps 1..L supply both the candidates and the EU statistic; a cfg
@@ -206,26 +208,13 @@ def infer(
     """
     if model.kde_stats is None:
         raise UnpreparedModelError("model has no fitted density stats; train or fit first")
-    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64)) if np.size(a) else np.empty(0)
-    d_s, d_a, d_next = model.dims
-    if len(s) != d_s or len(a) != d_a:
-        raise InvalidInputError(
-            f"query dims ({len(s)}, {len(a)}) do not match model dims ({d_s}, {d_a})"
-        )
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(a))):
-        raise InvalidInputError("query must be finite")
-    query, bounds = np.concatenate([s, a]), model.input_bounds[: d_s + d_a]
-    if np.any(query < bounds[:, 0]) or np.any(query > bounds[:, 1]):
-        raise OutOfBoundsError(
-            f"query {query.tolist()} lies outside the input bounds {bounds.tolist()}"
-        )
+    query = checked_query(model.dims, model.input_bounds, s, a)
     if not 0.0 <= alpha <= 1.0:  # also false for NaN
         raise InvalidInputError(f"alpha must be a finite value in [0, 1], got {alpha}")
     if cfg.steps < 1:
         raise InvalidInputError(f"an inference chain needs steps >= 1, got {cfg.steps}")
     tol = default_dedup_tol(model) if dedup_tol is None else dedup_tol
-    _tol_and_width(tol, d_next)  # a bad tolerance fails before the chain
+    _tol_and_width(tol, model.dims[2])  # a bad tolerance fails before the chain
 
     chain_model = replace(model, net=model.net.astype(np.float32))
     trace = langevin.run(score_fn(chain_model), cfg, model.input_bounds, query, seed)

@@ -20,6 +20,7 @@ across NumPy releases; if one ever changes, the differential test against
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -144,9 +145,9 @@ class LangevinConfig:
             raise InvalidInputError("n_samples must be positive")
         if self.steps < 0:
             raise InvalidInputError("steps must be >= 0")
-        if not (np.isfinite(self.step_size) and self.step_size > 0):
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise InvalidInputError("step_size must be finite and positive")
-        if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0):
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
             raise InvalidInputError("noise_scale must be finite and >= 0")
 
 

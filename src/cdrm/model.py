@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kde, langevin
-from .data import checked_bounds
+from .data import checked_layout
 from .errors import InvalidInputError, TrainingDivergenceError
 from .kde import KdeStats
 from .langevin import LangevinConfig, ScoreFn, SeedLike
@@ -37,8 +37,8 @@ class CdrmModel:
     """Network plus the joint-space geometry it is scored over.
 
     dims is the (d_s, d_a, d_next) split of the input layout and
-    input_bounds the box every chain moves in, under the rules of
-    `data.checked_bounds`. kde_stats, which
+    input_bounds the box every chain moves in, both stored as
+    `data.checked_layout` returns them. kde_stats, which
     `fit` attaches, feeds the epistemic-uncertainty base term; its
     reference points are (n, d_s + d_a) inputs.
     """
@@ -50,7 +50,7 @@ class CdrmModel:
     provenance: dict | None = None  # training config hash, seed, epochs
 
     def __post_init__(self):
-        self.input_bounds = checked_bounds(self.dims, self.input_bounds, "input_bounds")
+        self.dims, self.input_bounds = checked_layout(self.dims, self.input_bounds, "input_bounds")
         d_s, d_a, _ = self.dims
         if self.net.input_dim != self.d_total:
             raise InvalidInputError(
@@ -95,7 +95,7 @@ def score_and_grad(
     """Scores and input gradients for a batch.
 
     The clamp contributes gradient 1 inside its range and 0 outside, so
-    saturated samples report an exactly zero gradient. workspace is passed
+    clamped samples report an exactly zero gradient. workspace is passed
     on to the network's forward and input-gradient pass, which runs in the
     network's dtype; its logits and input gradients are cast to float64
     before anything else, so both results are float64.
@@ -152,14 +152,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise InvalidInputError("epochs must be >= 0")
-        if self.positive_batch < 1 or self.negative_batch < 1:
-            raise InvalidInputError("batch sizes must be positive")
-        if self.langevin_steps < 0:
-            raise InvalidInputError("langevin_steps must be >= 0")
-        if not (math.isfinite(self.langevin_step_size) and self.langevin_step_size > 0):
-            raise InvalidInputError("langevin_step_size must be finite and positive")
-        if not (math.isfinite(self.langevin_noise) and self.langevin_noise >= 0):
-            raise InvalidInputError("langevin_noise must be finite and >= 0")
+        if self.positive_batch < 1:
+            raise InvalidInputError("positive_batch must be positive")
+        try:
+            self.negative_chain
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"negative chain: {exc}") from None
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InvalidInputError("learning_rate must be finite and positive")
         if not (0.0 < self.stability_eps < 0.5):
@@ -168,7 +166,8 @@ class TrainConfig:
     @property
     def negative_chain(self) -> LangevinConfig:
         """The chain that draws each update's negatives; not a field, so
-        the model file's config hash does not see it."""
+        the model file's config hash does not see it. Construction checks
+        the four chain knobs by building it."""
         return LangevinConfig(
             n_samples=self.negative_batch,
             steps=self.langevin_steps,
@@ -213,7 +212,7 @@ def _loss_and_gradient(
     loss = contrastive_loss(rho_pos, rho_neg, eps)
     if not np.isfinite(loss):
         raise TrainingDivergenceError("non-finite loss")
-    # dL/dlogit for each batch; the clamp zeroes saturated samples.
+    # dL/dlogit for each batch; the clamp zeroes samples beyond it.
     up_pos = -(1.0 / len(pos)) / (rho_pos + eps) * rho_pos * (1.0 - rho_pos) * in_pos
     up_neg = (1.0 / len(neg)) / (1.0 - rho_neg + eps) * rho_neg * (1.0 - rho_neg) * in_neg
     grad = net.grad_params_batch(pos_pass, up_pos, grads[0])

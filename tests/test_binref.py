@@ -1,10 +1,19 @@
 """Dense bin-grid baseline: counting, queries, and the memory report."""
 
+import warnings
+
 import numpy as np
 import pytest
+from cdrm import kde
 from cdrm.binref import BinGrid, bin_infer, build, memory_report, query
 from cdrm.data import TransitionDataset
 from cdrm.errors import InvalidInputError, OutOfBoundsError
+from cdrm.inference import infer
+from cdrm.langevin import LangevinConfig
+from cdrm.model import CdrmModel
+from cdrm.nnet import MlpNetwork
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def dataset_1d(tuples):
@@ -124,7 +133,6 @@ class TestMemoryReport:
         rep = memory_report(1, 1, 10, d_next=1)
         assert rep.joint_cells == 1000
         assert rep.cubic_scaling_cells == 1000
-        assert not rep.saturated
 
     def test_joint_counts_all_dimensions(self):
         rep = memory_report(2, 1, 4, d_next=2)
@@ -138,9 +146,10 @@ class TestMemoryReport:
             memory_report(2, 0, 3)
 
     def test_saturation_clamps(self):
+        # exact Python ints, far past int64
         rep = memory_report(5, 5, 100, d_next=5)
-        assert rep.saturated
-        assert rep.joint_cells == 2**63 - 1
+        assert rep.joint_cells == 100**15
+        assert rep.cubic_scaling_cells == 5 * 5 * 5 * 100**3
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -151,3 +160,71 @@ class TestMemoryReport:
             memory_report(1, 1, 0, d_next=1)
         with pytest.raises(InvalidInputError):
             memory_report(1, 1, 10, d_next=0)
+
+
+QUERY_KINDS = {
+    "inside": None,
+    "low": None,
+    "high": None,
+    "below": OutOfBoundsError,
+    "above": OutOfBoundsError,
+    "inf": InvalidInputError,
+    "-inf": InvalidInputError,
+    "nan": InvalidInputError,
+    "short-s": InvalidInputError,
+    "long-s": InvalidInputError,
+    "wrong-a": InvalidInputError,
+    "long-a": InvalidInputError,
+}
+
+
+@st.composite
+def boxes_and_queries(draw):
+    """A layout, a box, and one query of a QUERY_KINDS kind against it."""
+    dims = (draw(st.integers(1, 2)), draw(st.integers(0, 1)), 1)
+    n_in = dims[0] + dims[1]
+    lows = [draw(st.floats(-100.0, 100.0)) for _ in range(sum(dims))]
+    bounds = np.array([[lo, lo + draw(st.floats(1e-6, 100.0))] for lo in lows])
+    point = [draw(st.floats(lo, hi)) for lo, hi in bounds[:n_in]]
+    kind = draw(st.sampled_from(sorted(QUERY_KINDS)))
+    k = draw(st.integers(0, n_in - 1))
+    low, high = bounds[k]
+    point[k] = {
+        "low": low,
+        "high": high,
+        "below": np.nextafter(low, -np.inf),
+        "above": np.nextafter(high, np.inf),
+        "inf": np.inf,
+        "-inf": -np.inf,
+        "nan": np.nan,
+    }.get(kind, point[k])
+    s, a = point[: dims[0]], point[dims[0] :]
+    s = {"short-s": s[:-1], "long-s": s + [0.0]}.get(kind, s)
+    a = {"wrong-a": a[:-1] if a else [0.0], "long-a": a + [0.0]}.get(kind, a)
+    return dims, bounds, kind, s, a
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except (InvalidInputError, OutOfBoundsError) as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxes_and_queries())
+def test_infer_and_grid_admit_the_same_queries(case):
+    # C6 compares the two on the same queries, so they must refuse the same ones
+    dims, bounds, kind, s, a = case
+    tuples = np.random.default_rng(0).uniform(bounds[:, 0], bounds[:, 1], size=(8, sum(dims)))
+    ds = TransitionDataset(tuples, dims, bounds)
+    net = MlpNetwork.initialize([sum(dims), 4, 1], seed=0)
+    model = CdrmModel(net, ds.bounds, ds.dims, kde_stats=kde.fit(ds.inputs, seed=0))
+    grid = build(ds, 3)
+    chain = LangevinConfig(n_samples=4, steps=1, step_size=0.1, noise_scale=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        from_model = _outcome(lambda: infer(model, s, a, cfg=chain))
+        from_grid = _outcome(lambda: query(grid, s, a))
+    assert from_model is from_grid is QUERY_KINDS[kind]

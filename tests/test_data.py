@@ -1,5 +1,6 @@
 """Dataset container, benchmark generators, and CSV round-trip."""
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -47,6 +48,17 @@ class TestTransitionDataset:
         with pytest.raises(InvalidInputError):
             TransitionDataset(np.zeros((2, 4)), dims=(1, 1, 1), bounds=np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("shape", [(3, 1, 2), (3, 2, 1), (4,)], ids=["3x1x2", "3x2x1", "4"])
+    def test_rejects_tuple_arrays_that_are_not_2d(self, shape):
+        # a (3, 1, 2) array was once reshaped to (3, 2) and accepted
+        with pytest.raises(InvalidInputError, match=r"not \(n, 2\)"):
+            TransitionDataset(np.full(shape, 0.5), dims=(1, 0, 1), bounds=[[0, 1], [0, 1]])
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (2, 0, 3)], ids=["0", "0x5", "2x0x3"])
+    def test_empty_tuples_of_any_shape_become_zero_rows(self, shape):
+        ds = TransitionDataset(np.empty(shape), dims=(1, 0, 1), bounds=[[0, 1], [0, 1]])
+        assert ds.tuples.shape == (0, 2)
+
     def test_rejects_bad_dims(self):
         with pytest.raises(InvalidInputError):
             TransitionDataset(np.zeros((1, 1)), dims=(0, 0, 1), bounds=np.array([[0.0, 1.0]]))
@@ -64,6 +76,7 @@ class TestTransitionDataset:
         dims = tuple(np.int64(d) for d in (1, 0, 1))
         ds = TransitionDataset(np.array([[0.1, 0.9]]), dims=dims, bounds=np.array([[0, 1], [0, 1]]))
         assert ds.dims == (1, 0, 1)
+        assert all(type(d) is int for d in ds.dims)
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(InvalidInputError):
@@ -111,6 +124,8 @@ class TestTransitionDataset:
         other = small_dataset()
         other.tuples[0, 0] = 0.11
         assert small_dataset() != other
+        listed = small_dataset()
+        assert TransitionDataset(listed.tuples, [1, 1, 1], listed.bounds) == listed
 
 
 class TestGenToy:
@@ -351,7 +366,13 @@ def csv_datasets(draw):
     """Datasets of finite floats: signed zeros, subnormals and values on the bounds."""
     dims = (draw(st.integers(1, 2)), draw(st.integers(0, 1)), draw(st.integers(1, 2)))
     d_total = sum(dims)
-    pair = st.lists(finite, min_size=2, max_size=2, unique=True).map(sorted)
+    # only boxes of finite width exist: wider ones are refused (see
+    # test_rejects_bounds_of_infinite_width)
+    pair = (
+        st.lists(finite, min_size=2, max_size=2, unique=True)
+        .map(sorted)
+        .filter(lambda p: math.isfinite(p[1] - p[0]))
+    )
     bounds = np.array([draw(pair) for _ in range(d_total)])
     n = draw(st.integers(0, 6))
     tuples = np.empty((n, d_total))

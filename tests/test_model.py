@@ -282,21 +282,24 @@ class TestTrainConfig:
         with pytest.raises(InvalidInputError):
             TrainConfig(epochs=1, positive_batch=0)
         with pytest.raises(InvalidInputError):
-            TrainConfig(epochs=1, negative_batch=0)
-        with pytest.raises(InvalidInputError):
-            TrainConfig(epochs=1, langevin_steps=-1)
-        with pytest.raises(InvalidInputError):
-            TrainConfig(epochs=1, langevin_step_size=0.0)
-        with pytest.raises(InvalidInputError):
-            TrainConfig(epochs=1, langevin_noise=-0.1)
-        with pytest.raises(InvalidInputError):
             TrainConfig(epochs=1, learning_rate=0.0)
         with pytest.raises(InvalidInputError):
             TrainConfig(epochs=1, stability_eps=0.5)
-        for field in ("langevin_step_size", "langevin_noise", "learning_rate"):
-            for value in (np.nan, np.inf):
-                with pytest.raises(InvalidInputError):
-                    TrainConfig(epochs=1, **{field: value})
+        # the chain knobs are checked once, by the LangevinConfig they build
+        chain_refusals = [
+            ("negative_batch", 0, "n_samples"),
+            ("langevin_steps", -1, "steps"),
+            ("langevin_step_size", 0.0, "step_size"),
+            ("langevin_noise", -0.1, "noise_scale"),
+        ]
+        for field in ("langevin_step_size", "langevin_noise"):
+            chain_refusals += [(field, np.nan, ""), (field, np.inf, "")]
+        for field, value, words in chain_refusals:
+            with pytest.raises(InvalidInputError, match=f"^negative chain: {words}"):
+                TrainConfig(epochs=1, **{field: value})
+        for value in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                TrainConfig(epochs=1, learning_rate=value)
 
     def test_negative_chain_frees_every_dimension(self):
         m = tiny_model(dims=(2, 1, 2), layers=[5, 4, 1], bounds=np.tile([-2.0, 2.0], (5, 1)))

@@ -57,6 +57,14 @@ class TestRoundTrip:
         save_model(path, make_model(with_kde=False))
         assert load_model(path).kde_stats is None
 
+    def test_numpy_integer_dims_save_as_ints(self, tmp_path):
+        # numpy dims were accepted, then refused by the JSON encoder on save
+        m = replace(make_model(), dims=tuple(np.int64(d) for d in (1, 0, 1)))
+        path = tmp_path / "model.json"
+        save_model(path, m)
+        dims = load_model(path).dims
+        assert dims == (1, 0, 1) and all(type(d) is int for d in dims)
+
     def test_save_load_save_is_identical_text(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_model(a, make_model())
