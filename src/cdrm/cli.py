@@ -22,18 +22,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import binref, data, kde, langevin, metrics, model_io
-from .errors import (
-    DatasetFormatError,
-    DegenerateDatasetError,
-    InvalidInputError,
-    ModelFormatError,
-    OutOfBoundsError,
-    SamplingFailureError,
-    TrainingDivergenceError,
-    UndefinedMetricError,
-    UnpreparedModelError,
-    UnsupportedVersionError,
-)
+from .errors import InvalidInputError, RuntimeFailure, UsageError
 from .inference import DEFAULT_ALPHA, DEFAULT_CHAIN, infer
 from .langevin import LangevinConfig
 from .model import CdrmModel, TrainConfig, fit
@@ -44,21 +33,6 @@ from .nnet import MlpNetwork
 # machine moves a sample by a small fraction only.
 BENCH_MIN_SAMPLE_NS = 50_000_000
 
-_USAGE_ERRORS = (
-    InvalidInputError,
-    DatasetFormatError,
-    ModelFormatError,
-    UnsupportedVersionError,
-    OutOfBoundsError,
-    UndefinedMetricError,
-)
-_RUNTIME_ERRORS = (
-    TrainingDivergenceError,
-    SamplingFailureError,
-    UnpreparedModelError,
-    DegenerateDatasetError,
-)
-
 # Start of numpy's ValueError for an array whose byte size overflows, which
 # it raises in place of MemoryError, before asking for any memory.
 _ARRAY_TOO_BIG = "array is too big"
@@ -66,13 +40,9 @@ _ARRAY_TOO_BIG = "array is too big"
 _REQUIRED = object()  # default of a knob the user must give
 
 
-def _int_in(lowest: int | None, highest: int | None = None) -> Callable[[Any], int]:
-    """Parser of integers in [lowest, highest] (None: unbounded), from
-    integer text or an integral JSON number."""
-    bound = "" if lowest is None else f" >= {lowest}"
-    bound += "" if highest is None else f" and <= {highest}"
-    low = -math.inf if lowest is None else lowest
-    high = math.inf if highest is None else highest
+def _int_in(low: int, high: int) -> Callable[[Any], int]:
+    """Parser of integers in [low, high], from integer text or an integral
+    JSON number."""
 
     def parse(value) -> int:
         n = value
@@ -82,16 +52,17 @@ def _int_in(lowest: int | None, highest: int | None = None) -> Callable[[Any], i
         elif isinstance(value, float) and value.is_integer():
             n = int(value)
         if type(n) is not int or not low <= n <= high:  # a bool is refused
-            raise ValueError(f"expected an integer{bound}, got {value!r}")
+            raise ValueError(f"expected an integer >= {low} and <= {high}, got {value!r}")
         return n
 
     return parse
 
 
-# A count sizes an array or a loop, so it must fit an array index; seeds need not.
+# A count sizes an array or a loop, so it must fit an array index. A seed
+# takes langevin's rule: one 64-bit word.
 _INDEX_MAX = int(np.iinfo(np.intp).max)
-_any_int, _natural = _int_in(None), _int_in(0)
 _count, _count_or_zero = _int_in(1, _INDEX_MAX), _int_in(0, _INDEX_MAX)
+_seed = _int_in(0, 2**64 - 1)
 
 
 def _real(value) -> float:
@@ -185,14 +156,14 @@ _KNOBS: dict[str, dict[str, tuple]] = {
     "gen toy": {
         "out": (_REQUIRED, _path),
         **_knobs_of(data.gen_toy, n_per_region=_count, sigma_eta=_real),
-        **_knobs_of(data.gen_toy, multimodal=_switch, seed=_natural),
+        **_knobs_of(data.gen_toy, multimodal=_switch, seed=_seed),
     },
     "gen room": {
         "out": (_REQUIRED, _path),
         "steps": (_REQUIRED, _count),
         **_knobs_of(data.gen_room, walk_step=_real),
         **_LAYOUT_KNOBS,
-        **_knobs_of(data.gen_room, seed=_natural),
+        **_knobs_of(data.gen_room, seed=_seed),
     },
     "train": {
         "data": (_REQUIRED, _path),
@@ -203,7 +174,7 @@ _KNOBS: dict[str, dict[str, tuple]] = {
         **_knobs_of(TrainConfig, positive_batch=_count, negative_batch=_count),
         **_knobs_of(TrainConfig, langevin_steps=_count_or_zero, langevin_step_size=_real),
         **_knobs_of(TrainConfig, langevin_noise=_real, learning_rate=_real),
-        **_knobs_of(TrainConfig, stability_eps=_real, seed=_any_int),
+        **_knobs_of(TrainConfig, stability_eps=_real, seed=_seed),
     },
     "infer": {
         "model": (_REQUIRED, _path),
@@ -211,7 +182,7 @@ _KNOBS: dict[str, dict[str, tuple]] = {
         "alpha": (DEFAULT_ALPHA, _real),
         **_CHAIN_KNOBS,
         "dedup_tol": (None, _real),
-        "seed": (0, _any_int),
+        "seed": (0, _seed),
     },
     "eval": {
         "model": (_REQUIRED, _path),
@@ -221,7 +192,7 @@ _KNOBS: dict[str, dict[str, tuple]] = {
         "alpha": (DEFAULT_ALPHA, _real),
         **_CHAIN_KNOBS,
         **_LAYOUT_KNOBS,
-        "seed": (0, _any_int),
+        "seed": (0, _seed),
     },
     "oracle": {
         "model": (_REQUIRED, _path),
@@ -231,7 +202,7 @@ _KNOBS: dict[str, dict[str, tuple]] = {
         "alpha": (DEFAULT_ALPHA, _real),
         **_CHAIN_KNOBS,
         "out": (None, _path),
-        "seed": (0, _any_int),
+        "seed": (0, _seed),
     },
     "bench": {
         "out": (_REQUIRED, _path),
@@ -241,7 +212,7 @@ _KNOBS: dict[str, dict[str, tuple]] = {
         "bin_queries": (200, _count),
         "samples": (128, _count),
         "dataset_size": (1000, _count),
-        "seed": (0, _natural),
+        "seed": (0, _seed),
     },
 }
 
@@ -383,10 +354,6 @@ def cmd_infer(cfg: dict) -> int:
 def cmd_eval(cfg: dict) -> int:
     layout = _layout(cfg)
     model = model_io.load_model(cfg["model"])
-    if model.dims != data.ROOM_DIMS:
-        raise InvalidInputError(
-            f"eval expects a room model with dims {data.ROOM_DIMS}, got {model.dims}"
-        )
     evaluation = metrics.evaluate_room(
         model,
         layout=layout,
@@ -564,11 +531,11 @@ def run(argv=None) -> int:
     try:
         cfg = resolve(command, flags, getattr(args, "config", None))
         return _HANDLERS[command](cfg)
-    except _USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"usage: run 'cdrm {command.split()[0]} --help' for flags", file=sys.stderr)
         return 2
-    except (*_RUNTIME_ERRORS, OSError, MemoryError) as exc:
+    except (RuntimeFailure, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -1,35 +1,48 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type derives from exactly one of two bases, which fix the `cdrm`
+exit status: a `UsageError` (bad input, exit 2) or a `RuntimeFailure`
+(the work itself failed, exit 1).
+"""
 
 
-class InvalidInputError(ValueError):
+class UsageError(ValueError):
+    """The input is wrong: fixing the arguments or files fixes the run."""
+
+
+class RuntimeFailure(RuntimeError):
+    """Valid input, but the computation could not go on."""
+
+
+class InvalidInputError(UsageError):
     """Malformed argument: dimension mismatch, empty batch, bad config value."""
 
 
-class TrainingDivergenceError(RuntimeError):
+class TrainingDivergenceError(RuntimeFailure):
     """Loss or gradients became non-finite during training."""
 
 
-class SamplingFailureError(RuntimeError):
+class SamplingFailureError(RuntimeFailure):
     """A Langevin chain produced a non-finite gradient."""
 
 
-class DegenerateDatasetError(ValueError):
+class DegenerateDatasetError(RuntimeFailure):
     """Dataset admits no usable density statistics (zero spread)."""
 
 
-class EmptyValidSetError(LookupError):
+class EmptyValidSetError(RuntimeFailure):
     """Operation requires at least one valid candidate."""
 
 
-class UnpreparedModelError(RuntimeError):
+class UnpreparedModelError(RuntimeFailure):
     """Model is missing state required for inference (e.g. density stats)."""
 
 
-class OutOfBoundsError(ValueError):
+class OutOfBoundsError(UsageError):
     """A point lies outside the declared bounds."""
 
 
-class DatasetFormatError(ValueError):
+class DatasetFormatError(UsageError):
     """Dataset file could not be parsed."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -39,13 +52,13 @@ class DatasetFormatError(ValueError):
         self.line = line
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(UsageError):
     """Model file is malformed or fails its embedded self-check."""
 
 
-class UnsupportedVersionError(ValueError):
+class UnsupportedVersionError(UsageError):
     """Serialized artifact uses a schema this build does not understand."""
 
 
-class UndefinedMetricError(ValueError):
+class UndefinedMetricError(UsageError):
     """Metric is undefined for the given label distribution."""

@@ -36,8 +36,18 @@ SeedLike = int | tuple[int, ...]
 
 
 def _entropy(seed: SeedLike) -> list[int]:
-    parts = (seed,) if isinstance(seed, int) else tuple(seed)
-    return [int(p) & 0xFFFFFFFFFFFFFFFF for p in parts]
+    """The parts of a seed as Python ints; the one check of a seed. A seed
+    is an integer in [0, 2**64) or a non-empty tuple of them (a bool is
+    not an integer here), so no two seeds share a stream."""
+    parts = seed if isinstance(seed, tuple) else (seed,)
+    if not parts or not all(
+        isinstance(p, (int, np.integer)) and not isinstance(p, bool) and 0 <= p < 2**64
+        for p in parts
+    ):
+        raise InvalidInputError(
+            f"a seed is an integer in [0, 2**64) or a non-empty tuple of them, got {seed!r}"
+        )
+    return [int(p) for p in parts]
 
 
 def sample_rng(seed: SeedLike, index: int) -> np.random.Generator:
@@ -126,8 +136,9 @@ def _stream_states(seed: SeedLike, n: int) -> list[dict]:
 
 
 def derive_seed(seed: SeedLike, *tags: int) -> tuple[int, ...]:
-    """Extend a seed with context tags (epoch index, stream purpose, ...)."""
-    return tuple(_entropy(seed)) + tuple(int(t) for t in tags)
+    """Extend a seed with context tags (epoch index, stream purpose, ...),
+    which follow the seed's rule."""
+    return tuple(_entropy(seed) + (_entropy(tags) if tags else []))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import langevin
-from .data import RegionLabel, RoomLayout, label_probe
+from .data import ROOM_DIMS, RegionLabel, RoomLayout, label_probe
 from .errors import InvalidInputError, UndefinedMetricError
 from .inference import DEFAULT_ALPHA, DEFAULT_CHAIN, infer
 from .langevin import LangevinConfig, SeedLike
@@ -115,8 +115,13 @@ def evaluate_room(
 
     Probes with an empty valid set carry no spread estimate and enter the
     AU classifier with score 0. Each probe gets its own seed stream, so
-    the evaluation is deterministic and independent of grid order.
+    the evaluation is deterministic and independent of grid order. A model
+    whose dims are not the room's (2, 0, 1) raises InvalidInputError.
     """
+    if model.dims != ROOM_DIMS:
+        raise InvalidInputError(
+            f"evaluate_room expects a room model with dims {ROOM_DIMS}, got {model.dims}"
+        )
     layout = layout or RoomLayout()
     records: list[ProbeRecord] = []
     for i, probe in enumerate(probe_grid(grid_resolution)):

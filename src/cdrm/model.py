@@ -162,6 +162,7 @@ class TrainConfig:
             raise InvalidInputError("learning_rate must be finite and positive")
         if not (0.0 < self.stability_eps < 0.5):
             raise InvalidInputError("stability_eps must lie in (0, 0.5)")
+        langevin.derive_seed(self.seed)  # refuses a seed outside langevin's rule
 
     @property
     def negative_chain(self) -> LangevinConfig:

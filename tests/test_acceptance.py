@@ -6,7 +6,6 @@ trained models come from session-scoped fixtures; per-criterion wall-time
 budgets count the training time recorded by those fixtures.
 """
 
-import json
 import time
 from dataclasses import replace
 

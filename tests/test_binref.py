@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from cdrm import kde
-from cdrm.binref import BinGrid, bin_infer, build, memory_report, query
+from cdrm.binref import bin_infer, build, memory_report, query
 from cdrm.data import TransitionDataset
 from cdrm.errors import InvalidInputError, OutOfBoundsError
 from cdrm.inference import infer

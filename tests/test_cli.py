@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from cdrm import cli, data, inference, model_io
+from cdrm import cli, data, errors, inference, model_io
 from cdrm.cli import run
 from cdrm.model import TrainConfig
 
@@ -707,7 +707,8 @@ def refused(knob: str, value: tuple[str, str], as_config: bool) -> bool:
     """Whether the value must be a usage error naming the flag, by the
     knob's kind alone: a switch takes no value, a path is any string, and
     every other knob is numeric, refusing text that is not a finite number
-    and, for a count, a negative number or one beyond the index range."""
+    and, for a count, a negative number or one beyond the index range; a
+    seed refuses a number outside [0, 2**64)."""
     text, json_text = value
     if knob in SWITCH_KNOBS:
         return True
@@ -716,7 +717,7 @@ def refused(knob: str, value: tuple[str, str], as_config: bool) -> bool:
     if text == "":
         return knob not in LIST_KNOBS
     if text in ("-1", str(2**64)):
-        return knob in COUNT_KNOBS
+        return knob in COUNT_KNOBS or knob == "seed"
     return text not in ("0", str(2**60))
 
 
@@ -814,7 +815,35 @@ def test_hostile_knob_values_end_in_an_exit_code(cheap_inputs, case, value, as_c
         assert flag in err.getvalue()
     if code == 1:
         exc = raised[-1]
-        assert isinstance(exc, (*cli._RUNTIME_ERRORS, OSError, MemoryError)) or (
+        assert isinstance(exc, (errors.RuntimeFailure, OSError, MemoryError)) or (
             isinstance(exc, ValueError) and str(exc).startswith(cli._ARRAY_TOO_BIG)
         ), raised
         assert err.getvalue().startswith("error: ")
+
+
+# Every exception class of cdrm.errors, found by walking the module, so a new
+# type is covered here without editing this test.
+ERROR_TYPES = [
+    kind
+    for kind in vars(errors).values()
+    if isinstance(kind, type) and issubclass(kind, Exception) and kind.__module__ == errors.__name__
+]
+EXIT_CODES = {errors.UsageError: 2, errors.RuntimeFailure: 1}
+
+
+def test_error_types_found():
+    assert {errors.EmptyValidSetError, *EXIT_CODES} <= set(ERROR_TYPES)
+
+
+@pytest.mark.parametrize("kind", ERROR_TYPES, ids=lambda kind: kind.__name__)
+def test_each_error_type_exits_with_its_base_code(capsys, kind):
+    bases = [base for base in EXIT_CODES if issubclass(kind, base)]
+    assert len(bases) == 1, f"{kind.__name__} derives from {bases}"
+
+    def handler(cfg):
+        raise kind("handler failed")
+
+    with mock.patch.dict(cli._HANDLERS, {"gen toy": handler}):
+        code, stdout, stderr = run_cli(capsys, "gen", "toy", "--out", "unused.csv")
+    assert (code, stdout) == (EXIT_CODES[bases[0]], "")
+    assert stderr.startswith("error: ")

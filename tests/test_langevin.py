@@ -13,6 +13,7 @@ from cdrm.langevin import (
     run,
     sample_rng,
 )
+from cdrm.model import TrainConfig
 
 
 def quadratic_score(center):
@@ -44,6 +45,16 @@ def box(d=2):
 def test_derive_seed_extends_tuples():
     assert derive_seed(7, 1, 2) == (7, 1, 2)
     assert derive_seed((7, 1), 2) == (7, 1, 2)
+    assert derive_seed(np.uint64(2**64 - 1), np.int8(3)) == (2**64 - 1, 3)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "12", None, True, ()], ids=repr)
+def test_seed_outside_the_rule_is_refused(seed):
+    # one rule at every entry: an integer in [0, 2**64) or a non-empty tuple
+    # of them, so no two seeds alias and no text is read digit by digit
+    for enter in (derive_seed, lambda s: sample_rng(s, 0), lambda s: TrainConfig(seed=s)):
+        with pytest.raises(InvalidInputError, match="seed"):
+            enter(seed)
 
 
 def test_sample_rng_streams_differ_by_index():

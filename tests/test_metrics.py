@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from cdrm.errors import InvalidInputError, UndefinedMetricError
-from cdrm.metrics import auprc, auroc, probe_grid
+from cdrm.metrics import auprc, auroc, evaluate_room, probe_grid
+from cdrm.model import CdrmModel
+from cdrm.nnet import MlpNetwork
 
 
 def brute_force_auroc(scores, labels):
@@ -111,3 +113,13 @@ class TestProbeGrid:
         assert grid.max() == pytest.approx(0.9)
         # first coordinate varies slowest
         assert np.all(np.diff(grid[:5, 0]) == 0)
+
+
+def test_evaluate_room_refuses_a_model_that_is_not_a_room_model():
+    toy = CdrmModel(
+        net=MlpNetwork.initialize([2, 4, 1], seed=0),
+        input_bounds=np.array([[0.0, 1.0], [0.0, 1.0]]),
+        dims=(1, 0, 1),
+    )
+    with pytest.raises(InvalidInputError, match=r"room model with dims \(2, 0, 1\)"):
+        evaluate_room(toy, grid_resolution=2)

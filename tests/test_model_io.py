@@ -109,7 +109,7 @@ def models(draw):
         dims=dims,
         kde_stats=stats,
         provenance=provenance_for(
-            TrainConfig(epochs=draw(st.integers(0, 9)), seed=draw(st.integers(-(2**70), 2**70)))
+            TrainConfig(epochs=draw(st.integers(0, 9)), seed=draw(st.integers(0, 2**64 - 1)))
         ),
     )
 

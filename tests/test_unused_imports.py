@@ -1,4 +1,4 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package, its tests and its tools is used.
 
 No linter ships with the test environment, so this walks each source
 file's syntax tree: a name bound by a top-level import statement must
@@ -11,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "cdrm").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(
+    path for folder in ("src/cdrm", "tests", "tools") for path in (ROOT / folder).glob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
