@@ -436,7 +436,7 @@ def _full_column(b: int) -> data.TransitionDataset:
 
 
 def cmd_bench(cfg: dict) -> int:
-    rng = np.random.default_rng(cfg["seed"])
+    rng = langevin.sample_rng(cfg["seed"])
     n = cfg["dataset_size"]
     tuples = rng.uniform(0.0, 1.0, size=(n, 2))
     dataset = data.TransitionDataset(

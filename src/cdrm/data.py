@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetFormatError, InvalidInputError, OutOfBoundsError
-from .nnet import is_integer
+from .langevin import SeedLike, is_integer, sample_rng
 
 TOY_GAP = (-0.33, 0.33)  # input interval generating no samples at all
 ROOM_DIMS = (2, 0, 1)  # (x, y) state, no action, sensed temperature
@@ -130,7 +130,7 @@ def gen_toy(
     n_per_region: int = 200,
     sigma_eta: float = 0.2,
     multimodal: bool = False,
-    seed: int = 0,
+    seed: SeedLike = 0,
 ) -> TransitionDataset:
     """Sine-curve regression set with a clean band, a gap, and a noisy band.
 
@@ -143,7 +143,7 @@ def gen_toy(
         raise InvalidInputError("n_per_region must be >= 1")
     if not (math.isfinite(sigma_eta) and sigma_eta >= 0):
         raise InvalidInputError(f"sigma_eta must be finite and >= 0, got {sigma_eta}")
-    rng = np.random.default_rng(seed)
+    rng = sample_rng(seed)
     x_clean = rng.uniform(-1.0, TOY_GAP[0], n_per_region)
     y_clean = np.sin(x_clean)
     x_noisy = rng.uniform(TOY_GAP[1], 1.0, n_per_region)
@@ -234,7 +234,7 @@ def label_probe(layout: RoomLayout, s: np.ndarray) -> RegionLabel:
 def gen_room(
     n_steps: int,
     layout: RoomLayout | None = None,
-    seed: int = 0,
+    seed: SeedLike = 0,
     walk_step: float = 0.12,
 ) -> TransitionDataset:
     """Random-walk exploration recording (coordinates, sensed temperature).
@@ -249,7 +249,7 @@ def gen_room(
     if not (math.isfinite(walk_step) and walk_step >= 0):
         raise InvalidInputError(f"walk_step must be finite and >= 0, got {walk_step}")
     layout = layout or RoomLayout()
-    rng = np.random.default_rng(seed)
+    rng = sample_rng(seed)
     pos = rng.uniform(0.0, 1.0, 2)
     while layout.hidden_region.contains(pos[0], pos[1]):
         pos = rng.uniform(0.0, 1.0, 2)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDatasetError, InvalidInputError
+from .langevin import SeedLike, sample_rng
 from .nnet import sigmoid
 
 MAX_REFERENCE_POINTS = 4096
@@ -76,12 +77,15 @@ def density_batch(stats: KdeStats, queries: np.ndarray) -> np.ndarray:
     return np.exp(-sq / (2.0 * stats.bandwidth**2)).mean(axis=1)
 
 
-def median_heuristic_bandwidth(points: np.ndarray, seed: int = 0) -> float:
+def _subsample(pts: np.ndarray, k: int, seed: SeedLike) -> np.ndarray:
+    """pts, or beyond k rows k of them drawn by `sample_rng(seed)`, in order."""
+    rng = sample_rng(seed)  # checks the seed even when no subsample runs
+    return pts if len(pts) <= k else pts[np.sort(rng.choice(len(pts), k, replace=False))]
+
+
+def median_heuristic_bandwidth(points: np.ndarray, seed: SeedLike = 0) -> float:
     """Median pairwise distance over a bounded subsample, divided by sqrt(2)."""
-    pts = points
-    if len(pts) > BANDWIDTH_SAMPLE:
-        idx = np.random.default_rng(seed).choice(len(pts), BANDWIDTH_SAMPLE, replace=False)
-        pts = pts[np.sort(idx)]
+    pts = _subsample(points, BANDWIDTH_SAMPLE, seed)
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     iu = np.triu_indices(len(pts), k=1)
@@ -94,7 +98,7 @@ def median_heuristic_bandwidth(points: np.ndarray, seed: int = 0) -> float:
 def fit(
     dataset_inputs: np.ndarray,
     bandwidth_rule: float | str = "median",
-    seed: int = 0,
+    seed: SeedLike = 0,
 ) -> KdeStats:
     """Freeze reference points and standardization constants before inference.
 
@@ -109,9 +113,7 @@ def fit(
         raise InvalidInputError("need a (n, d) array with at least 2 points")
     if not np.all(np.isfinite(pts)):
         raise InvalidInputError("density inputs must be finite")
-    if len(pts) > MAX_REFERENCE_POINTS:
-        idx = np.random.default_rng(seed).choice(len(pts), MAX_REFERENCE_POINTS, replace=False)
-        pts = pts[np.sort(idx)]
+    pts = _subsample(pts, MAX_REFERENCE_POINTS, seed)
     if isinstance(bandwidth_rule, str):
         if bandwidth_rule != "median":
             raise InvalidInputError(f"unknown bandwidth rule {bandwidth_rule!r}")

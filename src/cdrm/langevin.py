@@ -8,9 +8,10 @@ function maps a batch of points to scores and per-point input gradients;
 the chain ascends the gradient, adds Gaussian noise, and projects the
 moved block back into bounds after every step.
 
-Reproducibility contract: each sample's initialization and noise come from
-its own stream, the generator `sample_rng(seed, i)` for sample index i.
-Changing the batch size therefore never perturbs the stream of any other
+Reproducibility contract: `sample_rng(seed, *tags)` builds every seeded
+generator in cdrm and `_entropy` checks every seed. Sample i of a chain
+draws its initialization and noise from `sample_rng(seed, i)`, its own
+stream, so changing the batch size never perturbs the stream of any other
 sample. `sample_rng` is the definition; `run` reproduces the n streams of a
 chain in one batched pass (`_stream_states`) that re-implements NumPy's
 SeedSequence hash and PCG64 seeding. NEP 19 keeps both algorithms stable
@@ -35,24 +36,26 @@ ScoreFn = Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray | None]]
 SeedLike = int | tuple[int, ...]
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _entropy(seed: SeedLike) -> list[int]:
     """The parts of a seed as Python ints; the one check of a seed. A seed
-    is an integer in [0, 2**64) or a non-empty tuple of them (a bool is
-    not an integer here), so no two seeds share a stream."""
+    is an integer in [0, 2**64) or a non-empty tuple of them, so no two
+    seeds share a stream."""
     parts = seed if isinstance(seed, tuple) else (seed,)
-    if not parts or not all(
-        isinstance(p, (int, np.integer)) and not isinstance(p, bool) and 0 <= p < 2**64
-        for p in parts
-    ):
+    if not parts or not all(is_integer(p) and 0 <= p < 2**64 for p in parts):
         raise InvalidInputError(
             f"a seed is an integer in [0, 2**64) or a non-empty tuple of them, got {seed!r}"
         )
     return [int(p) for p in parts]
 
 
-def sample_rng(seed: SeedLike, index: int) -> np.random.Generator:
-    """Independent generator for one sample, a counter-style split of `seed`."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(seed) + [index])))
+def sample_rng(seed: SeedLike, *tags: int) -> np.random.Generator:
+    """The generator of `seed` split by context tags (epoch, sample index, ...)."""
+    return np.random.default_rng(list(derive_seed(seed, *tags)))
 
 
 # SeedSequence constants (numpy/random/bit_generator.pyx) and the PCG64
@@ -152,10 +155,10 @@ class LangevinConfig:
     noise_scale: float
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise InvalidInputError("n_samples must be positive")
-        if self.steps < 0:
-            raise InvalidInputError("steps must be >= 0")
+        if not (is_integer(self.n_samples) and self.n_samples >= 1):
+            raise InvalidInputError("n_samples must be a positive integer")
+        if not (is_integer(self.steps) and self.steps >= 0):
+            raise InvalidInputError("steps must be an integer >= 0")
         if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise InvalidInputError("step_size must be finite and positive")
         if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):

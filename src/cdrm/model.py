@@ -18,7 +18,7 @@ from . import kde, langevin
 from .data import checked_layout
 from .errors import InvalidInputError, TrainingDivergenceError
 from .kde import KdeStats
-from .langevin import LangevinConfig, ScoreFn, SeedLike
+from .langevin import LangevinConfig, ScoreFn, SeedLike, is_integer
 from .nnet import AdamState, MlpNetwork, Workspace, adam_update, sigmoid
 
 # Pre-sigmoid clamp half-width: confines scores to [1e-6, 1 - 1e-6].
@@ -150,10 +150,10 @@ class TrainConfig:
     seed: SeedLike = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise InvalidInputError("epochs must be >= 0")
-        if self.positive_batch < 1:
-            raise InvalidInputError("positive_batch must be positive")
+        if not (is_integer(self.epochs) and self.epochs >= 0):
+            raise InvalidInputError("epochs must be an integer >= 0")
+        if not (is_integer(self.positive_batch) and self.positive_batch >= 1):
+            raise InvalidInputError("positive_batch must be a positive integer")
         try:
             self.negative_chain
         except InvalidInputError as exc:
@@ -256,9 +256,7 @@ def train(
     step_index = 0  # Adam bias correction counts updates, not epochs
     losses: list[float] = []
     for epoch in range(cfg.epochs):
-        order = langevin.sample_rng(
-            langevin.derive_seed(cfg.seed, _TAG_POSITIVE, epoch), 0
-        ).permutation(len(tuples))
+        order = langevin.sample_rng(cfg.seed, _TAG_POSITIVE, epoch, 0).permutation(len(tuples))
         epoch_losses = []
         for update, start in enumerate(range(0, len(tuples), cfg.positive_batch)):
             pos = tuples[order[start : start + cfg.positive_batch]]

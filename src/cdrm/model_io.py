@@ -31,7 +31,7 @@ _CHECK_STREAM_TAG = 0xC4EC
 
 def _check_probes(model: CdrmModel) -> np.ndarray:
     """Deterministic probe battery spanning the model's input box."""
-    rng = langevin.sample_rng((_CHECK_STREAM_TAG,), 0)
+    rng = langevin.sample_rng(_CHECK_STREAM_TAG, 0)
     lows, highs = model.input_bounds[:, 0], model.input_bounds[:, 1]
     return rng.uniform(lows, highs, size=(N_CHECK_PROBES, model.d_total))
 
@@ -46,10 +46,11 @@ def provenance_for(cfg: TrainConfig) -> dict:
     The hash covers every TrainConfig field, with the seed expanded by
     derive_seed, so a new field changes every fingerprint.
     """
-    blob = json.dumps({**asdict(cfg), "seed": list(langevin.derive_seed(cfg.seed))}, sort_keys=True)
+    seed = list(langevin.derive_seed(cfg.seed))
+    blob = json.dumps({**asdict(cfg), "seed": seed}, sort_keys=True)
     return {
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
-        "seed": list(langevin.derive_seed(cfg.seed)),
+        "seed": seed,
         "epochs": cfg.epochs,
     }
 

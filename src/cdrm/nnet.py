@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergenceError
+from .langevin import SeedLike, is_integer, sample_rng
 
 
 def sigmoid(x):
@@ -30,11 +31,6 @@ def sigmoid(x):
     e = np.exp(-np.abs(x))
     out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return out if out.ndim else float(out)
-
-
-def is_integer(value) -> bool:
-    """True for a Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -82,9 +78,9 @@ class MlpNetwork:
         self.weights, self.biases = self.layers(self.params)
 
     @classmethod
-    def initialize(cls, layer_dims: list[int], seed: int) -> "MlpNetwork":
+    def initialize(cls, layer_dims: list[int], seed: SeedLike) -> "MlpNetwork":
         """Xavier-uniform weights, zero biases, seeded for reproducibility."""
-        rng = np.random.default_rng(seed)
+        rng = sample_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
             limit = np.sqrt(6.0 / (fan_in + fan_out))

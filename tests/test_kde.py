@@ -94,6 +94,26 @@ def test_fit_subsamples_beyond_cap():
     assert len(stats.reference_points) == kde.MAX_REFERENCE_POINTS
 
 
+@pytest.mark.parametrize("seed", [0, 7, (3, 0xDE), 2**63 + 1], ids=repr)
+def test_subsamples_keep_their_pinned_rows(seed):
+    # no artifact digest reaches a subsample, so its rows are pinned here:
+    # the sorted draw of np.random.default_rng(seed) without replacement
+    pts = np.random.default_rng(5).normal(size=(kde.BANDWIDTH_SAMPLE + 300, 2))
+    rows = np.sort(
+        np.random.default_rng(seed).choice(len(pts), kde.BANDWIDTH_SAMPLE, replace=False)
+    )
+    # a set of exactly BANDWIDTH_SAMPLE rows is used whole
+    h = kde.median_heuristic_bandwidth(pts, seed=seed)
+    assert h == kde.median_heuristic_bandwidth(pts[rows])
+
+    pts = np.random.default_rng(6).normal(size=(kde.MAX_REFERENCE_POINTS + 300, 1))
+    rows = np.sort(
+        np.random.default_rng(seed).choice(len(pts), kde.MAX_REFERENCE_POINTS, replace=False)
+    )
+    stats = kde.fit(pts, bandwidth_rule=1.0, seed=seed)
+    assert stats.reference_points.tobytes() == pts[rows].tobytes()
+
+
 def test_fit_standardization_constants():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(64, 2))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdrm import data, kde
 from cdrm.errors import InvalidInputError, SamplingFailureError
 from cdrm.langevin import (
     LangevinConfig,
@@ -14,6 +15,7 @@ from cdrm.langevin import (
     sample_rng,
 )
 from cdrm.model import TrainConfig
+from cdrm.nnet import MlpNetwork
 
 
 def quadratic_score(center):
@@ -51,10 +53,42 @@ def test_derive_seed_extends_tuples():
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "12", None, True, ()], ids=repr)
 def test_seed_outside_the_rule_is_refused(seed):
     # one rule at every entry: an integer in [0, 2**64) or a non-empty tuple
-    # of them, so no two seeds alias and no text is read digit by digit
-    for enter in (derive_seed, lambda s: sample_rng(s, 0), lambda s: TrainConfig(seed=s)):
+    # of them, so no two seeds alias, no text is read digit by digit and
+    # None never means fresh entropy
+    points = np.random.default_rng(0).normal(size=(10, 2))  # too few to subsample
+    entries = (
+        derive_seed,
+        lambda s: sample_rng(s, 0),
+        lambda s: TrainConfig(seed=s),
+        lambda s: data.gen_toy(seed=s),
+        lambda s: data.gen_room(5, seed=s),
+        lambda s: MlpNetwork.initialize([2, 4, 1], seed=s),
+        lambda s: kde.fit(points, seed=s),
+        lambda s: kde.median_heuristic_bandwidth(points, seed=s),
+    )
+    for enter in entries:
         with pytest.raises(InvalidInputError, match="seed"):
             enter(seed)
+
+
+PINNED_SEEDS = [0, 7, (3, 0xDE), 2**63 + 1]
+
+
+@pytest.mark.parametrize("seed", PINNED_SEEDS, ids=repr)
+def test_sample_rng_of_a_bare_seed_is_numpy_default_rng(seed):
+    # datasets, inits and density subsamples draw from sample_rng(seed); it
+    # must keep the stream np.random.default_rng(seed) gave them
+    state = sample_rng(seed).bit_generator.state
+    assert state == np.random.default_rng(seed).bit_generator.state
+
+
+@pytest.mark.parametrize("seed", PINNED_SEEDS, ids=repr)
+def test_sample_rng_of_a_tagged_seed_extends_its_entropy(seed):
+    # stream i is numpy's SeedSequence over the seed's parts followed by i
+    parts = list(seed) if isinstance(seed, tuple) else [seed]
+    for i in (0, 1, 2**32 + 3):
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence([*parts, i])))
+        assert sample_rng(seed, i).bit_generator.state == ref.bit_generator.state
 
 
 def test_sample_rng_streams_differ_by_index():
@@ -66,6 +100,13 @@ def test_sample_rng_streams_differ_by_index():
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         full_cfg(n_samples=0)
+    for count in ("n_samples", "steps"):  # counts are integers; a bool is not one
+        for value in (2.5, 1.0, True):
+            with pytest.raises(InvalidInputError, match=f"^{count} must be"):
+                full_cfg(**{count: value})
+    with pytest.raises(InvalidInputError):
+        LangevinConfig(2.5, 3, 0.1, 0.01)
+    assert full_cfg(n_samples=np.int64(3), steps=np.uint8(2)).n_samples == 3
     with pytest.raises(InvalidInputError):
         full_cfg(step_size=0.0)
     with pytest.raises(InvalidInputError):

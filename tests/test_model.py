@@ -281,6 +281,11 @@ class TestTrainConfig:
             TrainConfig(epochs=-1)
         with pytest.raises(InvalidInputError):
             TrainConfig(epochs=1, positive_batch=0)
+        for value in (1.5, 1.0, True):  # counts are integers; a bool is not one
+            with pytest.raises(InvalidInputError, match="^epochs must be"):
+                TrainConfig(epochs=value)
+            with pytest.raises(InvalidInputError, match="^positive_batch must be"):
+                TrainConfig(epochs=1, positive_batch=value)
         with pytest.raises(InvalidInputError):
             TrainConfig(epochs=1, learning_rate=0.0)
         with pytest.raises(InvalidInputError):
@@ -288,7 +293,10 @@ class TestTrainConfig:
         # the chain knobs are checked once, by the LangevinConfig they build
         chain_refusals = [
             ("negative_batch", 0, "n_samples"),
+            ("negative_batch", 2.5, "n_samples"),
+            ("negative_batch", True, "n_samples"),
             ("langevin_steps", -1, "steps"),
+            ("langevin_steps", 1.5, "steps"),
             ("langevin_step_size", 0.0, "step_size"),
             ("langevin_noise", -0.1, "noise_scale"),
         ]
