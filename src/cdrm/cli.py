@@ -1,5 +1,9 @@
 """Operator surface: generate, train, infer, evaluate, oracle-check, bench.
 
+Each command is one entry of `_COMMANDS`: its handler, its help line and
+its knobs. The parser, `resolve` and `run` all read that table, and a
+handler calls the library's own recipes and record layouts.
+
 All output artifacts are deterministic functions of inputs and seeds:
 floats are serialized in shortest round-trip decimal form, JSON keys are
 sorted, and no artifact embeds a timestamp. Exit codes: 0 success, 1
@@ -21,12 +25,11 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from . import binref, data, kde, langevin, metrics, model_io
+from . import binref, data, langevin, metrics, model_io
 from .errors import InvalidInputError, RuntimeFailure, UsageError
 from .inference import DEFAULT_ALPHA, DEFAULT_CHAIN, infer
 from .langevin import LangevinConfig
-from .model import CdrmModel, TrainConfig, fit
-from .nnet import MlpNetwork
+from .model import TrainConfig, fit
 
 # Each bench timing sample repeats its block of calls until this much wall
 # time has passed, so that one preemption or a short slow spell of the
@@ -149,74 +152,6 @@ _CHAIN_KNOBS = {
     "noise": (DEFAULT_CHAIN.noise_scale, _real),
 }
 
-# Command -> knob -> (default or _REQUIRED, parse). A parse turns flag text
-# or a config-file JSON value into the typed value the handler gets, and
-# raises ValueError on a bad one.
-_KNOBS: dict[str, dict[str, tuple]] = {
-    "gen toy": {
-        "out": (_REQUIRED, _path),
-        **_knobs_of(data.gen_toy, n_per_region=_count, sigma_eta=_real),
-        **_knobs_of(data.gen_toy, multimodal=_switch, seed=_seed),
-    },
-    "gen room": {
-        "out": (_REQUIRED, _path),
-        "steps": (_REQUIRED, _count),
-        **_knobs_of(data.gen_room, walk_step=_real),
-        **_LAYOUT_KNOBS,
-        **_knobs_of(data.gen_room, seed=_seed),
-    },
-    "train": {
-        "data": (_REQUIRED, _path),
-        "out": (_REQUIRED, _path),
-        "loss_out": (None, _path),
-        **_knobs_of(TrainConfig, epochs=_count_or_zero),
-        **_knobs_of(fit, hidden=_list_of(_count), bandwidth=_bandwidth),
-        **_knobs_of(TrainConfig, positive_batch=_count, negative_batch=_count),
-        **_knobs_of(TrainConfig, langevin_steps=_count_or_zero, langevin_step_size=_real),
-        **_knobs_of(TrainConfig, langevin_noise=_real, learning_rate=_real),
-        **_knobs_of(TrainConfig, stability_eps=_real, seed=_seed),
-    },
-    "infer": {
-        "model": (_REQUIRED, _path),
-        "query": (_REQUIRED, _list_of(_real)),
-        "alpha": (DEFAULT_ALPHA, _real),
-        **_CHAIN_KNOBS,
-        "dedup_tol": (None, _real),
-        "seed": (0, _seed),
-    },
-    "eval": {
-        "model": (_REQUIRED, _path),
-        "out": (_REQUIRED, _path),
-        "probes_out": (None, _path),
-        "grid": (_default(metrics.evaluate_room, "grid_resolution"), _count),
-        "alpha": (DEFAULT_ALPHA, _real),
-        **_CHAIN_KNOBS,
-        **_LAYOUT_KNOBS,
-        "seed": (0, _seed),
-    },
-    "oracle": {
-        "model": (_REQUIRED, _path),
-        "data": (_REQUIRED, _path),
-        "bins": (100, _count),
-        "grid_probes": (50, _count),
-        "alpha": (DEFAULT_ALPHA, _real),
-        **_CHAIN_KNOBS,
-        "out": (None, _path),
-        "seed": (0, _seed),
-    },
-    "bench": {
-        "out": (_REQUIRED, _path),
-        "b_values": ((16, 128, 1024), _list_of(_count)),
-        "l_values": ((5, 20, 80), _list_of(_count)),
-        "reps": (5, _count),
-        "bin_queries": (200, _count),
-        "samples": (128, _count),
-        "dataset_size": (1000, _count),
-        "seed": (0, _seed),
-    },
-}
-
-
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
@@ -227,7 +162,7 @@ def resolve(command: str, flags: dict, config_path: str | None) -> dict:
     parse (a JSON null keeps the default). An unknown config key, a missing
     required knob or a value that does not parse raises InvalidInputError
     naming the flag, before any work starts."""
-    knobs = _KNOBS[command]
+    knobs = _COMMANDS[command].knobs
     given = {}
     if config_path is not None:
         try:
@@ -260,7 +195,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path, header: list[str], rows: list) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -331,14 +266,13 @@ def cmd_infer(cfg: dict) -> int:
     query = np.array(cfg["query"], dtype=np.float64)
     if len(query) != d_s + d_a:
         raise InvalidInputError(f"--query needs {d_s + d_a} values, got {len(query)}")
-    tol = None if cfg["dedup_tol"] is None else np.atleast_1d(cfg["dedup_tol"])
     result = infer(
         model,
         query[:d_s],
         query[d_s:],
         cfg=_chain_config(cfg),
         alpha=cfg["alpha"],
-        dedup_tol=tol,
+        dedup_tol=cfg["dedup_tol"],
         seed=cfg["seed"],
     )
     out = {
@@ -363,17 +297,10 @@ def cmd_eval(cfg: dict) -> int:
         seed=cfg["seed"],
     )
     row = evaluation.row()
-    _write_csv(
-        cfg["out"],
-        ["au_auroc", "au_auprc", "eu_auroc", "eu_auprc"],
-        [[row["au_auroc"], row["au_auprc"], row["eu_auroc"], row["eu_auprc"]]],
-    )
+    _write_csv(cfg["out"], list(row), [list(row.values())])
     probes_out = cfg["probes_out"] or cfg["out"] + ".probes.csv"
-    _write_csv(
-        probes_out,
-        ["x", "y", "label", "au_score", "eu_score", "valid_count"],
-        [[r.x, r.y, r.label, r.au_score, r.eu_score, r.valid_count] for r in evaluation.probes],
-    )
+    header = [f.name for f in fields(metrics.ProbeRecord)]
+    _write_csv(probes_out, header, [astuple(r) for r in evaluation.probes])
     print(json.dumps(row, sort_keys=True))
     return 0
 
@@ -428,23 +355,19 @@ def _ns_per_call(block: int, fn, *args, **kwargs) -> float:
     return (time.perf_counter_ns() - start) / calls
 
 
+_UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))  # (state, next state) box of every bench dataset
+
+
 def _full_column(b: int) -> data.TransitionDataset:
     """One tuple at the centre of each of the b next-state cells at state 0.5."""
     tuples = np.column_stack([np.full(b, 0.5), (np.arange(b) + 0.5) / b])
-    bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
-    return data.TransitionDataset(tuples, dims=(1, 0, 1), bounds=bounds)
+    return data.TransitionDataset(tuples, dims=(1, 0, 1), bounds=_UNIT_SQUARE)
 
 
 def cmd_bench(cfg: dict) -> int:
-    rng = langevin.sample_rng(cfg["seed"])
-    n = cfg["dataset_size"]
-    tuples = rng.uniform(0.0, 1.0, size=(n, 2))
-    dataset = data.TransitionDataset(
-        tuples, dims=(1, 0, 1), bounds=np.array([[0.0, 1.0], [0.0, 1.0]])
-    )
-    net = MlpNetwork.initialize([2, 32, 32, 1], seed=cfg["seed"])
-    model = CdrmModel(net=net, input_bounds=dataset.bounds, dims=dataset.dims)
-    model = replace(model, kde_stats=kde.fit(dataset.inputs, seed=cfg["seed"]))
+    tuples = langevin.sample_rng(cfg["seed"]).uniform(0.0, 1.0, size=(cfg["dataset_size"], 2))
+    dataset = data.TransitionDataset(tuples, dims=(1, 0, 1), bounds=_UNIT_SQUARE)
+    model, _ = fit(dataset, TrainConfig(epochs=0, seed=cfg["seed"]), hidden=(32, 32))
 
     # The bin timing probes one full input column: each grid holds one tuple
     # at the centre of every next-state cell of the state column at 0.5, so
@@ -480,11 +403,79 @@ def cmd_bench(cfg: dict) -> int:
     return 0
 
 
-def _add_knobs(sub: argparse.ArgumentParser, knobs: dict[str, tuple]) -> None:
-    for key, (_, parse) in knobs.items():
-        action = "store_true" if parse is _switch else "store"
-        sub.add_argument(_flag(key), dest=key, action=action, default=argparse.SUPPRESS)
-    sub.add_argument("--config", dest="config", default=argparse.SUPPRESS)
+class _Command(NamedTuple):
+    handler: Callable[[dict], int]
+    help: str
+    knobs: dict[str, tuple]
+
+
+# Command -> handler, help line and knobs; "gen toy" is leaf `toy` of group
+# `gen`. A knob maps to (default or _REQUIRED, parse). A parse turns flag
+# text or a config-file JSON value into the typed value the handler gets,
+# and raises ValueError on a bad one.
+_COMMANDS: dict[str, _Command] = {
+    "gen toy": _Command(cmd_gen_toy, "sine-curve regression set", {
+        "out": (_REQUIRED, _path),
+        **_knobs_of(data.gen_toy, n_per_region=_count, sigma_eta=_real),
+        **_knobs_of(data.gen_toy, multimodal=_switch, seed=_seed),
+    }),
+    "gen room": _Command(cmd_gen_room, "room-exploration walk", {
+        "out": (_REQUIRED, _path),
+        "steps": (_REQUIRED, _count),
+        **_knobs_of(data.gen_room, walk_step=_real),
+        **_LAYOUT_KNOBS,
+        **_knobs_of(data.gen_room, seed=_seed),
+    }),
+    "train": _Command(cmd_train, "train a model on a dataset file", {
+        "data": (_REQUIRED, _path),
+        "out": (_REQUIRED, _path),
+        "loss_out": (None, _path),
+        **_knobs_of(TrainConfig, epochs=_count_or_zero),
+        **_knobs_of(fit, hidden=_list_of(_count), bandwidth=_bandwidth),
+        **_knobs_of(TrainConfig, positive_batch=_count, negative_batch=_count),
+        **_knobs_of(TrainConfig, langevin_steps=_count_or_zero, langevin_step_size=_real),
+        **_knobs_of(TrainConfig, langevin_noise=_real, learning_rate=_real),
+        **_knobs_of(TrainConfig, stability_eps=_real, seed=_seed),
+    }),
+    "infer": _Command(cmd_infer, "predict next state and uncertainties for one query", {
+        "model": (_REQUIRED, _path),
+        "query": (_REQUIRED, _list_of(_real)),
+        "alpha": (DEFAULT_ALPHA, _real),
+        **_CHAIN_KNOBS,
+        "dedup_tol": (None, _real),
+        "seed": (0, _seed),
+    }),
+    "eval": _Command(cmd_eval, "room-grid evaluation of AU/EU classifiers", {
+        "model": (_REQUIRED, _path),
+        "out": (_REQUIRED, _path),
+        "probes_out": (None, _path),
+        "grid": (_default(metrics.evaluate_room, "grid_resolution"), _count),
+        "alpha": (DEFAULT_ALPHA, _real),
+        **_CHAIN_KNOBS,
+        **_LAYOUT_KNOBS,
+        "seed": (0, _seed),
+    }),
+    "oracle": _Command(cmd_oracle, "agreement suite against the bin-grid reference", {
+        "model": (_REQUIRED, _path),
+        "data": (_REQUIRED, _path),
+        "bins": (100, _count),
+        "grid_probes": (50, _count),
+        "alpha": (DEFAULT_ALPHA, _real),
+        **_CHAIN_KNOBS,
+        "out": (None, _path),
+        "seed": (0, _seed),
+    }),
+    "bench": _Command(cmd_bench, "wall-time benchmark of bin query vs sampled inference", {
+        "out": (_REQUIRED, _path),
+        "b_values": ((16, 128, 1024), _list_of(_count)),
+        "l_values": ((5, 20, 80), _list_of(_count)),
+        "reps": (5, _count),
+        "bin_queries": (200, _count),
+        "samples": (128, _count),
+        "dataset_size": (1000, _count),
+        "seed": (0, _seed),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -493,44 +484,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Score-field transition model: train, infer, and compare against a bin grid.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
     gen = commands.add_parser("gen", help="generate a benchmark dataset")
-    gen_sub = gen.add_subparsers(dest="generator", required=True)
-    _add_knobs(gen_sub.add_parser("toy", help="sine-curve regression set"), _KNOBS["gen toy"])
-    _add_knobs(gen_sub.add_parser("room", help="room-exploration walk"), _KNOBS["gen room"])
-
-    for name, help_text in [
-        ("train", "train a model on a dataset file"),
-        ("infer", "predict next state and uncertainties for one query"),
-        ("eval", "room-grid evaluation of AU/EU classifiers"),
-        ("oracle", "agreement suite against the bin-grid reference"),
-        ("bench", "wall-time benchmark of bin query vs sampled inference"),
-    ]:
-        _add_knobs(commands.add_parser(name, help=help_text), _KNOBS[name])
+    groups = {"": commands, "gen": gen.add_subparsers(dest="generator", required=True)}
+    for name, command in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        sub = groups[group].add_parser(leaf, help=command.help)
+        sub.set_defaults(command=name)  # the table name, which `run` dispatches on
+        for key, (_, parse) in command.knobs.items():
+            action = "store_true" if parse is _switch else "store"
+            sub.add_argument(_flag(key), dest=key, action=action, default=argparse.SUPPRESS)
+        sub.add_argument("--config", dest="config", default=argparse.SUPPRESS)
     return parser
-
-
-_HANDLERS = {
-    "gen toy": cmd_gen_toy,
-    "gen room": cmd_gen_room,
-    "train": cmd_train,
-    "infer": cmd_infer,
-    "eval": cmd_eval,
-    "oracle": cmd_oracle,
-    "bench": cmd_bench,
-}
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     command = args.command
-    if command == "gen":
-        command = f"gen {args.generator}"
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "generator", "config")}
     try:
         cfg = resolve(command, flags, getattr(args, "config", None))
-        return _HANDLERS[command](cfg)
+        return _COMMANDS[command].handler(cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"usage: run 'cdrm {command.split()[0]} --help' for flags", file=sys.stderr)

@@ -185,7 +185,7 @@ def _linear_temperature(x: float, y: float) -> float:
     return 0.5 * (x + y)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoomLayout:
     """Unit-square room with one noisy-sensor rectangle and one unreachable
     rectangle; everywhere else the temperature field is smooth and exact."""

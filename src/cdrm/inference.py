@@ -187,7 +187,7 @@ def infer(
     a: np.ndarray,
     cfg: LangevinConfig = DEFAULT_CHAIN,
     alpha: float = DEFAULT_ALPHA,
-    dedup_tol: np.ndarray | None = None,
+    dedup_tol: float | np.ndarray | None = None,
     seed: SeedLike = 0,
 ) -> InferenceResult:
     """Full chain-collect-summarize pass for one query.

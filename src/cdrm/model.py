@@ -137,7 +137,7 @@ def contrastive_loss(rho_pos: np.ndarray, rho_neg: np.ndarray, eps: float) -> fl
     return float(-np.mean(np.log(rho_pos + eps)) - np.mean(np.log(1.0 - rho_neg + eps)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
     positive_batch: int = 32

@@ -397,10 +397,10 @@ class TestOracle:
 
 
 class TestEval:
-    def eval_room(self, capsys, model, out):
+    def eval_room(self, capsys, model, out, *extra):
         return run_cli(
             capsys, "eval", "--model", str(model), "--out", str(out),
-            "--grid", "5", "--samples", "16", "--steps", "3",
+            "--grid", "5", "--samples", "16", "--steps", "3", *extra,
         )
 
     def test_writes_metrics_and_probe_grid(self, capsys, tmp_path, room_model):
@@ -423,6 +423,29 @@ class TestEval:
         assert out_a == out_b
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.csv.probes.csv").read_bytes() == (tmp_path / "b.csv.probes.csv").read_bytes()
+
+    def test_custom_regions_reach_gen_room_and_eval(self, capsys, tmp_path, room_model):
+        regions = ["--noisy-region", "0,0,0.20,0.2", "--hidden-region", "0.6,0.6,1,1"]
+        walk = tmp_path / "walk.csv"
+        code, _, _ = run_cli(capsys, "gen", "room", "--out", str(walk), "--steps", "300", *regions)
+        assert code == 0
+        meta = json.loads((tmp_path / "walk.csv.meta.json").read_text())
+        assert (meta["noisy_region"], meta["hidden_region"]) == ("0,0,0.20,0.2", "0.6,0.6,1,1")
+        xy = data.load_csv(walk).tuples[:, :2]
+        assert not np.any(np.all((xy >= 0.6) & (xy <= 1.0), axis=1))
+
+        assert self.eval_room(capsys, room_model, tmp_path / "eval.csv", *regions)[0] == 0
+        probe_lines = (tmp_path / "eval.csv.probes.csv").read_text().splitlines()[1:]
+        probes = [line.split(",") for line in probe_lines]
+        layout = data.RoomLayout(
+            noisy_region=data.Rect(0.0, 0.0, 0.2, 0.2), hidden_region=data.Rect(0.6, 0.6, 1.0, 1.0)
+        )
+        expected = [
+            data.label_probe(layout, np.array([float(x), float(y)])).value for x, y, *_ in probes
+        ]
+        assert [label for _, _, label, *_ in probes] == expected
+        # the default noisy region holds four 5x5 probes; this one holds one
+        assert (expected.count("au_positive"), expected.count("eu_positive")) == (1, 4)
 
     def test_toy_model_is_usage_error(self, capsys, tmp_path, toy_model):
         code, stdout, stderr = self.eval_room(capsys, toy_model, tmp_path / "eval.csv")
@@ -511,7 +534,7 @@ def test_count_too_big_to_size_an_array_is_a_runtime_error(capsys, toy_model):
 
 @pytest.mark.parametrize("command", ["infer", "eval", "oracle"])
 def test_chain_knob_defaults_are_the_default_chain(command):
-    knobs = cli._KNOBS[command]
+    knobs = cli._COMMANDS[command].knobs
     defaults = tuple(knobs[k][0] for k in ("samples", "steps", "step_size", "noise"))
     assert defaults == dataclasses.astuple(inference.DEFAULT_CHAIN)
     assert cli._chain_config({k: knobs[k][0] for k in knobs}) == inference.DEFAULT_CHAIN
@@ -540,8 +563,8 @@ BAD_VALUES = ["-1", "0", "1.5", "nan", "inf", "x", ""]
     "command, key",
     [
         (command, key)
-        for command, knobs in cli._KNOBS.items()
-        for key, (_, parse) in knobs.items()
+        for command, entry in cli._COMMANDS.items()
+        for key, (_, parse) in entry.knobs.items()
         if parse is not cli._switch  # a switch flag takes no value; argparse refuses one
     ],
 )
@@ -549,7 +572,7 @@ def test_knob_rejects_values_its_parse_refuses(capsys, tmp_path, monkeypatch, co
     # Every value the knob's own parse refuses is a usage error naming the
     # flag, raised before any file is read or written.
     monkeypatch.chdir(tmp_path)
-    knobs = cli._KNOBS[command]
+    knobs = cli._COMMANDS[command].knobs
     required = [f"--{k.replace('_', '-')}=5" for k, (d, _) in knobs.items() if d is cli._REQUIRED]
     flag = f"--{key.replace('_', '-')}"
     parse = knobs[key][1]
@@ -732,7 +755,7 @@ def in_directory(path):
 
 
 def test_hostile_tables_name_real_knobs():
-    knobs = {key for table in cli._KNOBS.values() for key in table}
+    knobs = {key for entry in cli._COMMANDS.values() for key in entry.knobs}
     assert PATH_KNOBS | SWITCH_KNOBS | LIST_KNOBS | COUNT_KNOBS <= knobs
     assert LOOP_KNOBS <= COUNT_KNOBS
 
@@ -770,7 +793,7 @@ def cheap_knobs(command: str, toy: str, models: dict) -> dict:
     }[command]
 
 
-KNOB_CASES = [(command, knob) for command, table in cli._KNOBS.items() for knob in table]
+KNOB_CASES = [(command, knob) for command, entry in cli._COMMANDS.items() for knob in entry.knobs]
 
 
 # Twice the number of distinct cases: Hypothesis stops once it has tried them all.
@@ -788,12 +811,12 @@ def test_hostile_knob_values_end_in_an_exit_code(cheap_inputs, case, value, as_c
     others = cheap_knobs(command, *cheap_inputs)
     argv = command.split() + [f"{cli._flag(k)}={v}" for k, v in others.items() if k != knob]
     argv += ["--config", "cfg.json"] if as_config else [f"{flag}={text}"]
-    raised, real_handler = [], cli._HANDLERS[command]
+    raised, entry = [], cli._COMMANDS[command]
 
     def handler(cfg):
         assert not must_refuse, f"{flag} value {text!r} reached the handler"
         try:
-            return real_handler(cfg)
+            return entry.handler(cfg)
         except BaseException as exc:
             raised.append(exc)
             raise
@@ -803,7 +826,7 @@ def test_hostile_knob_values_end_in_an_exit_code(cheap_inputs, case, value, as_c
         Path("dir").mkdir()
         Path("binary").write_bytes(b"\xff\xfe\x00\x81 not utf-8")
         Path("cfg.json").write_text(f'{{"{knob}": {json_text}}}')
-        with mock.patch.dict(cli._HANDLERS, {command: handler}):
+        with mock.patch.dict(cli._COMMANDS, {command: entry._replace(handler=handler)}):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
                     code = run(argv)
@@ -843,7 +866,8 @@ def test_each_error_type_exits_with_its_base_code(capsys, kind):
     def handler(cfg):
         raise kind("handler failed")
 
-    with mock.patch.dict(cli._HANDLERS, {"gen toy": handler}):
+    gen_toy = cli._COMMANDS["gen toy"]._replace(handler=handler)
+    with mock.patch.dict(cli._COMMANDS, {"gen toy": gen_toy}):
         code, stdout, stderr = run_cli(capsys, "gen", "toy", "--out", "unused.csv")
     assert (code, stdout) == (EXIT_CODES[bases[0]], "")
     assert stderr.startswith("error: ")

@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,15 @@ class TestRoomLayout:
         with pytest.raises(InvalidInputError):
             RoomLayout(hidden_region=Rect(0.9, 0.9, 1.2, 1.2))
 
+    @pytest.mark.parametrize(
+        "field, value", [("noisy_region", Rect(0, 0, 0.8, 0.8)), ("noise_std", 0.0)]
+    )
+    def test_fields_cannot_be_set_past_the_checks(self, field, value):
+        layout = RoomLayout()
+        with pytest.raises(FrozenInstanceError):
+            setattr(layout, field, value)
+        assert layout == RoomLayout()
+
 
 class TestGenRoom:
     def test_shapes_and_determinism(self):
@@ -317,6 +327,20 @@ class TestCsvRoundTrip:
         p = tmp_path / "bad.csv"
         p.write_text("# dims=1,0,1\n0.1,0.2\n")
         with pytest.raises(DatasetFormatError) as e:
+            load_csv(p)
+        assert e.value.line == 2
+
+    def test_dims_header_of_two_entries_names_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("# dims=1,0\n# bounds=0.0:1.0\n0.1\n")
+        with pytest.raises(DatasetFormatError, match="dims header must have three entries") as e:
+            load_csv(p)
+        assert e.value.line == 1
+
+    def test_bounds_header_of_wrong_length_names_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("# dims=1,0,1\n# bounds=0.0:1.0\n0.1,0.2\n")
+        with pytest.raises(DatasetFormatError, match="expected 2 bounds entries, got 1") as e:
             load_csv(p)
         assert e.value.line == 2
 

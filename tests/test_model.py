@@ -1,6 +1,6 @@
 """Scored field, contrastive loss, and training loop."""
 
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -308,6 +308,13 @@ class TestTrainConfig:
         for value in (np.nan, np.inf):
             with pytest.raises(InvalidInputError):
                 TrainConfig(epochs=1, learning_rate=value)
+
+    @pytest.mark.parametrize("field, value", [("epochs", 1.5), ("positive_batch", 0), ("seed", -1)])
+    def test_fields_cannot_be_set_past_the_checks(self, field, value):
+        cfg = TrainConfig(epochs=1)
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, field, value)
+        assert cfg == TrainConfig(epochs=1)
 
     def test_negative_chain_frees_every_dimension(self):
         m = tiny_model(dims=(2, 1, 2), layers=[5, 4, 1], bounds=np.tile([-2.0, 2.0], (5, 1)))

@@ -6,10 +6,11 @@ renamed library function would break only `perfbench/run.py`.
 """
 
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
-from cdrm import nnet
+from cdrm import model, nnet
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -39,3 +40,14 @@ def test_each_workload_runs_one_checked_op(monkeypatch, tmp_path, name):
     state = workload.setup(1, 0, str(tmp_path))
     args = workload.prepare(state, 0)
     assert workload.check(state, args, workload.run(state, args), str(tmp_path))
+
+
+def test_workloads_copy_the_fit_recipe(monkeypatch):
+    # perfbench builds its models with `fit`'s init and density streams and
+    # default hidden widths; a change to the recipe must move this copy too,
+    # or the benchmark times a model the library no longer builds
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    hidden = inspect.signature(model.fit).parameters["hidden"].default
+    assert (workloads._INIT_TAG, workloads._KDE_TAG) == (model._TAG_INIT, model._TAG_DENSITY)
+    assert workloads.HIDDEN == list(hidden)
