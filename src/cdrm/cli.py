@@ -111,7 +111,8 @@ def _region(value) -> _Region:
     corners = _list_of(_real)(value)
     if len(corners) != 4:
         raise ValueError(f"expected four numbers x0,y0,x1,y1, got {value!r}")
-    return _Region(str(value), data.Rect(*corners))
+    text = value if isinstance(value, str) else ",".join(map(str, value))
+    return _Region(text, data.Rect(*corners))
 
 
 def _bandwidth(value) -> str | float:

@@ -13,10 +13,11 @@ generator in cdrm and `_entropy` checks every seed. Sample i of a chain
 draws its initialization and noise from `sample_rng(seed, i)`, its own
 stream, so changing the batch size never perturbs the stream of any other
 sample. `sample_rng` is the definition; `run` reproduces the n streams of a
-chain in one batched pass (`_stream_states`) that re-implements NumPy's
-SeedSequence hash and PCG64 seeding. NEP 19 keeps both algorithms stable
-across NumPy releases; if one ever changes, the differential test against
-`sample_rng` fails.
+chain by re-implementing only SeedSequence's hash, batched over the n
+streams (`_stream_words`), and each stream's PCG64 seeds itself from its
+row of seed words through NumPy's `ISeedSequence` interface. NEP 19 keeps
+the hash stable across NumPy releases; if it ever changes, the
+differential test against `SeedSequence.generate_state` fails.
 """
 
 from __future__ import annotations
@@ -58,27 +59,24 @@ def sample_rng(seed: SeedLike, *tags: int) -> np.random.Generator:
     return np.random.default_rng(list(derive_seed(seed, *tags)))
 
 
-# SeedSequence constants (numpy/random/bit_generator.pyx) and the PCG64
-# 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+# SeedSequence constants (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _XSHIFT = 16
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _stream_states(seed: SeedLike, n: int) -> list[dict]:
-    """PCG64 states of `sample_rng(seed, i)` for i in 0..n-1, in one pass.
+def _stream_words(seed: SeedLike, n: int) -> np.ndarray:
+    """The (n, 4) uint64 PCG64 seed words of `sample_rng(seed, i)` for i in
+    0..n-1, in one pass: row i is
+    `SeedSequence([*derive_seed(seed), i]).generate_state(4, np.uint64)`.
 
     Runs SeedSequence's pool hash on all n entropy lists at once: they share
     the seed's 32-bit words and differ only in the last word, the index.
     The uint32 arithmetic is done in uint64 arrays and masked, which keeps
-    every product exact. The four state words then go through PCG64's
-    srandom_r seeding in Python ints. Each returned dict is ready for a
-    PCG64 `state` setter.
+    every product exact.
     """
     if n > _MASK32 + 1:
         raise InvalidInputError("at most 2**32 streams per chain")
@@ -121,21 +119,17 @@ def _stream_states(seed: SeedLike, n: int) -> list[dict]:
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const & _MASK32
         out.append(value ^ (value >> _XSHIFT))
-    seed_hi, seed_lo, inc_hi, inc_lo = ((out[2 * j] | (out[2 * j + 1] << 32)).tolist() for j in range(4))
+    return np.stack([out[2 * j] | (out[2 * j + 1] << 32) for j in range(4)], axis=1)
 
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        states.append(
-            {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        )
-    return states
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """One row of `_stream_words`, handed to a PCG64 as its seed words."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.row
 
 
 def derive_seed(seed: SeedLike, *tags: int) -> tuple[int, ...]:
@@ -194,18 +188,16 @@ def _draw_streams(
 
     Sample i draws its initialization, then its noise for all L steps,
     from stream i, exactly as `sample_rng(seed, i).uniform(lows, highs)`
-    followed by `.normal(0, noise_scale, (L, d))` would. One PCG64 is
-    reused and loaded with each stream's state in turn; `lows + span * u`
+    followed by `.normal(0, noise_scale, (L, d))` would. Each stream's
+    PCG64 seeds itself from its row of `_stream_words`; `lows + span * u`
     is the arithmetic `uniform` applies to its draws.
     """
     n, L, d = cfg.n_samples, cfg.steps, len(bounds)
     lows, highs = bounds[:, 0], bounds[:, 1]
     unit = np.empty((n, d))
     noise = np.zeros((L, n, d))
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for i, state in enumerate(_stream_states(seed, n)):
-        bitgen.state = state
+    for i, row in enumerate(_stream_words(seed, n)):
+        rng = np.random.Generator(np.random.PCG64(_Words(row)))
         rng.random(out=unit[i])
         if cfg.noise_scale > 0:
             noise[:, i] = rng.normal(0.0, cfg.noise_scale, (L, d))

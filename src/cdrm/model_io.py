@@ -94,9 +94,10 @@ def load_model(path) -> CdrmModel:
         raise ModelFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise ModelFormatError("missing schema_version")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    version = doc["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise UnsupportedVersionError(
-            f"schema_version {doc['schema_version']} not supported (this build reads {SCHEMA_VERSION})"
+            f"schema_version {version!r} not supported (this build reads {SCHEMA_VERSION})"
         )
     try:
         if doc["logit_clip"] != LOGIT_CLIP:

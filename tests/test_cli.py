@@ -102,6 +102,18 @@ class TestGen:
         assert len(loaded) == 40
         assert loaded.dims == (2, 0, 1)
 
+    def test_region_from_config_file_is_recorded_as_its_flag_text(self, capsys, tmp_path):
+        # the same region as a JSON list or as flag text gives byte-equal files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"noisy_region": [0, 0, 0.2, 0.2]}))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out, region in ((a, ["--config", str(cfg)]), (b, ["--noisy-region", "0,0,0.2,0.2"])):
+            assert run_cli(capsys, "gen", "room", "--out", str(out), "--steps", "5", *region)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+        meta_a = (tmp_path / "a.csv.meta.json").read_bytes()
+        assert meta_a == (tmp_path / "b.csv.meta.json").read_bytes()
+        assert json.loads(meta_a)["noisy_region"] == "0,0,0.2,0.2"
+
     def test_missing_out_is_usage_error(self, capsys):
         code, _, stderr = run_cli(capsys, "gen", "toy")
         assert code == 2

@@ -9,7 +9,8 @@ from cdrm import data, kde
 from cdrm.errors import InvalidInputError, SamplingFailureError
 from cdrm.langevin import (
     LangevinConfig,
-    _stream_states,
+    _stream_words,
+    _Words,
     derive_seed,
     run,
     sample_rng,
@@ -362,20 +363,25 @@ seeds = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(seed=seeds, n=st.integers(1, 600), data=st.data())
-def test_batched_stream_states_match_sample_rng(seed, n, data):
-    states = _stream_states(seed, n)
-    assert len(states) == n
+def test_batched_stream_words_match_seed_sequence(seed, n, data):
+    words = _stream_words(seed, n)
+    assert words.shape == (n, 4) and words.dtype == np.uint64
+    # every row is NumPy's SeedSequence hash of the seed's parts and the index
+    entropy = list(derive_seed(seed))
+    for i in range(n):
+        expected = np.random.SeedSequence([*entropy, i]).generate_state(4, np.uint64)
+        assert np.array_equal(words[i], expected), i
     indices = {0, n - 1} | set(data.draw(st.lists(st.integers(0, n - 1), max_size=8)))
-    bitgen = np.random.PCG64(0)
-    batched = np.random.Generator(bitgen)
     lows, highs = np.array([-1.0, 0.0, -3.5]), np.array([1.0, 0.0, 2.25])
     for i in sorted(indices):
         ref = sample_rng(seed, i)
-        assert states[i]["state"] == ref.bit_generator.state["state"]
-        bitgen.state = states[i]
+        batched = np.random.Generator(np.random.PCG64(_Words(words[i])))
+        assert batched.bit_generator.state == ref.bit_generator.state
         assert np.array_equal(lows + (highs - lows) * batched.random(3), ref.uniform(lows, highs))
         assert np.array_equal(batched.normal(0.0, 0.01, (4, 3)), ref.normal(0.0, 0.01, (4, 3)))
-    # every stream, not just the drawn indices, starts where sample_rng starts
-    assert [s["state"] for s in states] == [
-        sample_rng(seed, i).bit_generator.state["state"] for i in range(n)
-    ]
+
+
+def test_stream_count_is_capped_per_chain():
+    # the index is one 32-bit entropy word; the check runs before any array is made
+    with pytest.raises(InvalidInputError, match="at most 2\\*\\*32 streams per chain"):
+        _stream_words(0, 2**32 + 1)

@@ -262,11 +262,13 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
-    def test_future_schema_version_refused(self, tmp_path):
+    # the version is the integer 1: a bool, a float or text equal to 1 is not it
+    @pytest.mark.parametrize("version", [99, True, 1.0, "1"], ids=repr)
+    def test_future_schema_version_refused(self, tmp_path, version):
         path = tmp_path / "model.json"
         save_model(path, make_model())
         doc = json.loads(path.read_text())
-        doc["schema_version"] = 99
+        doc["schema_version"] = version
         path.write_text(json.dumps(doc))
         with pytest.raises(UnsupportedVersionError):
             load_model(path)

@@ -1,4 +1,5 @@
-"""Every module-level import in the package, its tests and its tools is used.
+"""Every module-level import in the package, its tests, its tools and the
+benchmark is used.
 
 No linter ships with the test environment, so this walks each source
 file's syntax tree: a name bound by a top-level import statement must
@@ -12,9 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted(
-    path for folder in ("src/cdrm", "tests", "tools") for path in (ROOT / folder).glob("*.py")
-)
+FOLDERS = ("src/cdrm", "tests", "tools", "perfbench", "perfbench/tests")
+SOURCES = sorted(path for folder in FOLDERS for path in (ROOT / folder).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
