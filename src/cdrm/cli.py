@@ -61,10 +61,15 @@ def _int_in(low: int, high: int) -> Callable[[Any], int]:
     return parse
 
 
-# A count sizes an array or a loop, so it must fit an array index. A seed
-# takes langevin's rule: one 64-bit word.
+# A count sizes an array, so it must fit an array index. A count that only
+# bounds a loop (`train --epochs`, `bench --reps`, `bench --bin-queries`)
+# sizes nothing that would fail, so it is capped at _LOOP_MAX instead:
+# a value such as 2**60 is refused rather than run for ever. A seed takes
+# langevin's rule: one 64-bit word.
 _INDEX_MAX = int(np.iinfo(np.intp).max)
+_LOOP_MAX = 1_000_000
 _count, _count_or_zero = _int_in(1, _INDEX_MAX), _int_in(0, _INDEX_MAX)
+_loop_count, _loop_count_or_zero = _int_in(1, _LOOP_MAX), _int_in(0, _LOOP_MAX)
 _seed = _int_in(0, 2**64 - 1)
 
 
@@ -431,7 +436,7 @@ _COMMANDS: dict[str, _Command] = {
         "data": (_REQUIRED, _path),
         "out": (_REQUIRED, _path),
         "loss_out": (None, _path),
-        **_knobs_of(TrainConfig, epochs=_count_or_zero),
+        **_knobs_of(TrainConfig, epochs=_loop_count_or_zero),
         **_knobs_of(fit, hidden=_list_of(_count), bandwidth=_bandwidth),
         **_knobs_of(TrainConfig, positive_batch=_count, negative_batch=_count),
         **_knobs_of(TrainConfig, langevin_steps=_count_or_zero, langevin_step_size=_real),
@@ -470,8 +475,8 @@ _COMMANDS: dict[str, _Command] = {
         "out": (_REQUIRED, _path),
         "b_values": ((16, 128, 1024), _list_of(_count)),
         "l_values": ((5, 20, 80), _list_of(_count)),
-        "reps": (5, _count),
-        "bin_queries": (200, _count),
+        "reps": (5, _loop_count),
+        "bin_queries": (200, _loop_count),
         "samples": (128, _count),
         "dataset_size": (1000, _count),
         "seed": (0, _seed),

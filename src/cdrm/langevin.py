@@ -75,13 +75,15 @@ def _stream_words(seed: SeedLike, n: int) -> np.ndarray:
 
     Runs SeedSequence's pool hash on all n entropy lists at once: they share
     the seed's 32-bit words and differ only in the last word, the index.
-    The uint32 arithmetic is done in uint64 arrays and masked, which keeps
+    The shared words stay Python ints, so every hash step before the index
+    enters runs once, in scalar arithmetic; only the index word is an
+    n-long array. Array steps are done in uint64 and masked, which keeps
     every product exact.
     """
     if n > _MASK32 + 1:
         raise InvalidInputError("at most 2**32 streams per chain")
-    words = [
-        np.full(n, w, dtype=np.uint64)
+    words: list = [
+        w
         for part in _entropy(seed)
         for w in ([part & _MASK32, part >> 32] if part >> 32 else [part])
     ]
@@ -100,8 +102,7 @@ def _stream_words(seed: SeedLike, n: int) -> np.ndarray:
         r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
         return r ^ (r >> _XSHIFT)
 
-    zero = np.zeros(n, dtype=np.uint64)
-    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
@@ -206,9 +207,8 @@ def _draw_streams(
 
 
 def _check_grads(grads):
-    finite = np.isfinite(grads).all(axis=1)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
+    if not np.isfinite(grads).all():
+        bad = int(np.flatnonzero(~np.isfinite(grads).all(axis=1))[0])
         raise SamplingFailureError(f"non-finite gradient for sample {bad}")
 
 
@@ -250,10 +250,13 @@ def run(
     scores[0], grads = score_fn(samples[0], L > 0)
     for l in range(L):
         _check_grads(grads)
-        # moved + step_size * grads + noise, clipped into bounds
+        # moved + step_size * grads + noise, clipped into bounds; the two
+        # ufuncs, with the moved block first, give np.clip's bytes (signed
+        # zeros and NaN included) without its Python-level wrapper
         np.multiply(grads[:, k:], cfg.step_size, out=moved[l + 1])
         moved[l + 1] += moved[l]
         moved[l + 1] += noise[l]
-        np.clip(moved[l + 1], lows, highs, out=moved[l + 1])
+        np.maximum(moved[l + 1], lows, out=moved[l + 1])
+        np.minimum(moved[l + 1], highs, out=moved[l + 1])
         scores[l + 1], grads = score_fn(samples[l + 1], l + 1 < L)
     return ChainTrace(samples, scores, k)

@@ -75,7 +75,8 @@ class CdrmModel:
 def _clamped_scores(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sigmoid(logit clamped to +-LOGIT_CLIP), and the |logit| < LOGIT_CLIP
     mask where the clamp has gradient 1 (0 elsewhere)."""
-    return sigmoid(np.clip(logits, -LOGIT_CLIP, LOGIT_CLIP)), np.abs(logits) < LOGIT_CLIP
+    clamped = np.minimum(np.maximum(logits, -LOGIT_CLIP), LOGIT_CLIP)  # np.clip's bytes
+    return sigmoid(clamped), np.abs(logits) < LOGIT_CLIP
 
 
 def score_batch(model: CdrmModel, x: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:

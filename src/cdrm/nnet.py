@@ -29,7 +29,8 @@ def sigmoid(x):
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    out = np.where(x >= 0, 1.0 / d, e / d)
     return out if out.ndim else float(out)
 
 
@@ -150,11 +151,13 @@ class MlpNetwork:
         workspace.inputs = x
         return workspace.logits
 
-    def _backward_step(self, g: np.ndarray, i: int, workspace: "Workspace") -> np.ndarray:
+    def _backward_step(self, g: np.ndarray | float, i: int, workspace: "Workspace") -> np.ndarray:
         """From g, the gradient at layer i's pre-activation, the one at layer
-        i-1's: g @ W[i] times 1 - a^2, written over a, that layer's output."""
+        i-1's: g @ W[i] times 1 - a^2, written over a, that layer's output.
+        g is an array or, for the input-gradient pass out of the logit,
+        the scalar 1.0 (see `_matmul`)."""
         a = workspace.acts[i - 1]
-        prod = np.matmul(g, self.weights[i], out=workspace.scratch(self.layer_dims[i]))
+        prod = _matmul(g, self.weights[i], workspace.scratch(self.layer_dims[i]))
         np.square(a, out=a)
         np.subtract(1.0, a, out=a)
         return np.multiply(prod, a, out=a)
@@ -183,10 +186,10 @@ class MlpNetwork:
         workspace = self._workspace(len(x), workspace)
         logits = self._forward(x, workspace)
         workspace.inputs = None  # the backward pass below overwrites the activations
-        g = workspace.ones
+        g = 1.0  # d logit / d logit
         for i in range(len(self.weights) - 1, 0, -1):
             g = self._backward_step(g, i, workspace)
-        return logits, np.matmul(g, self.weights[0], out=workspace.input_grad)
+        return logits, _matmul(g, self.weights[0], workspace.input_grad)
 
     def grad_params_batch(
         self, forward: "Workspace", upstream: np.ndarray, out: np.ndarray
@@ -224,6 +227,22 @@ class MlpNetwork:
         return out
 
 
+def _matmul(g: np.ndarray | float, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """g @ w, written into out, for a gradient g of shape (rows, len(w)).
+
+    Out of a one-unit layer (w has one row) that is an outer product, so it
+    is formed as the broadcast g * w instead of a gemm with K = 1, and g
+    may then be the scalar 1.0, the gradient of a logit with respect to
+    itself. A gemm sums from +0.0, which turns a -0.0 product into +0.0;
+    adding 0.0 does the same, so the bytes are the gemm's.
+    """
+    if len(w) > 1:
+        return np.matmul(g, w, out=out)
+    np.multiply(g, w, out=out)
+    out += 0.0
+    return out
+
+
 class Workspace:
     """Buffers for one network's passes over batches of one size.
 
@@ -233,9 +252,12 @@ class Workspace:
     on, which is what `grad_params_batch` reads. Both backward passes walk
     back through the buffers in place: each hidden output is overwritten
     with the gradient with respect to that layer's pre-activation, using
-    one hidden-width scratch array for the matmul in between, and the
-    input-gradient pass writes d logit / d input to input_grad. Neither
-    leaves a forward to read, so both set `inputs` to None.
+    one hidden-width scratch array for the product with the weights in
+    between (an outer product out of the one-unit output layer, see
+    `_matmul`), and the input-gradient pass writes d logit / d input to
+    input_grad. That pass starts from the scalar 1.0, so no buffer holds
+    the logit's gradient with respect to itself. Neither pass leaves a
+    forward to read, so both set `inputs` to None.
 
     Every buffer has the dtype of the network's params, which a network
     checks before it runs a pass in the workspace. A workspace belongs to
@@ -249,7 +271,6 @@ class Workspace:
         self.dtype = np.dtype(dtype)
         self.acts = [np.empty((rows, d), dtype) for d in layer_dims[1:]]
         self.input_grad = np.empty((rows, layer_dims[0]), dtype)
-        self.ones = np.ones((rows, 1), dtype)
         self._scratch = np.empty(rows * max(layer_dims[1:-1], default=0), dtype)
         self.inputs: np.ndarray | None = None
 

@@ -64,15 +64,33 @@ def forward_pass(net, x) -> nnet.Workspace:
     return workspace
 
 
-def reference_param_grad(net, x, upstream) -> np.ndarray:
-    """Oracle for grad_params_batch: a fresh out-of-place forward on x,
-    then the backward recurrence, with the library's operation order,
-    concatenated layer by layer, weight matrix then bias."""
-    acts = [np.asarray(x, dtype=np.float64)]
+def reference_forward(net, x) -> list[np.ndarray]:
+    """x and every layer's output, out of place, in the network's dtype."""
+    acts = [np.asarray(x, dtype=net.params.dtype)]
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = acts[-1] @ w.T + b
         acts.append(z if i == last else np.tanh(z))
+    return acts
+
+
+def reference_input_grad(net, x) -> np.ndarray:
+    """Oracle for forward_and_grad_input_batch's input gradients: a fresh
+    forward, then the backward recurrence from a column of ones, every
+    product with a weight matrix a matmul."""
+    acts = reference_forward(net, x)
+    g = np.ones((len(acts[0]), 1), net.params.dtype)
+    for i in range(len(net.weights) - 1, 0, -1):
+        g = (g @ net.weights[i]) * (1.0 - acts[i] ** 2)
+    return g @ net.weights[0]
+
+
+def reference_param_grad(net, x, upstream) -> np.ndarray:
+    """Oracle for grad_params_batch: a fresh out-of-place forward on x,
+    then the backward recurrence, with the library's operation order,
+    concatenated layer by layer, weight matrix then bias."""
+    acts = reference_forward(net, x)
+    last = len(net.weights) - 1
     per_layer = [None] * len(net.weights)
     g = np.asarray(upstream, dtype=np.float64)[:, None]
     for i in range(last, -1, -1):

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from cdrm import cli, data, errors, inference, model_io
 from cdrm.cli import run
@@ -524,6 +524,28 @@ def test_count_beyond_the_index_range_is_usage_error(capsys, tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["train", "--data", "t.csv", "--out", "m.json", "--epochs"], "--epochs"),
+        (["bench", "--out", "b.csv", "--reps"], "--reps"),
+        (["bench", "--out", "b.csv", "--bin-queries"], "--bin-queries"),
+    ],
+    ids=["epochs", "reps", "bin-queries"],
+)
+def test_loop_count_beyond_its_bound_is_usage_error(capsys, tmp_path, monkeypatch, argv, flag):
+    # a count that only bounds a loop sizes no array, so it has a bound of
+    # its own; past it the command would run for ever instead of failing
+    monkeypatch.chdir(tmp_path)
+    parse = cli._COMMANDS[argv[0]].knobs[flag[2:].replace("-", "_")][1]
+    assert parse(str(cli._LOOP_MAX)) == cli._LOOP_MAX
+    for count in (cli._LOOP_MAX + 1, 2**60):
+        code, stdout, stderr = run_cli(capsys, *argv, str(count))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: {flag}: expected an integer >= ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_of_memory_is_a_runtime_error(capsys, toy_model):
     # 2**40 chains of 51 steps need 816 TiB, past the user address space,
     # so the first allocation fails before any memory is touched
@@ -734,15 +756,14 @@ COUNT_KNOBS = {
     "langevin_steps", "samples", "grid", "bins", "grid_probes", "b_values", "l_values",
     "reps", "bin_queries", "dataset_size",
 }
-# Counts that size a loop, not an array: at 2**60 they run for ever.
-LOOP_KNOBS = {"epochs", "reps", "bin_queries"}
 
 
 def refused(knob: str, value: tuple[str, str], as_config: bool) -> bool:
     """Whether the value must be a usage error naming the flag, by the
     knob's kind alone: a switch takes no value, a path is any string, and
     every other knob is numeric, refusing text that is not a finite number
-    and, for a count, a negative number or one beyond the index range; a
+    and, for a count, a negative number or one beyond the index range (for
+    a count that only bounds a loop, one beyond cli's loop bound); a
     seed refuses a number outside [0, 2**64)."""
     text, json_text = value
     if knob in SWITCH_KNOBS:
@@ -753,7 +774,9 @@ def refused(knob: str, value: tuple[str, str], as_config: bool) -> bool:
         return knob not in LIST_KNOBS
     if text in ("-1", str(2**64)):
         return knob in COUNT_KNOBS or knob == "seed"
-    return text not in ("0", str(2**60))
+    if text == str(2**60):
+        return knob in ("epochs", "reps", "bin_queries")
+    return text != "0"
 
 
 @contextlib.contextmanager
@@ -769,7 +792,6 @@ def in_directory(path):
 def test_hostile_tables_name_real_knobs():
     knobs = {key for entry in cli._COMMANDS.values() for key in entry.knobs}
     assert PATH_KNOBS | SWITCH_KNOBS | LIST_KNOBS | COUNT_KNOBS <= knobs
-    assert LOOP_KNOBS <= COUNT_KNOBS
 
 
 @pytest.fixture(scope="module")
@@ -817,7 +839,6 @@ def test_hostile_knob_values_end_in_an_exit_code(cheap_inputs, case, value, as_c
     # kind is refused before the handler runs, naming its flag.
     command, knob = case
     text, json_text = value
-    assume(not (knob in LOOP_KNOBS and text == str(2**60)))
     flag = cli._flag(knob)
     must_refuse = refused(knob, value, as_config)
     others = cheap_knobs(command, *cheap_inputs)

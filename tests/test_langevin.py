@@ -240,14 +240,19 @@ def test_per_step_max_tracks_batch_max():
 
 
 def test_nonfinite_gradient_raises():
-    def bad_fn(batch, with_grad):
-        g = np.zeros_like(batch)
-        g[0, 0] = np.nan
-        return np.zeros(batch.shape[0]), g
+    def grads_with(bad):
+        def fn(batch, with_grad):
+            g = np.zeros_like(batch)
+            for i, value in bad.items():
+                g[i, -1] = value
+            return np.zeros(batch.shape[0]), g
+
+        return fn
 
     cfg = full_cfg(steps=2)
-    with pytest.raises(SamplingFailureError):
-        run(bad_fn, cfg, box(), NO_PREFIX, seed=0)
+    run(grads_with({}), cfg, box(), NO_PREFIX, seed=0)  # a finite batch steps on
+    with pytest.raises(SamplingFailureError, match="non-finite gradient for sample 1$"):
+        run(grads_with({1: np.inf, 3: np.nan}), cfg, box(), NO_PREFIX, seed=0)
 
 
 def test_step_single_update():
@@ -379,6 +384,31 @@ def test_batched_stream_words_match_seed_sequence(seed, n, data):
         assert batched.bit_generator.state == ref.bit_generator.state
         assert np.array_equal(lows + (highs - lows) * batched.random(3), ref.uniform(lows, highs))
         assert np.array_equal(batched.normal(0.0, 0.01, (4, 3)), ref.normal(0.0, 0.01, (4, 3)))
+
+
+# (words before the index, seed): a part of 2**32 or more is two words. Below
+# four words the index enters the pool's first mixing; from four on it
+# enters after the seed's words are hashed.
+WORD_SEEDS = [
+    (1, 0),
+    (3, (1, 2, 3)),
+    (3, (2**33 + 1, 5)),
+    (4, (2**32 + 5, 7, 9)),
+    (5, (0, 1, 2, 3, 4)),
+    (7, (2**40, 1, 2, 2**64 - 1, 5)),
+]
+
+
+@pytest.mark.parametrize("n", [1, 32, 512])
+@pytest.mark.parametrize("n_words, seed", WORD_SEEDS, ids=repr)
+def test_stream_words_match_seed_sequence_before_and_after_the_pool_fills(n_words, seed, n):
+    parts = derive_seed(seed)
+    assert sum(2 if p >> 32 else 1 for p in parts) == n_words
+    words = _stream_words(seed, n)
+    assert words.shape == (n, 4) and words.dtype == np.uint64
+    for i in range(n):
+        expected = np.random.SeedSequence([*parts, i]).generate_state(4, np.uint64)
+        assert np.array_equal(words[i], expected), i
 
 
 def test_stream_count_is_capped_per_chain():

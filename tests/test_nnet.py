@@ -2,7 +2,13 @@
 
 import numpy as np
 import pytest
-from conftest import forward_pass, param_grad, reference_param_grad, same_bytes
+from conftest import (
+    forward_pass,
+    param_grad,
+    reference_input_grad,
+    reference_param_grad,
+    same_bytes,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -300,6 +306,39 @@ def test_grad_params_batch_is_sum_of_singles():
     for i in range(4):
         acc += param_grad(net, x[i][None, :], upstream[i : i + 1])
     np.testing.assert_allclose(batch, acc, atol=1e-12)
+
+
+# The product with a one-row weight matrix is a broadcast, not a gemm. A gemm
+# sums from +0.0, so where a product is -0.0 it gives +0.0, and so must the
+# broadcast. The input gradient of a net whose first layer has one unit is
+# such a product, so the input-gradient test fails if the broadcast keeps a
+# -0.0. In a parameter gradient every consumer of the step (a gemm, a sum)
+# sums from +0.0 on NumPy 2, so that test guards the same bytes there.
+
+
+@pytest.mark.parametrize("rows", [1, 3, 32])
+def test_param_grad_keeps_the_gemms_signed_zeros(rows):
+    # an all-clamped batch has an upstream of -0.0: the model scales the
+    # clamp mask by a negative weight
+    net = MlpNetwork.initialize([2, 8, 5, 1], seed=2)
+    rng = np.random.default_rng(rows)
+    x = rng.uniform(-1, 1, (rows, 2))
+    clamped = np.full(rows, -0.0)
+    mixed = np.where(np.arange(rows) % 2 == 0, -0.0, rng.normal(size=rows))
+    for upstream in (clamped, mixed):
+        assert same_bytes(param_grad(net, x, upstream), reference_param_grad(net, x, upstream))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rows", [1, 3, 32, 512])
+@pytest.mark.parametrize("dims", [[3, 1], [3, 1, 1], [2, 8, 5, 1]], ids=str)
+def test_input_grad_keeps_the_gemms_signed_zeros(dims, rows, dtype):
+    net = MlpNetwork.initialize(dims, seed=5)
+    net.weights[-1][0, ::2] = -0.0  # output weights of -0.0 give -0.0 products
+    net = net.astype(dtype)
+    x = np.random.default_rng(rows).uniform(-1, 1, (rows, dims[0]))
+    got = net.forward_and_grad_input_batch(x)[1]
+    assert same_bytes(got, reference_input_grad(net, x))
 
 
 def test_adam_moves_against_gradient():
