@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import checked_query
-from .errors import InvalidInputError, OutOfBoundsError
+from .errors import OutOfBoundsError
 from .inference import InferenceResult
+from .langevin import checked_count
 
 
 @dataclass
@@ -46,8 +47,7 @@ def _cell_indices(grid_b, bounds, points) -> np.ndarray:
 
 def build(dataset, b: int) -> BinGrid:
     """Count dataset tuples into the joint grid over the dataset's bounds."""
-    if b < 1:
-        raise InvalidInputError("b must be >= 1")
+    b = checked_count("b", b)
     counts = np.zeros((b,) * sum(dataset.dims), dtype=np.int64)
     tuples = np.asarray(dataset.tuples, dtype=np.float64)
     if len(tuples):
@@ -113,8 +113,8 @@ def memory_report(d_s: int, d_a: int, b: int, d_next: int) -> MemoryReport:
     for comparison; the two coincide at d_s = d_a = 1. The estimate is 0
     whenever d_a = 0, as for both generated datasets and every bench row.
     """
-    if d_s < 1 or d_a < 0 or d_next < 1 or b < 1:
-        raise InvalidInputError("dims must be positive and b >= 1")
+    d_s, d_a = checked_count("d_s", d_s), checked_count("d_a", d_a, low=0)
+    b, d_next = checked_count("b", b), checked_count("d_next", d_next)
     return MemoryReport(
         joint_cells=b ** (d_s + d_a + d_next), cubic_scaling_cells=d_s * d_s * d_a * b**3
     )

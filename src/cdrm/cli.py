@@ -4,10 +4,10 @@ Each command is one entry of `_COMMANDS`: its handler, its help line and
 its knobs. The parser, `resolve` and `run` all read that table, and a
 handler calls the library's own recipes and record layouts.
 
-All output artifacts are deterministic functions of inputs and seeds:
-floats are serialized in shortest round-trip decimal form, JSON keys are
-sorted, and no artifact embeds a timestamp. Exit codes: 0 success, 1
-runtime failure, 2 usage or validation problem.
+All output artifacts are deterministic functions of inputs and seeds,
+written by `data.write_csv` and `data.write_json`, and no artifact embeds
+a timestamp. Exit codes: 0 success, 1 runtime failure, 2 usage or
+validation problem.
 """
 
 from __future__ import annotations
@@ -194,27 +194,6 @@ def resolve(command: str, flags: dict, config_path: str | None) -> dict:
     return values
 
 
-def _fmt(v) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise."""
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
-
-def _write_csv(path, header: list[str], rows: list) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def _layout(cfg: dict) -> data.RoomLayout:
     return data.RoomLayout(
         noisy_region=cfg["noisy_region"].rect,
@@ -236,7 +215,7 @@ def _chain_config(cfg: dict) -> LangevinConfig:
 
 def _save_dataset(out: str, dataset: data.TransitionDataset, meta: dict) -> int:
     data.save_csv(dataset, out)
-    _write_json(out + ".meta.json", meta)
+    data.write_json(out + ".meta.json", meta)
     print(f"wrote {len(dataset)} tuples to {out}")
     return 0
 
@@ -261,7 +240,7 @@ def cmd_train(cfg: dict) -> int:
     model = replace(model, provenance=model_io.provenance_for(train_cfg))
     model_io.save_model(cfg["out"], model)
     loss_out = cfg["loss_out"] or cfg["out"] + ".loss.csv"
-    _write_csv(loss_out, ["epoch", "loss"], [[i, v] for i, v in enumerate(losses)])
+    data.write_csv(loss_out, ["epoch,loss"], enumerate(losses))
     print(f"trained {train_cfg.epochs} epochs; model at {cfg['out']}, loss trace at {loss_out}")
     return 0
 
@@ -303,10 +282,10 @@ def cmd_eval(cfg: dict) -> int:
         seed=cfg["seed"],
     )
     row = evaluation.row()
-    _write_csv(cfg["out"], list(row), [list(row.values())])
+    data.write_csv(cfg["out"], [",".join(row)], [row.values()])
     probes_out = cfg["probes_out"] or cfg["out"] + ".probes.csv"
-    header = [f.name for f in fields(metrics.ProbeRecord)]
-    _write_csv(probes_out, header, [astuple(r) for r in evaluation.probes])
+    columns = ",".join(f.name for f in fields(metrics.ProbeRecord))
+    data.write_csv(probes_out, [columns], map(astuple, evaluation.probes))
     print(json.dumps(row, sort_keys=True))
     return 0
 
@@ -340,7 +319,7 @@ def cmd_oracle(cfg: dict) -> int:
         rows.append([float(x), int(not cdrm_empty), int(not bin_empty), int(agree)])
     rate = agreements / len(probes)
     if cfg["out"]:
-        _write_csv(cfg["out"], ["x", "cdrm_nonempty", "bin_nonempty", "agree"], rows)
+        data.write_csv(cfg["out"], ["x,cdrm_nonempty,bin_nonempty,agree"], rows)
     print(
         json.dumps(
             {"probes": len(probes), "agreements": agreements, "agreement_rate": rate},
@@ -400,11 +379,8 @@ def cmd_bench(cfg: dict) -> int:
             timing = [statistics.median(cdrm_ns[L]), statistics.median(bin_ns[b])]
             sizes = [report.joint_cells, report.cubic_scaling_cells]
             rows.append([b, 1, 0, L, model.net.n_params, *timing, *sizes])
-    _write_csv(
-        cfg["out"],
-        ["b", "d_s", "d_a", "L", "W", "cdrm_ns", "bin_ns", "joint_cells", "cubic_scaling_cells"],
-        rows,
-    )
+    columns = "b,d_s,d_a,L,W,cdrm_ns,bin_ns,joint_cells,cubic_scaling_cells"
+    data.write_csv(cfg["out"], [columns], rows)
     print(f"wrote {len(rows)} bench rows to {cfg['out']}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Transition datasets: container type, benchmark generators, file round-trip.
+"""Transition datasets, their generators and CSV round trip, and the artifact writers.
 
 A transition tuple is (state, action, next-state); regression problems are
 encoded with zero action dimensions, the regressor input as the state and
@@ -8,13 +8,14 @@ the regression target as the next state.
 from __future__ import annotations
 
 import enum
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DatasetFormatError, InvalidInputError, OutOfBoundsError
-from .langevin import SeedLike, is_integer, sample_rng
+from .langevin import SeedLike, checked_count, is_integer, sample_rng
 
 TOY_GAP = (-0.33, 0.33)  # input interval generating no samples at all
 ROOM_DIMS = (2, 0, 1)  # (x, y) state, no action, sensed temperature
@@ -139,8 +140,7 @@ def gen_toy(
     centered Gaussian noise of scale sigma_eta. With multimodal=True the
     whole set is duplicated with y negated, giving two output modes per x.
     """
-    if n_per_region < 1:
-        raise InvalidInputError("n_per_region must be >= 1")
+    n_per_region = checked_count("n_per_region", n_per_region)
     if not (math.isfinite(sigma_eta) and sigma_eta >= 0):
         raise InvalidInputError(f"sigma_eta must be finite and >= 0, got {sigma_eta}")
     rng = sample_rng(seed)
@@ -244,8 +244,7 @@ def gen_room(
     the sensor reads Gaussian noise around noise_mean; elsewhere it reads
     the deterministic base temperature field.
     """
-    if n_steps < 1:
-        raise InvalidInputError("n_steps must be >= 1")
+    n_steps = checked_count("n_steps", n_steps)
     if not (math.isfinite(walk_step) and walk_step >= 0):
         raise InvalidInputError(f"walk_step must be finite and >= 0, got {walk_step}")
     layout = layout or RoomLayout()
@@ -276,21 +275,37 @@ def gen_room(
     )
 
 
+def _text(value) -> str:
+    """A float in shortest round-trip decimal form, which float() restores
+    bit-exactly; anything else as str."""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def write_csv(path, head_lines: list[str], rows) -> None:
+    """The one CSV writer of cdrm's artifacts: head_lines as they are, then
+    one line of comma-separated `_text` values per row, each line ending in a newline."""
+    lines = head_lines + [",".join(map(_text, row)) for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, obj) -> None:
+    """The one JSON writer of cdrm's artifacts: sorted keys, indent 1, a final
+    newline, and floats in Python's shortest round-trip form."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 def save_csv(dataset: TransitionDataset, path) -> None:
-    """Write the dataset with full-precision decimal floats.
+    """Write the dataset through `write_csv`.
 
     Header comments carry the dims triple and the per-dimension bounds so a
     round-trip restores the dataset exactly, bounds included.
     """
     d_s, d_a, d_next = dataset.dims
-    lines = [f"# dims={d_s},{d_a},{d_next}"]
-    lines.append(
-        "# bounds=" + ",".join(f"{float(lo)!r}:{float(hi)!r}" for lo, hi in dataset.bounds)
-    )
-    for row in dataset.tuples:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    bounds = ",".join(f"{_text(lo)}:{_text(hi)}" for lo, hi in dataset.bounds)
+    write_csv(path, [f"# dims={d_s},{d_a},{d_next}", f"# bounds={bounds}"], dataset.tuples)
 
 
 def load_csv(path) -> TransitionDataset:

@@ -211,8 +211,7 @@ def infer(
     query = checked_query(model.dims, model.input_bounds, s, a)
     if not 0.0 <= alpha <= 1.0:  # also false for NaN
         raise InvalidInputError(f"alpha must be a finite value in [0, 1], got {alpha}")
-    if cfg.steps < 1:
-        raise InvalidInputError(f"an inference chain needs steps >= 1, got {cfg.steps}")
+    langevin.checked_count("steps", cfg.steps)
     tol = default_dedup_tol(model) if dedup_tol is None else dedup_tol
     _tol_and_width(tol, model.dims[2])  # a bad tolerance fails before the chain
 

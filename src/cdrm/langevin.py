@@ -42,6 +42,15 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def checked_count(name: str, value, low: int = 1) -> int:
+    """value as a Python int, after the one count rule: an integer (numpy
+    integers too; a bool is not one) >= low. Anything else raises
+    InvalidInputError naming the count."""
+    if not (is_integer(value) and value >= low):
+        raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _entropy(seed: SeedLike) -> list[int]:
     """The parts of a seed as Python ints; the one check of a seed. A seed
     is an integer in [0, 2**64) or a non-empty tuple of them, so no two
@@ -150,10 +159,8 @@ class LangevinConfig:
     noise_scale: float
 
     def __post_init__(self):
-        if not (is_integer(self.n_samples) and self.n_samples >= 1):
-            raise InvalidInputError("n_samples must be a positive integer")
-        if not (is_integer(self.steps) and self.steps >= 0):
-            raise InvalidInputError("steps must be an integer >= 0")
+        for name, low in (("n_samples", 1), ("steps", 0)):
+            object.__setattr__(self, name, checked_count(name, getattr(self, name), low))
         if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise InvalidInputError("step_size must be finite and positive")
         if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):

@@ -98,6 +98,7 @@ class RoomEvaluation:
 
 def probe_grid(grid_resolution: int) -> np.ndarray:
     """Cell-center probe coordinates over the unit room, row-major."""
+    grid_resolution = langevin.checked_count("grid_resolution", grid_resolution)
     centers = (np.arange(grid_resolution) + 0.5) / grid_resolution
     xx, yy = np.meshgrid(centers, centers, indexing="ij")
     return np.column_stack([xx.ravel(), yy.ravel()])

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import kde, langevin
 from .data import checked_layout
-from .errors import InvalidInputError, TrainingDivergenceError
+from .errors import InvalidInputError, OutOfBoundsError, TrainingDivergenceError
 from .kde import KdeStats
-from .langevin import LangevinConfig, ScoreFn, SeedLike, is_integer
+from .langevin import LangevinConfig, ScoreFn, SeedLike, checked_count
 from .nnet import AdamState, MlpNetwork, Workspace, adam_update, sigmoid
 
 # Pre-sigmoid clamp half-width: confines scores to [1e-6, 1 - 1e-6].
@@ -151,10 +151,8 @@ class TrainConfig:
     seed: SeedLike = 0
 
     def __post_init__(self):
-        if not (is_integer(self.epochs) and self.epochs >= 0):
-            raise InvalidInputError("epochs must be an integer >= 0")
-        if not (is_integer(self.positive_batch) and self.positive_batch >= 1):
-            raise InvalidInputError("positive_batch must be a positive integer")
+        for name, low in (("epochs", 0), ("positive_batch", 1)):
+            object.__setattr__(self, name, checked_count(name, getattr(self, name), low))
         try:
             self.negative_chain
         except InvalidInputError as exc:
@@ -237,17 +235,19 @@ def train(
     Everything is keyed off cfg.seed, so a rerun reproduces the trace
     bit for bit, and the per-sample noise streams make the result
     independent of batch-size-induced layout. Training runs in float64: a
-    network of another dtype (an `MlpNetwork.astype` copy) is refused.
+    network of another dtype (an `MlpNetwork.astype` copy) is refused. A
+    dataset whose dims are not the model's raises InvalidInputError, and
+    one with a tuple outside the model's input bounds OutOfBoundsError.
     """
     if model.net.params.dtype != np.float64:
         raise InvalidInputError(f"training needs a float64 network, got {model.net.params.dtype}")
     tuples = np.asarray(dataset.tuples, dtype=np.float64)
     if len(tuples) == 0:
         raise InvalidInputError("dataset is empty")
-    if tuples.shape[1] != model.d_total:
-        raise InvalidInputError(
-            f"dataset width {tuples.shape[1]} does not match model dims {model.dims}"
-        )
+    if dataset.dims != model.dims:
+        raise InvalidInputError(f"dataset dims {dataset.dims} do not match model dims {model.dims}")
+    if np.any(tuples < model.input_bounds[:, 0]) or np.any(tuples > model.input_bounds[:, 1]):
+        raise OutOfBoundsError("dataset contains tuples outside the model's input bounds")
 
     net = MlpNetwork(model.net.layer_dims, model.net.weights, model.net.biases)  # Adam's copy
     trained = replace(model, net=net)

@@ -1,13 +1,13 @@
 """Versioned model serialization with an embedded self-check battery.
 
-Models are stored as JSON with all floats in shortest round-trip decimal
-form, which Python's float repr guarantees to restore bit-exactly. The
-file carries a small battery of probe inputs, drawn from the input
-bounds, together with their scores at save time; load() rebuilds the
-battery from the loaded bounds, scores it, and refuses the file on any
-difference from the stored probes or scores, so silent corruption of the
-network or the bounds, or a numerics drift, cannot go unnoticed. The
-stored clamp half-width must equal `model.LOGIT_CLIP`.
+Models are stored as JSON written by `data.write_json`, whose floats
+restore bit-exactly. The file carries a small battery of probe inputs,
+drawn from the input bounds, together with their scores at save time;
+load() rebuilds the battery from the loaded bounds, scores it, and
+refuses the file on any difference from the stored probes or scores, so
+silent corruption of the network or the bounds, or a numerics drift,
+cannot go unnoticed. The stored clamp half-width must equal
+`model.LOGIT_CLIP`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import langevin
+from . import data, langevin
 from .errors import InvalidInputError, ModelFormatError, UnsupportedVersionError
 from .kde import KdeStats
 from .model import LOGIT_CLIP, CdrmModel, TrainConfig, score_batch
@@ -44,10 +44,12 @@ def provenance_for(cfg: TrainConfig) -> dict:
     """Training-run fingerprint stored inside the model file.
 
     The hash covers every TrainConfig field, with the seed expanded by
-    derive_seed, so a new field changes every fingerprint.
+    derive_seed, so a new field changes every fingerprint. A numpy scalar
+    field is hashed as the Python scalar it holds, so `np.int64(8)` and 8
+    give one fingerprint.
     """
     seed = list(langevin.derive_seed(cfg.seed))
-    blob = json.dumps({**asdict(cfg), "seed": seed}, sort_keys=True)
+    blob = json.dumps({**asdict(cfg), "seed": seed}, sort_keys=True, default=np.generic.item)
     return {
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
         "seed": seed,
@@ -81,9 +83,7 @@ def save_model(path, model: CdrmModel) -> None:
         "provenance": model.provenance,
         "self_check": {"probes": _nested(probes), "scores": _nested(scores)},
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    data.write_json(path, doc)
 
 
 def load_model(path) -> CdrmModel:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergenceError
-from .langevin import SeedLike, is_integer, sample_rng
+from .langevin import SeedLike, checked_count, is_integer, sample_rng
 
 
 def sigmoid(x):
@@ -81,13 +81,14 @@ class MlpNetwork:
     @classmethod
     def initialize(cls, layer_dims: list[int], seed: SeedLike) -> "MlpNetwork":
         """Xavier-uniform weights, zero biases, seeded for reproducibility."""
+        layer_dims = [checked_count("layer_dims", d) for d in layer_dims]
         rng = sample_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
             biases.append(np.zeros(fan_out))
-        return cls(list(layer_dims), weights, biases)
+        return cls(layer_dims, weights, biases)
 
     def layers(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """(weights, biases) views of a vector laid out as params."""
@@ -319,8 +320,7 @@ def adam_update(
     """
     if not np.all(np.isfinite(grad)):
         raise TrainingDivergenceError("non-finite gradient entries in Adam update")
-    if step_index < 1:
-        raise InvalidInputError("step_index must be >= 1")
+    step_index = checked_count("step_index", step_index)
     bc1 = 1.0 - ADAM_BETA1**step_index
     bc2 = 1.0 - ADAM_BETA2**step_index
     # The arithmetic, operation for operation, of

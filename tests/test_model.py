@@ -8,7 +8,12 @@ import pytest
 from cdrm import data, kde, langevin, model
 from conftest import count_passes, forward_pass, reference_param_grad, same_bytes
 from cdrm.data import TransitionDataset
-from cdrm.errors import DegenerateDatasetError, InvalidInputError, TrainingDivergenceError
+from cdrm.errors import (
+    DegenerateDatasetError,
+    InvalidInputError,
+    OutOfBoundsError,
+    TrainingDivergenceError,
+)
 from cdrm.langevin import LangevinConfig
 from cdrm.model import (
     LOGIT_CLIP,
@@ -481,6 +486,19 @@ class TestTrain:
         )
         with pytest.raises(InvalidInputError):
             train(tiny_model(), ds, TrainConfig(epochs=1))
+
+    def test_dataset_of_another_layout_is_refused(self):
+        # a room walk, dims (2, 0, 1), is as wide as a (1, 1, 1) model
+        room = data.gen_room(10, seed=1)
+        with pytest.raises(InvalidInputError, match=r"dataset dims \(2, 0, 1\) do not match"):
+            train(tiny_model(dims=(1, 1, 1)), room, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("low, high", [(5.0, 6.0), (0.0, 0.5)])
+    def test_tuple_outside_the_models_box_is_refused(self, low, high):
+        # the first box holds none of the walk's tuples, the second some
+        m = tiny_model(dims=(2, 0, 1), bounds=np.array([[low, high]] * 3))
+        with pytest.raises(OutOfBoundsError, match="outside the model's input bounds"):
+            train(m, data.gen_room(10, seed=1), TrainConfig(epochs=1))
 
     def test_divergence_error_names_epoch(self):
         # a poisoned positive turns the first loss non-finite; steps=0

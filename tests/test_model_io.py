@@ -385,6 +385,16 @@ class TestProvenance:
         ):
             assert provenance_for(other)["config_sha256"] != base["config_sha256"]
 
+    def test_numpy_scalar_fields_hash_as_the_python_scalars_they_hold(self):
+        as_numpy = TrainConfig(epochs=np.int64(3), negative_batch=np.int64(8), seed=np.uint64(9))
+        prov = provenance_for(as_numpy)
+        assert prov == provenance_for(TrainConfig(epochs=3, negative_batch=8, seed=9))
+        assert type(prov["epochs"]) is int
+        lr = np.float32(0.01)
+        assert provenance_for(TrainConfig(learning_rate=lr)) == provenance_for(
+            TrainConfig(learning_rate=float(lr))
+        )
+
     def test_fingerprint_survives_json(self):
         prov = provenance_for(TrainConfig(epochs=2, seed=1))
         assert prov == json.loads(json.dumps(prov))
