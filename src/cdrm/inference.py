@@ -209,6 +209,7 @@ def infer(
     if model.kde_stats is None:
         raise UnpreparedModelError("model has no fitted density stats; train or fit first")
     query = checked_query(model.dims, model.input_bounds, s, a)
+    langevin.check_real("alpha", alpha)
     if not 0.0 <= alpha <= 1.0:  # also false for NaN
         raise InvalidInputError(f"alpha must be a finite value in [0, 1], got {alpha}")
     langevin.checked_count("steps", cfg.steps)

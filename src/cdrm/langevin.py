@@ -15,9 +15,10 @@ stream, so changing the batch size never perturbs the stream of any other
 sample. `sample_rng` is the definition; `run` reproduces the n streams of a
 chain by re-implementing only SeedSequence's hash, batched over the n
 streams (`_stream_words`), and each stream's PCG64 seeds itself from its
-row of seed words through NumPy's `ISeedSequence` interface. NEP 19 keeps
-the hash stable across NumPy releases; if it ever changes, the
-differential test against `SeedSequence.generate_state` fails.
+row of seed words through NumPy's `ISeedSequence` interface; each sample
+then draws its noise into its own row of one buffer (`_draw_streams`).
+NEP 19 keeps the hash stable across NumPy releases; if it ever changes,
+the differential test against `SeedSequence.generate_state` fails.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ def checked_count(name: str, value, low: int = 1) -> int:
     return int(value)
 
 
+def check_real(name: str, value) -> None:
+    """The one type rule of a float knob: an int, float or numpy real (a
+    bool is not one). Anything else raises InvalidInputError naming the
+    knob. The knob keeps the value as given, so its range check follows
+    and a config records the caller's number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+
+
 def _entropy(seed: SeedLike) -> list[int]:
     """The parts of a seed as Python ints; the one check of a seed. A seed
     is an integer in [0, 2**64) or a non-empty tuple of them, so no two
@@ -77,17 +87,49 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
+def _hash(value, xor, mult):
+    """One SeedSequence hash step: value ^ xor, times mult mod 2**32, then
+    xor-shifted; on Python ints or on uint64 arrays, where the product of
+    two 32-bit words stays exact."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ (value >> _XSHIFT)
+
+
+def _hash_consts(hash_const: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier constants of `count` successive hash steps
+    that start from `hash_const`, each as a (count, 1) uint64 column."""
+    xors, mults = [], []
+    for _ in range(count):
+        xors.append(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        mults.append(hash_const)
+    return _column(xors), _column(mults)
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint64)[:, None]
+
+
+# generate_state(4, np.uint64) hashes eight uint32 words, cycling the pool;
+# output word k takes pool word k % 4 and the k-th constants.
+_OUT_POOL_ROWS = np.arange(8) % _POOL_SIZE
+_OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
 def _stream_words(seed: SeedLike, n: int) -> np.ndarray:
     """The (n, 4) uint64 PCG64 seed words of `sample_rng(seed, i)` for i in
-    0..n-1, in one pass: row i is
+    0..n-1, C-contiguous: row i is
     `SeedSequence([*derive_seed(seed), i]).generate_state(4, np.uint64)`.
 
     Runs SeedSequence's pool hash on all n entropy lists at once: they share
     the seed's 32-bit words and differ only in the last word, the index.
     The shared words stay Python ints, so every hash step before the index
-    enters runs once, in scalar arithmetic; only the index word is an
-    n-long array. Array steps are done in uint64 and masked, which keeps
-    every product exact.
+    enters runs once, in scalar arithmetic. From four seed words on (every
+    training seed) the index enters after the pool has filled, and its four
+    steps, one per pool word, are one (4, n) array pass; with fewer, it
+    enters the pool's first mixing as an n-long array. The eight output
+    words are then one (8, n) pass. Array steps are done in uint64 and
+    masked, which keeps every product exact.
     """
     if n > _MASK32 + 1:
         raise InvalidInputError("at most 2**32 streams per chain")
@@ -96,16 +138,17 @@ def _stream_words(seed: SeedLike, n: int) -> np.ndarray:
         for part in _entropy(seed)
         for w in ([part & _MASK32, part >> 32] if part >> 32 else [part])
     ]
-    words.append(np.arange(n, dtype=np.uint64))
+    index = np.arange(n, dtype=np.uint64)
+    late_index = len(words) >= _POOL_SIZE
+    if not late_index:
+        words.append(index)
 
     hash_const = _INIT_A
 
     def hashmix(value):
         nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ (value >> _XSHIFT)
+        xor, hash_const = hash_const, hash_const * _MULT_A & _MASK32
+        return _hash(value, xor, hash_const)
 
     def mix(x, y):
         r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
@@ -119,17 +162,15 @@ def _stream_words(seed: SeedLike, n: int) -> np.ndarray:
     for word in words[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
+    if late_index:
+        # pool[dst] = mix(pool[dst], hashmix(index)) for each dst, as one pass
+        pool = mix(_column(pool), _hash(index, *_hash_consts(hash_const, _MULT_A, _POOL_SIZE)))
 
-    # generate_state(4, np.uint64): eight uint32 words cycling the pool,
-    # paired little-endian into four uint64 words.
-    hash_const = _INIT_B
-    out = []
-    for k in range(8):
-        value = pool[k % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const & _MASK32
-        out.append(value ^ (value >> _XSHIFT))
-    return np.stack([out[2 * j] | (out[2 * j + 1] << 32) for j in range(4)], axis=1)
+    # generate_state(4, np.uint64): the eight uint32 output words, paired
+    # little-endian into four uint64 words. A row must be contiguous: PCG64
+    # reads a strided row as other words.
+    out = _hash(np.asarray(pool)[_OUT_POOL_ROWS], *_OUT_CONSTS)
+    return np.ascontiguousarray((out[::2] | out[1::2] << 32).T)
 
 
 class _Words(np.random.bit_generator.ISeedSequence):
@@ -161,8 +202,10 @@ class LangevinConfig:
     def __post_init__(self):
         for name, low in (("n_samples", 1), ("steps", 0)):
             object.__setattr__(self, name, checked_count(name, getattr(self, name), low))
+        check_real("step_size", self.step_size)
         if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise InvalidInputError("step_size must be finite and positive")
+        check_real("noise_scale", self.noise_scale)
         if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
             raise InvalidInputError("noise_scale must be finite and >= 0")
 
@@ -198,19 +241,26 @@ def _draw_streams(
     from stream i, exactly as `sample_rng(seed, i).uniform(lows, highs)`
     followed by `.normal(0, noise_scale, (L, d))` would. Each stream's
     PCG64 seeds itself from its row of `_stream_words`; `lows + span * u`
-    is the arithmetic `uniform` applies to its draws.
+    is the arithmetic `uniform` applies to its draws. Each sample draws
+    standard normals straight into its own contiguous (L, d) row of one
+    buffer, and the buffer is then scaled once: `normal(0.0, s)` is
+    `0.0 + s * z`, and the `+ 0.0` turns a -0.0 product into +0.0. The
+    noise returned is a view of that buffer.
     """
     n, L, d = cfg.n_samples, cfg.steps, len(bounds)
     lows, highs = bounds[:, 0], bounds[:, 1]
     unit = np.empty((n, d))
-    noise = np.zeros((L, n, d))
+    noise = np.zeros((n, L, d))
     for i, row in enumerate(_stream_words(seed, n)):
         rng = np.random.Generator(np.random.PCG64(_Words(row)))
         rng.random(out=unit[i])
         if cfg.noise_scale > 0:
-            noise[:, i] = rng.normal(0.0, cfg.noise_scale, (L, d))
+            rng.standard_normal(out=noise[i])
+    if cfg.noise_scale > 0:
+        noise *= cfg.noise_scale
+        noise += 0.0
     init[:] = lows + (highs - lows) * unit
-    return noise
+    return noise.transpose(1, 0, 2)
 
 
 def _check_grads(grads):

@@ -9,6 +9,7 @@ from cdrm import data, kde
 from cdrm.errors import InvalidInputError, SamplingFailureError
 from cdrm.langevin import (
     LangevinConfig,
+    _draw_streams,
     _stream_words,
     _Words,
     derive_seed,
@@ -406,9 +407,35 @@ def test_stream_words_match_seed_sequence_before_and_after_the_pool_fills(n_word
     assert sum(2 if p >> 32 else 1 for p in parts) == n_words
     words = _stream_words(seed, n)
     assert words.shape == (n, 4) and words.dtype == np.uint64
+    # PCG64 reads a strided row as other words, so each row must be contiguous
+    assert words.flags.c_contiguous
     for i in range(n):
         expected = np.random.SeedSequence([*parts, i]).generate_state(4, np.uint64)
         assert np.array_equal(words[i], expected), i
+
+
+# (words before the index, seed): the index enters the pool's first mixing,
+# right after the pool fills, and after two more words
+DRAW_SEEDS = [(1, 7), (4, (1, 2, 0, 3)), (6, (2**40 + 5, 3, 2**33, 9))]
+
+
+@pytest.mark.parametrize("noise_scale", [0.0, 5e-324, 0.01])
+@pytest.mark.parametrize("n_words, seed", DRAW_SEEDS, ids=repr)
+@pytest.mark.parametrize("n", [1, 32, 512])
+def test_draw_streams_match_sample_rng(n, n_words, seed, noise_scale):
+    # sample i's init is stream i's uniform draw and its noise the stream's
+    # next normal draw, byte for byte. At 5e-324 most products round to
+    # zero, and a negative draw's must be normal's +0.0, not -0.0.
+    assert sum(2 if p >> 32 else 1 for p in derive_seed(seed)) == n_words
+    lows, highs = np.array([-1.0, 0.0, -3.5]), np.array([1.0, 0.0, 2.25])
+    cfg = LangevinConfig(n, 4, 0.1, noise_scale)
+    init = np.empty((n, 3))
+    noise = _draw_streams(cfg, np.column_stack([lows, highs]), seed, init)
+    assert noise.shape == (4, n, 3)
+    for i in range(n):
+        rng = sample_rng(seed, i)
+        assert init[i].tobytes() == rng.uniform(lows, highs).tobytes(), i
+        assert noise[:, i].tobytes() == rng.normal(0.0, noise_scale, (4, 3)).tobytes(), i
 
 
 def test_stream_count_is_capped_per_chain():
