@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetFormatError, InvalidInputError, OutOfBoundsError
-from .langevin import SeedLike, checked_count, is_integer, sample_rng
+from .langevin import SeedLike, checked_count, checked_real, is_integer, sample_rng
 
 TOY_GAP = (-0.33, 0.33)  # input interval generating no samples at all
 ROOM_DIMS = (2, 0, 1)  # (x, y) state, no action, sensed temperature
@@ -141,8 +141,9 @@ def gen_toy(
     whole set is duplicated with y negated, giving two output modes per x.
     """
     n_per_region = checked_count("n_per_region", n_per_region)
-    if not (math.isfinite(sigma_eta) and sigma_eta >= 0):
-        raise InvalidInputError(f"sigma_eta must be finite and >= 0, got {sigma_eta}")
+    checked_real("sigma_eta", sigma_eta, 0)
+    if not isinstance(multimodal, (bool, np.bool_)):
+        raise InvalidInputError(f"multimodal must be a bool, got {multimodal!r}")
     rng = sample_rng(seed)
     x_clean = rng.uniform(-1.0, TOY_GAP[0], n_per_region)
     y_clean = np.sin(x_clean)
@@ -200,6 +201,8 @@ class RoomLayout:
     def __post_init__(self):
         for name in ("noisy_region", "hidden_region"):
             r = getattr(self, name)
+            for corner in ("x_low", "y_low", "x_high", "y_high"):
+                checked_real(f"{name}.{corner}", getattr(r, corner))
             if not (
                 self.ROOM.x_low <= r.x_low < r.x_high <= self.ROOM.x_high
                 and self.ROOM.y_low <= r.y_low < r.y_high <= self.ROOM.y_high
@@ -207,10 +210,8 @@ class RoomLayout:
                 raise InvalidInputError(f"{name} must lie within the room")
         if self.noisy_region.overlaps(self.hidden_region):
             raise InvalidInputError("noisy and hidden regions must be disjoint")
-        if not math.isfinite(self.noise_mean):
-            raise InvalidInputError(f"noise_mean must be finite, got {self.noise_mean}")
-        if not (math.isfinite(self.noise_std) and self.noise_std > 0):
-            raise InvalidInputError(f"noise_std must be finite and positive, got {self.noise_std}")
+        checked_real("noise_mean", self.noise_mean)
+        checked_real("noise_std", self.noise_std, 0, strict=True)
 
 
 class RegionLabel(enum.Enum):
@@ -245,8 +246,7 @@ def gen_room(
     the deterministic base temperature field.
     """
     n_steps = checked_count("n_steps", n_steps)
-    if not (math.isfinite(walk_step) and walk_step >= 0):
-        raise InvalidInputError(f"walk_step must be finite and >= 0, got {walk_step}")
+    checked_real("walk_step", walk_step, 0)
     layout = layout or RoomLayout()
     rng = sample_rng(seed)
     pos = rng.uniform(0.0, 1.0, 2)

@@ -33,12 +33,14 @@ MAX_CELL_INDEX = 2.0**62
 def _tol_and_width(dedup_tol, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-dim tolerance for d-dim samples, a scalar applying to every dim,
     and the cell width: 1 on zero-tolerance dims, where only equality counts."""
-    tol = np.atleast_1d(np.asarray(dedup_tol, dtype=np.float64))
-    if tol.ndim != 1 or not np.all(np.isfinite(tol)) or np.any(tol < 0):
-        raise InvalidInputError("dedup_tol must be a finite non-negative scalar or vector")
+    tol = np.atleast_1d(np.asarray(dedup_tol))
+    # integer or float dtype only: text, bools and objects are not tolerances
+    finite = tol.dtype.kind in "iuf" and np.all(np.isfinite(tol))
+    if tol.ndim != 1 or not finite or np.any(tol < 0):
+        raise InvalidInputError("dedup_tol must be a finite non-negative real scalar or vector")
     if tol.size not in (1, d):
         raise InvalidInputError(f"dedup_tol has {tol.size} entries, samples have {d}")
-    tol = np.broadcast_to(tol, (d,))
+    tol = np.broadcast_to(tol.astype(np.float64, copy=False), (d,))
     return tol, np.where(tol > 0, tol, 1.0)
 
 
@@ -209,9 +211,7 @@ def infer(
     if model.kde_stats is None:
         raise UnpreparedModelError("model has no fitted density stats; train or fit first")
     query = checked_query(model.dims, model.input_bounds, s, a)
-    langevin.check_real("alpha", alpha)
-    if not 0.0 <= alpha <= 1.0:  # also false for NaN
-        raise InvalidInputError(f"alpha must be a finite value in [0, 1], got {alpha}")
+    langevin.checked_real("alpha", alpha, 0, 1)
     langevin.checked_count("steps", cfg.steps)
     tol = default_dedup_tol(model) if dedup_tol is None else dedup_tol
     _tol_and_width(tol, model.dims[2])  # a bad tolerance fails before the chain

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDatasetError, InvalidInputError
-from .langevin import SeedLike, sample_rng
+from .langevin import SeedLike, checked_real, sample_rng
 from .nnet import sigmoid
 
 MAX_REFERENCE_POINTS = 4096
@@ -36,14 +36,9 @@ class KdeStats:
 
     def __post_init__(self):
         self.reference_points = refs = np.asarray(self.reference_points, dtype=np.float64)
-        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise InvalidInputError(
-                f"kde bandwidth must be finite and positive, got {self.bandwidth}"
-            )
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise InvalidInputError(f"kde sigma must be finite and positive, got {self.sigma}")
-        if not np.isfinite(self.mu):
-            raise InvalidInputError(f"kde mu must be finite, got {self.mu}")
+        checked_real("bandwidth", self.bandwidth, 0, strict=True)
+        checked_real("sigma", self.sigma, 0, strict=True)
+        checked_real("mu", self.mu)
         if refs.ndim != 2 or refs.size == 0:
             raise InvalidInputError(
                 f"kde reference points must be a non-empty (n, d) array, got shape {refs.shape}"
@@ -106,7 +101,8 @@ def fit(
     (seeded) to bound the per-query cost. A dataset whose points all see the
     same density (e.g. fully symmetric or coincident points) has zero spread
     and cannot be standardized; that raises DegenerateDatasetError. A
-    non-finite input raises InvalidInputError.
+    non-finite input raises InvalidInputError. bandwidth_rule is "median",
+    the median-distance rule, or a bandwidth in (0, inf).
     """
     pts = np.asarray(dataset_inputs, dtype=np.float64)
     if pts.ndim != 2 or len(pts) < 2:
@@ -114,12 +110,10 @@ def fit(
     if not np.all(np.isfinite(pts)):
         raise InvalidInputError("density inputs must be finite")
     pts = _subsample(pts, MAX_REFERENCE_POINTS, seed)
-    if isinstance(bandwidth_rule, str):
-        if bandwidth_rule != "median":
-            raise InvalidInputError(f"unknown bandwidth rule {bandwidth_rule!r}")
+    if isinstance(bandwidth_rule, str) and bandwidth_rule == "median":
         h = median_heuristic_bandwidth(pts, seed=seed)
     else:
-        h = float(bandwidth_rule)
+        h = float(checked_real("bandwidth", bandwidth_rule, 0, strict=True))
     self_density = density_batch(KdeStats(pts, h, mu=0.0, sigma=1.0), pts)
     sigma = float(self_density.std())
     if sigma <= 0.0:

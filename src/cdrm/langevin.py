@@ -52,13 +52,25 @@ def checked_count(name: str, value, low: int = 1) -> int:
     return int(value)
 
 
-def check_real(name: str, value) -> None:
-    """The one type rule of a float knob: an int, float or numpy real (a
-    bool is not one). Anything else raises InvalidInputError naming the
-    knob. The knob keeps the value as given, so its range check follows
-    and a config records the caller's number."""
+def checked_real(name: str, value, low=-math.inf, high=math.inf, strict=False):
+    """value as given, after the one rule of a float knob: an int, float or
+    numpy real (a bool is not one), finite and in [low, high], or in
+    (low, high) when strict. Anything else raises InvalidInputError naming
+    the knob. The value is not converted, so a config records the caller's
+    number."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not (finite and (low < value < high if strict else low <= value <= high)):
+        left = "(" if strict or low == -math.inf else "["
+        right = ")" if strict or high == math.inf else "]"
+        raise InvalidInputError(
+            f"{name} must be finite and in {left}{low:g}, {high:g}{right}, got {value!r}"
+        )
+    return value
 
 
 def _entropy(seed: SeedLike) -> list[int]:
@@ -202,12 +214,8 @@ class LangevinConfig:
     def __post_init__(self):
         for name, low in (("n_samples", 1), ("steps", 0)):
             object.__setattr__(self, name, checked_count(name, getattr(self, name), low))
-        check_real("step_size", self.step_size)
-        if not (math.isfinite(self.step_size) and self.step_size > 0):
-            raise InvalidInputError("step_size must be finite and positive")
-        check_real("noise_scale", self.noise_scale)
-        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
-            raise InvalidInputError("noise_scale must be finite and >= 0")
+        checked_real("step_size", self.step_size, 0, strict=True)
+        checked_real("noise_scale", self.noise_scale, 0)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from . import kde, langevin
 from .data import checked_layout
 from .errors import InvalidInputError, OutOfBoundsError, TrainingDivergenceError
 from .kde import KdeStats
-from .langevin import LangevinConfig, ScoreFn, SeedLike, check_real, checked_count
+from .langevin import LangevinConfig, ScoreFn, SeedLike, checked_count, checked_real
 from .nnet import AdamState, MlpNetwork, Workspace, adam_update, sigmoid
 
 # Pre-sigmoid clamp half-width: confines scores to [1e-6, 1 - 1e-6].
@@ -157,12 +157,8 @@ class TrainConfig:
             self.negative_chain
         except InvalidInputError as exc:
             raise InvalidInputError(f"negative chain: {exc}") from None
-        check_real("learning_rate", self.learning_rate)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise InvalidInputError("learning_rate must be finite and positive")
-        check_real("stability_eps", self.stability_eps)
-        if not (0.0 < self.stability_eps < 0.5):
-            raise InvalidInputError("stability_eps must lie in (0, 0.5)")
+        checked_real("learning_rate", self.learning_rate, 0, strict=True)
+        checked_real("stability_eps", self.stability_eps, 0, 0.5, strict=True)
         langevin.derive_seed(self.seed)  # refuses a seed outside langevin's rule
 
     @property

@@ -191,6 +191,17 @@ class TestGenToy:
         with pytest.raises(InvalidInputError, match="sigma_eta"):
             gen_toy(sigma_eta=sigma_eta)
 
+    @pytest.mark.parametrize("multimodal", ["no", "True", 1, 0, None, [True]], ids=repr)
+    def test_multimodal_takes_only_a_bool(self, multimodal):
+        with pytest.raises(InvalidInputError, match="^multimodal must be a bool, got "):
+            gen_toy(n_per_region=3, multimodal=multimodal)
+
+    def test_multimodal_takes_a_numpy_bool(self):
+        for flag in (False, True):
+            assert gen_toy(n_per_region=3, multimodal=np.bool_(flag)) == gen_toy(
+                n_per_region=3, multimodal=flag
+            )
+
 
 class TestRect:
     def test_contains_is_inclusive(self):

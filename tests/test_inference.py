@@ -1,6 +1,7 @@
 """Valid-set collection, prediction, and the two uncertainty readouts."""
 
 import dataclasses
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -555,6 +556,19 @@ class TestInfer:
         base = kde.base_eu(m.kde_stats, np.array(query))
         assert res.eu == epistemic(valid, res.per_step_max, base)
         assert res.au == aleatoric(valid)
+
+    @pytest.mark.parametrize(
+        "tol", ["0.1", ["0.1"], True, [True], [Fraction(1, 10)], [None]], ids=repr
+    )
+    def test_dedup_tol_that_is_not_real_numbers_rejected(self, tol):
+        with pytest.raises(InvalidInputError, match="^dedup_tol must be a finite non-negative"):
+            infer(ramp_model(), [0.0], [], cfg=small_chain(), dedup_tol=tol)
+
+    def test_dedup_tol_of_any_real_dtype_accepted(self):
+        def run(tol):
+            return repr(infer(ramp_model(), [0.0], [], cfg=small_chain(), dedup_tol=tol, seed=3))
+
+        assert run(np.array([1], dtype=np.uint8)) == run(1) == run(1.0)
 
     def test_nan_dedup_tol_rejected_before_the_chain(self):
         m = ramp_model()
