@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import checked_query
-from .errors import OutOfBoundsError
+from .data import TransitionDataset
+from .errors import InvalidInputError, OutOfBoundsError
 from .inference import InferenceResult
-from .langevin import checked_count
+from .rules import checked_count, checked_query
 
 
 @dataclass
@@ -45,8 +45,10 @@ def _cell_indices(grid_b, bounds, points) -> np.ndarray:
     return np.where(at_top, grid_b - 1, idx)
 
 
-def build(dataset, b: int) -> BinGrid:
+def build(dataset: TransitionDataset, b: int) -> BinGrid:
     """Count dataset tuples into the joint grid over the dataset's bounds."""
+    if not isinstance(dataset, TransitionDataset):
+        raise InvalidInputError(f"dataset must be a TransitionDataset, got {type(dataset)}")
     b = checked_count("b", b)
     counts = np.zeros((b,) * sum(dataset.dims), dtype=np.int64)
     tuples = np.asarray(dataset.tuples, dtype=np.float64)
@@ -62,7 +64,7 @@ def build(dataset, b: int) -> BinGrid:
 def _occupied_cells(grid: BinGrid, s, a) -> tuple[list[np.ndarray], np.ndarray]:
     """Centers of the next-state cells occupied for the input (s, a), one
     (d_next,) array per cell in index order, and their counts; (s, a) must
-    pass `data.checked_query` against the grid's layout."""
+    pass `rules.checked_query` against the grid's layout."""
     d_s, d_a, d_next = grid.dims
     point = checked_query(grid.dims, grid.bounds, s, a)
     cell = tuple(_cell_indices(grid.b, grid.bounds[: d_s + d_a], point).tolist())

@@ -25,7 +25,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from . import binref, data, langevin, metrics, model_io
+from . import binref, data, metrics, model_io, rules
 from .errors import InvalidInputError, RuntimeFailure, UsageError
 from .inference import DEFAULT_ALPHA, DEFAULT_CHAIN, infer
 from .langevin import LangevinConfig
@@ -65,7 +65,7 @@ def _int_in(low: int, high: int) -> Callable[[Any], int]:
 # bounds a loop (`train --epochs`, `bench --reps`, `bench --bin-queries`)
 # sizes nothing that would fail, so it is capped at _LOOP_MAX instead:
 # a value such as 2**60 is refused rather than run for ever. A seed takes
-# langevin's rule: one 64-bit word.
+# the seed rule of `rules`: one 64-bit word.
 _INDEX_MAX = int(np.iinfo(np.intp).max)
 _LOOP_MAX = 1_000_000
 _count, _count_or_zero = _int_in(1, _INDEX_MAX), _int_in(0, _INDEX_MAX)
@@ -309,7 +309,7 @@ def cmd_oracle(cfg: dict) -> int:
             np.empty(0),
             cfg=chain_cfg,
             alpha=cfg["alpha"],
-            seed=langevin.derive_seed(cfg["seed"], i),
+            seed=rules.derive_seed(cfg["seed"], i),
         )
         centers = binref.query(grid, np.array([x]), np.empty(0))
         cdrm_empty = result.valid_count == 0
@@ -350,7 +350,7 @@ def _full_column(b: int) -> data.TransitionDataset:
 
 
 def cmd_bench(cfg: dict) -> int:
-    tuples = langevin.sample_rng(cfg["seed"]).uniform(0.0, 1.0, size=(cfg["dataset_size"], 2))
+    tuples = rules.sample_rng(cfg["seed"]).uniform(0.0, 1.0, size=(cfg["dataset_size"], 2))
     dataset = data.TransitionDataset(tuples, dims=(1, 0, 1), bounds=_UNIT_SQUARE)
     model, _ = fit(dataset, TrainConfig(epochs=0, seed=cfg["seed"]), hidden=(32, 32))
 

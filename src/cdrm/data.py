@@ -15,75 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetFormatError, InvalidInputError, OutOfBoundsError
-from .langevin import SeedLike, checked_count, checked_real, is_integer, sample_rng
+from .rules import SeedLike, checked_count, checked_layout, checked_real, sample_rng
 
 TOY_GAP = (-0.33, 0.33)  # input interval generating no samples at all
 ROOM_DIMS = (2, 0, 1)  # (x, y) state, no action, sensed temperature
-
-
-def checked_layout(dims, bounds, name: str = "bounds") -> tuple[tuple[int, int, int], np.ndarray]:
-    """dims as a tuple of Python ints and bounds as a float64 array, after
-    the layout rules datasets and models share; name is the bounds field
-    the errors name.
-
-    dims must be three integers (d_s, d_a, d_next) with d_s, d_next >= 1
-    and d_a >= 0, and bounds one finite (low, high) row per joint dim with
-    low < high and a finite width, since chains draw uniformly over it.
-    Anything else raises InvalidInputError.
-    """
-    if (
-        len(dims) != 3
-        or not all(map(is_integer, dims))
-        or dims[0] < 1
-        or dims[1] < 0
-        or dims[2] < 1
-    ):
-        raise InvalidInputError(f"bad dims {dims}")
-    dims = tuple(int(d) for d in dims)
-    d_total = sum(dims)
-    bounds = np.asarray(bounds, dtype=np.float64)
-    if bounds.shape != (d_total, 2):
-        raise InvalidInputError(f"{name} must be ({d_total}, 2)")
-    if not np.all(np.isfinite(bounds)):
-        raise InvalidInputError(f"{name} must be finite")
-    if np.any(bounds[:, 0] >= bounds[:, 1]):
-        raise InvalidInputError(f"{name} must satisfy low < high per dimension")
-    with np.errstate(over="ignore"):
-        width = bounds[:, 1] - bounds[:, 0]
-    if not np.all(np.isfinite(width)):
-        raise InvalidInputError(f"{name} must have a finite width")
-    return dims, bounds
-
-
-def checked_query(dims, bounds, s, a) -> np.ndarray:
-    """The query (s, a) as one float64 row, after the one query rule of
-    `inference.infer` and `binref`; dims and bounds are a checked layout.
-
-    s and a must be 1-D with d_s and d_a entries, all finite
-    (InvalidInputError), and the row must lie inside bounds[: d_s + d_a],
-    ends included (OutOfBoundsError).
-    """
-    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64)) if np.size(a) else np.empty(0)
-    d_s, d_a, _ = dims
-    if s.shape != (d_s,) or a.shape != (d_a,):
-        raise InvalidInputError(f"query shapes {s.shape}, {a.shape} are not ({d_s},), ({d_a},)")
-    query = np.concatenate([s, a])
-    if not np.all(np.isfinite(query)):
-        raise InvalidInputError("query must be finite")
-    bounds = bounds[: d_s + d_a]
-    if np.any(query < bounds[:, 0]) or np.any(query > bounds[:, 1]):
-        raise OutOfBoundsError(
-            f"query {query.tolist()} lies outside the input bounds {bounds.tolist()}"
-        )
-    return query
 
 
 @dataclass
 class TransitionDataset:
     """Ordered tuples stored as rows of a joint (state|action|next) matrix.
 
-    dims and bounds follow `checked_layout`, which stores dims as a tuple
+    dims and bounds follow `rules.checked_layout`, which stores dims as a tuple
     of ints; tuples must be an (n, d_total) array, finite and inside the
     bounds. An empty input of any shape becomes (0, d_total).
     """
@@ -201,6 +143,8 @@ class RoomLayout:
     def __post_init__(self):
         for name in ("noisy_region", "hidden_region"):
             r = getattr(self, name)
+            if not isinstance(r, Rect):
+                raise InvalidInputError(f"{name} must be a Rect, got {r!r}")
             for corner in ("x_low", "y_low", "x_high", "y_high"):
                 checked_real(f"{name}.{corner}", getattr(r, corner))
             if not (

@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kde, langevin
-from .data import checked_query
 from .errors import EmptyValidSetError, InvalidInputError, UnpreparedModelError
-from .langevin import ChainTrace, LangevinConfig, SeedLike
+from .langevin import ChainTrace, LangevinConfig
 from .model import CdrmModel, score_batch, score_fn
+from .rules import SeedLike, checked_count, checked_query, checked_real, checked_tolerance
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_CHAIN = LangevinConfig(n_samples=512, steps=50, step_size=0.1, noise_scale=0.01)
@@ -28,20 +28,6 @@ DEDUP_RANGE_FRACTION = 1e-3
 # Largest |floor(x / width)| a dedup cell may take: neighbour cells and the
 # differences between cell indices then stay inside int64.
 MAX_CELL_INDEX = 2.0**62
-
-
-def _tol_and_width(dedup_tol, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dim tolerance for d-dim samples, a scalar applying to every dim,
-    and the cell width: 1 on zero-tolerance dims, where only equality counts."""
-    tol = np.atleast_1d(np.asarray(dedup_tol))
-    # integer or float dtype only: text, bools and objects are not tolerances
-    finite = tol.dtype.kind in "iuf" and np.all(np.isfinite(tol))
-    if tol.ndim != 1 or not finite or np.any(tol < 0):
-        raise InvalidInputError("dedup_tol must be a finite non-negative real scalar or vector")
-    if tol.size not in (1, d):
-        raise InvalidInputError(f"dedup_tol has {tol.size} entries, samples have {d}")
-    tol = np.broadcast_to(tol.astype(np.float64, copy=False), (d,))
-    return tol, np.where(tol > 0, tol, 1.0)
 
 
 def _cell_index(points: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -91,7 +77,8 @@ def collect_valid(trace: ChainTrace, alpha: float, dedup_tol) -> ValidSet:
     magnitude, or a non-finite sample), raises InvalidInputError.
     """
     moved = trace.samples[1:, :, trace.n_fixed :]
-    tol, width = _tol_and_width(dedup_tol, moved.shape[2])
+    tol = checked_tolerance(dedup_tol, moved.shape[2])
+    width = np.where(tol > 0, tol, 1.0)  # only equality counts on a zero-tolerance dim
     # One mask over (step, index); row-major selection keeps that order.
     above = trace.scores[1:] > alpha
     points, scores = moved[above], trace.scores[1:][above]
@@ -194,7 +181,7 @@ def infer(
 ) -> InferenceResult:
     """Full chain-collect-summarize pass for one query.
 
-    (s, a) must pass `data.checked_query` against the model's layout: a
+    (s, a) must pass `rules.checked_query` against the model's layout: a
     query outside the input bounds raises OutOfBoundsError instead of
     extrapolating the field.
     The chain holds the query as its prefix and moves the next-state block
@@ -211,10 +198,10 @@ def infer(
     if model.kde_stats is None:
         raise UnpreparedModelError("model has no fitted density stats; train or fit first")
     query = checked_query(model.dims, model.input_bounds, s, a)
-    langevin.checked_real("alpha", alpha, 0, 1)
-    langevin.checked_count("steps", cfg.steps)
+    checked_real("alpha", alpha, 0, 1)
+    checked_count("steps", cfg.steps)
     tol = default_dedup_tol(model) if dedup_tol is None else dedup_tol
-    _tol_and_width(tol, model.dims[2])  # a bad tolerance fails before the chain
+    checked_tolerance(tol, model.dims[2])  # a bad tolerance fails before the chain
 
     chain_model = replace(model, net=model.net.astype(np.float32))
     trace = langevin.run(score_fn(chain_model), cfg, model.input_bounds, query, seed)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDatasetError, InvalidInputError
-from .langevin import SeedLike, checked_real, sample_rng
 from .nnet import sigmoid
+from .rules import SeedLike, checked_real, sample_rng
 
 MAX_REFERENCE_POINTS = 4096
 BANDWIDTH_SAMPLE = 1024

@@ -8,11 +8,10 @@ function maps a batch of points to scores and per-point input gradients;
 the chain ascends the gradient, adds Gaussian noise, and projects the
 moved block back into bounds after every step.
 
-Reproducibility contract: `sample_rng(seed, *tags)` builds every seeded
-generator in cdrm and `_entropy` checks every seed. Sample i of a chain
-draws its initialization and noise from `sample_rng(seed, i)`, its own
-stream, so changing the batch size never perturbs the stream of any other
-sample. `sample_rng` is the definition; `run` reproduces the n streams of a
+Reproducibility contract: sample i of a chain draws its initialization
+and noise from `rules.sample_rng(seed, i)`, its own stream, so changing
+the batch size never perturbs the stream of any other sample.
+`rules.sample_rng` is the definition; `run` reproduces the n streams of a
 chain by re-implementing only SeedSequence's hash, batched over the n
 streams (`_stream_words`), and each stream's PCG64 seeds itself from its
 row of seed words through NumPy's `ISeedSequence` interface; each sample
@@ -23,72 +22,22 @@ the differential test against `SeedSequence.generate_state` fails.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import rules
 from .errors import InvalidInputError, SamplingFailureError
+from .rules import SeedLike, checked_count, checked_real, derive_seed
 
 # score_fn(batch (n, d), with_grad) -> (scores (n,), gradients (n, d)); the
 # gradients may be None when with_grad is false.
 ScoreFn = Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray | None]]
 
-SeedLike = int | tuple[int, ...]
-
-
-def is_integer(value) -> bool:
-    """True for a Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def checked_count(name: str, value, low: int = 1) -> int:
-    """value as a Python int, after the one count rule: an integer (numpy
-    integers too; a bool is not one) >= low. Anything else raises
-    InvalidInputError naming the count."""
-    if not (is_integer(value) and value >= low):
-        raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
-def checked_real(name: str, value, low=-math.inf, high=math.inf, strict=False):
-    """value as given, after the one rule of a float knob: an int, float or
-    numpy real (a bool is not one), finite and in [low, high], or in
-    (low, high) when strict. Anything else raises InvalidInputError naming
-    the knob. The value is not converted, so a config records the caller's
-    number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        finite = False
-    if not (finite and (low < value < high if strict else low <= value <= high)):
-        left = "(" if strict or low == -math.inf else "["
-        right = ")" if strict or high == math.inf else "]"
-        raise InvalidInputError(
-            f"{name} must be finite and in {left}{low:g}, {high:g}{right}, got {value!r}"
-        )
-    return value
-
-
-def _entropy(seed: SeedLike) -> list[int]:
-    """The parts of a seed as Python ints; the one check of a seed. A seed
-    is an integer in [0, 2**64) or a non-empty tuple of them, so no two
-    seeds share a stream."""
-    parts = seed if isinstance(seed, tuple) else (seed,)
-    if not parts or not all(is_integer(p) and 0 <= p < 2**64 for p in parts):
-        raise InvalidInputError(
-            f"a seed is an integer in [0, 2**64) or a non-empty tuple of them, got {seed!r}"
-        )
-    return [int(p) for p in parts]
-
-
-def sample_rng(seed: SeedLike, *tags: int) -> np.random.Generator:
-    """The generator of `seed` split by context tags (epoch, sample index, ...)."""
-    return np.random.default_rng(list(derive_seed(seed, *tags)))
-
+# The training loop calls `rules.sample_rng` through this name, which the
+# benchmark's tracer (perfbench/tracing.py) swaps to time it.
+sample_rng = rules.sample_rng
 
 # SeedSequence constants (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFFFFFF
@@ -147,7 +96,7 @@ def _stream_words(seed: SeedLike, n: int) -> np.ndarray:
         raise InvalidInputError("at most 2**32 streams per chain")
     words: list = [
         w
-        for part in _entropy(seed)
+        for part in derive_seed(seed)
         for w in ([part & _MASK32, part >> 32] if part >> 32 else [part])
     ]
     index = np.arange(n, dtype=np.uint64)
@@ -193,12 +142,6 @@ class _Words(np.random.bit_generator.ISeedSequence):
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.row
-
-
-def derive_seed(seed: SeedLike, *tags: int) -> tuple[int, ...]:
-    """Extend a seed with context tags (epoch index, stream purpose, ...),
-    which follow the seed's rule."""
-    return tuple(_entropy(seed) + (_entropy(tags) if tags else []))
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import langevin
 from .data import ROOM_DIMS, RegionLabel, RoomLayout, label_probe
 from .errors import InvalidInputError, UndefinedMetricError
 from .inference import DEFAULT_ALPHA, DEFAULT_CHAIN, infer
-from .langevin import LangevinConfig, SeedLike
+from .langevin import LangevinConfig
 from .model import CdrmModel
+from .rules import SeedLike, checked_count, derive_seed
 
 
 def _split(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +98,7 @@ class RoomEvaluation:
 
 def probe_grid(grid_resolution: int) -> np.ndarray:
     """Cell-center probe coordinates over the unit room, row-major."""
-    grid_resolution = langevin.checked_count("grid_resolution", grid_resolution)
+    grid_resolution = checked_count("grid_resolution", grid_resolution)
     centers = (np.arange(grid_resolution) + 0.5) / grid_resolution
     xx, yy = np.meshgrid(centers, centers, indexing="ij")
     return np.column_stack([xx.ravel(), yy.ravel()])
@@ -132,7 +132,7 @@ def evaluate_room(
             np.empty(0),
             cfg=langevin_cfg,
             alpha=alpha,
-            seed=langevin.derive_seed(seed, i),
+            seed=derive_seed(seed, i),
         )
         label = label_probe(layout, probe)
         records.append(

@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kde, langevin
-from .data import checked_layout
 from .errors import InvalidInputError, OutOfBoundsError, TrainingDivergenceError
 from .kde import KdeStats
-from .langevin import LangevinConfig, ScoreFn, SeedLike, checked_count, checked_real
+from .langevin import LangevinConfig, ScoreFn
 from .nnet import AdamState, MlpNetwork, Workspace, adam_update, sigmoid
+from .rules import SeedLike, checked_count, checked_layout, checked_real, derive_seed
 
 # Pre-sigmoid clamp half-width: confines scores to [1e-6, 1 - 1e-6].
 LOGIT_CLIP = math.log((1.0 - 1e-6) / 1e-6)
@@ -38,7 +38,7 @@ class CdrmModel:
 
     dims is the (d_s, d_a, d_next) split of the input layout and
     input_bounds the box every chain moves in, both stored as
-    `data.checked_layout` returns them. kde_stats, which
+    `rules.checked_layout` returns them. kde_stats, which
     `fit` attaches, feeds the epistemic-uncertainty base term; its
     reference points are (n, d_s + d_a) inputs.
     """
@@ -159,7 +159,7 @@ class TrainConfig:
             raise InvalidInputError(f"negative chain: {exc}") from None
         checked_real("learning_rate", self.learning_rate, 0, strict=True)
         checked_real("stability_eps", self.stability_eps, 0, 0.5, strict=True)
-        langevin.derive_seed(self.seed)  # refuses a seed outside langevin's rule
+        derive_seed(self.seed)  # refuses a seed outside the seed rule
 
     @property
     def negative_chain(self) -> LangevinConfig:
@@ -260,7 +260,7 @@ def train(
         for update, start in enumerate(range(0, len(tuples), cfg.positive_batch)):
             pos = tuples[order[start : start + cfg.positive_batch]]
             neg = generate_negatives(
-                trained, chain, langevin.derive_seed(cfg.seed, _TAG_NEGATIVE, epoch, update)
+                trained, chain, derive_seed(cfg.seed, _TAG_NEGATIVE, epoch, update)
             )
             step_index += 1
             try:
@@ -289,9 +289,11 @@ def fit(
     """
     if len(dataset) == 0:
         raise InvalidInputError("cannot train on an empty dataset")
-    stats = kde.fit(dataset.inputs, bandwidth, seed=langevin.derive_seed(cfg.seed, _TAG_DENSITY))
+    if not isinstance(hidden, (list, tuple)):
+        raise InvalidInputError(f"hidden must be a list or tuple of counts, got {hidden!r}")
+    stats = kde.fit(dataset.inputs, bandwidth, seed=derive_seed(cfg.seed, _TAG_DENSITY))
     net = MlpNetwork.initialize(
-        [sum(dataset.dims), *hidden, 1], seed=langevin.derive_seed(cfg.seed, _TAG_INIT)
+        [sum(dataset.dims), *hidden, 1], seed=derive_seed(cfg.seed, _TAG_INIT)
     )
     model = CdrmModel(net=net, input_bounds=dataset.bounds, dims=dataset.dims)
     model, losses = train(model, dataset, cfg)

@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import data, langevin
+from . import data, rules
 from .errors import InvalidInputError, ModelFormatError, UnsupportedVersionError
 from .kde import KdeStats
 from .model import LOGIT_CLIP, CdrmModel, TrainConfig, score_batch
@@ -31,7 +31,7 @@ _CHECK_STREAM_TAG = 0xC4EC
 
 def _check_probes(model: CdrmModel) -> np.ndarray:
     """Deterministic probe battery spanning the model's input box."""
-    rng = langevin.sample_rng(_CHECK_STREAM_TAG, 0)
+    rng = rules.sample_rng(_CHECK_STREAM_TAG, 0)
     lows, highs = model.input_bounds[:, 0], model.input_bounds[:, 1]
     return rng.uniform(lows, highs, size=(N_CHECK_PROBES, model.d_total))
 
@@ -48,7 +48,7 @@ def provenance_for(cfg: TrainConfig) -> dict:
     field is hashed as the Python scalar it holds, so `np.int64(8)` and 8
     give one fingerprint.
     """
-    seed = list(langevin.derive_seed(cfg.seed))
+    seed = list(rules.derive_seed(cfg.seed))
     blob = json.dumps({**asdict(cfg), "seed": seed}, sort_keys=True, default=np.generic.item)
     return {
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),

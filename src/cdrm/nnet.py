@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergenceError
-from .langevin import SeedLike, checked_count, is_integer, sample_rng
+from .rules import SeedLike, checked_count, sample_rng
 
 
 def sigmoid(x):
@@ -52,10 +52,10 @@ class MlpNetwork:
 
     def __post_init__(self):
         dims = self.layer_dims
-        if len(dims) < 2 or not all(is_integer(d) and d > 0 for d in dims):
-            raise InvalidInputError(f"layer_dims must be >=2 positive ints, got {dims}")
-        if dims[-1] != 1:
-            raise InvalidInputError("final layer must produce exactly one scalar")
+        for width in dims:
+            checked_count("layer_dims", width)
+        if len(dims) < 2 or dims[-1] != 1:
+            raise InvalidInputError(f"layer_dims must be 2 or more widths ending in 1, got {dims}")
         if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
             raise InvalidInputError("parameter count does not match layer_dims")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):

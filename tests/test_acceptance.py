@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from cdrm import binref, data, inference, kde, langevin, metrics, model, nnet
+from cdrm import binref, data, inference, kde, metrics, model, nnet, rules
 from cdrm.cli import run as cli_run
 from conftest import param_grad, train_toy
 
@@ -129,7 +129,7 @@ def test_c02_gap_region_reports_pure_epistemic(toy_model_1, capsys):
     m = toy_model_1.model
     n_empty = 0
     for i, x in enumerate(GAP_PROBES):
-        r = probe(m, x, seed=langevin.derive_seed(1, 1000 + i))
+        r = probe(m, x, seed=rules.derive_seed(1, 1000 + i))
         n_empty += r.valid_count == 0 and r.eu == 1.0
     elapsed = toy_model_1.seconds + (time.perf_counter() - t0)
     ok = n_empty >= 19 and elapsed < 120.0
@@ -149,7 +149,7 @@ def test_c03_aleatoric_bands_disentangle(toy_trio, capsys):
         for xs, base in ((LEFT_BAND, 2000), (RIGHT_BAND, 3000)):
             vals = []
             for i, x in enumerate(xs):
-                r = probe(trained.model, x, seed=langevin.derive_seed(seed, base + i))
+                r = probe(trained.model, x, seed=rules.derive_seed(seed, base + i))
                 vals.append(np.nan if r.au is None else r.au)
             means.append(float(np.mean(vals)))
         left, right = means
@@ -176,8 +176,8 @@ def test_c04_multimodal_predictions_do_not_average(
     off_mode = near_zero = empty = 0
     mm_au, uni_au = [], []
     for i, x in enumerate(LEFT_BAND):
-        r = probe(mm, x, seed=langevin.derive_seed(MM_SEED, 5000 + i), alpha=MM_ALPHA)
-        ru = probe(uni, x, seed=langevin.derive_seed(MM_SEED, 2000 + i), alpha=MM_ALPHA)
+        r = probe(mm, x, seed=rules.derive_seed(MM_SEED, 5000 + i), alpha=MM_ALPHA)
+        ru = probe(uni, x, seed=rules.derive_seed(MM_SEED, 2000 + i), alpha=MM_ALPHA)
         s = np.sin(x)
         if r.prediction is None:
             empty += 1
@@ -262,7 +262,7 @@ def test_c06_field_emptiness_matches_bin_oracle(binref_model, capsys):
     xs = np.linspace(-1.0, 1.0, 50)
     for i, x in enumerate(xs):
         bin_empty = len(binref.query(grid, [x], [])) == 0
-        r = probe(m, x, seed=langevin.derive_seed(13, 4000 + i))
+        r = probe(m, x, seed=rules.derive_seed(13, 4000 + i))
         agree += (r.valid_count == 0) == bin_empty
     rate = agree / len(xs)
     ok = rate >= 0.90

@@ -45,6 +45,12 @@ class TestBuild:
         assert grid.counts.sum() == 0
         assert grid.counts.shape == (4, 4)
 
+    @pytest.mark.parametrize("dataset", [None, np.zeros((3, 2)), "ds"])
+    def test_rejects_what_is_not_a_dataset(self, dataset):
+        # each once raised a raw AttributeError from reading its dims
+        with pytest.raises(InvalidInputError, match="^dataset must be a TransitionDataset"):
+            build(dataset, 4)
+
     def test_bad_b_rejected(self):
         ds = dataset_1d([[0.5, 0.5]])
         with pytest.raises(InvalidInputError):

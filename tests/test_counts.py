@@ -1,4 +1,4 @@
-"""Every count parameter of the library follows `langevin.checked_count`.
+"""Every count parameter of the library follows `rules.checked_count`.
 
 A count is an integer at or above its floor; a bool is not one. A numpy
 integer is accepted and held as a Python int, so it gives the same result,
@@ -14,8 +14,9 @@ import pytest
 from cdrm import binref, data, metrics, model
 from cdrm.errors import InvalidInputError
 from cdrm.inference import DEFAULT_CHAIN
-from cdrm.langevin import LangevinConfig, checked_count
+from cdrm.langevin import LangevinConfig
 from cdrm.nnet import AdamState, MlpNetwork, adam_update
+from cdrm.rules import checked_count
 
 TOY = data.gen_toy(n_per_region=5, seed=1)
 NO_EPOCHS = model.TrainConfig(epochs=0)

@@ -65,11 +65,14 @@ class TestTransitionDataset:
             TransitionDataset(np.zeros((1, 1)), dims=(0, 0, 1), bounds=np.array([[0.0, 1.0]]))
 
     @pytest.mark.parametrize(
-        "dims", [(1.0, 0, 1), (True, 0, True), (1, 0, np.float64(1.0)), (1, 1), (1, 0, 1, 1)]
+        "dims",
+        [(1.0, 0, 1), (True, 0, True), (1, 0, np.float64(1.0)), (1, 1), (1, 0, 1, 1)]
+        + [None, True, 1.5, -1, float("nan"), object(), 2**70],
     )
     def test_rejects_dims_that_are_not_integers(self, dims):
         # a float once reached model.fit as a raw TypeError, a bool only after the
-        # density fit; (1, 1) raised a raw IndexError and (1, 0, 1, 1) was accepted
+        # density fit; (1, 1) raised a raw IndexError and (1, 0, 1, 1) was accepted;
+        # a dims that is not a list or tuple raised a raw TypeError from len()
         with pytest.raises(InvalidInputError, match="bad dims"):
             TransitionDataset(np.array([[0.1, 0.9]]), dims=dims, bounds=np.array([[0, 1], [0, 1]]))
 
@@ -244,6 +247,15 @@ class TestRoomLayout:
     )
     def test_rejects_non_finite_noise(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
+            RoomLayout(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("noisy_region", (0, 0, 0.3, 0.3)), ("hidden_region", None), ("noisy_region", "r")],
+    )
+    def test_rejects_a_region_that_is_not_a_rect(self, field, value):
+        # each once raised a raw AttributeError from reading a corner
+        with pytest.raises(InvalidInputError, match=f"^{field} must be a Rect"):
             RoomLayout(**{field: value})
 
     def test_rejects_region_outside_room(self):

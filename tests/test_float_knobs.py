@@ -1,4 +1,4 @@
-"""Every float knob of the library follows `langevin.checked_real`.
+"""Every float knob of the library follows `rules.checked_real`.
 
 A float knob is an int, a float or a numpy real; a bool is not one. It is
 finite and lies in the knob's interval. The value is kept as given, so a
@@ -18,7 +18,8 @@ import pytest
 from cdrm import data, kde, model, model_io
 from cdrm.errors import InvalidInputError
 from cdrm.inference import DEFAULT_CHAIN, infer
-from cdrm.langevin import LangevinConfig, checked_real
+from cdrm.langevin import LangevinConfig
+from cdrm.rules import checked_real
 
 
 @cache

@@ -7,17 +7,10 @@ from hypothesis import strategies as st
 
 from cdrm import data, kde
 from cdrm.errors import InvalidInputError, SamplingFailureError
-from cdrm.langevin import (
-    LangevinConfig,
-    _draw_streams,
-    _stream_words,
-    _Words,
-    derive_seed,
-    run,
-    sample_rng,
-)
+from cdrm.langevin import LangevinConfig, _draw_streams, _stream_words, _Words, run
 from cdrm.model import TrainConfig
 from cdrm.nnet import MlpNetwork
+from cdrm.rules import derive_seed, sample_rng
 
 
 def quadratic_score(center):
@@ -133,7 +126,7 @@ def test_config_validation():
     ids=["empty", "prefix-only", "three-columns", "flat"],
 )
 def test_bounds_must_be_a_box_wider_than_the_prefix(bounds, fixed):
-    # the box's values are the model's to check (data.checked_bounds)
+    # the box's values are the model's to check (rules.checked_layout)
     with pytest.raises(InvalidInputError, match="bounds"):
         run(quadratic_score(np.zeros(2)), full_cfg(steps=0), bounds, fixed, seed=0)
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from cdrm import data, kde, langevin, model
+from cdrm import data, kde, langevin, model, rules
 from conftest import count_passes, forward_pass, reference_param_grad, same_bytes
 from cdrm.data import TransitionDataset
 from cdrm.errors import (
@@ -361,7 +361,7 @@ class TestGenerateNegatives:
             layer *= LOGIT_CLIP / 0.05
         m = CdrmModel(net=net, input_bounds=np.tile([-1.0, 1.0], (2, 1)), dims=(1, 0, 1))
         cfg = TrainConfig(epochs=1, langevin_steps=steps).negative_chain
-        seed = langevin.derive_seed(7, steps)
+        seed = rules.derive_seed(7, steps)
         neg = generate_negatives(m, cfg, seed)
         x = langevin.run(score_fn(m), cfg, m.input_bounds, np.empty(0), seed).samples[-1]
         assert neg.inputs.tobytes() == x.tobytes()
@@ -546,11 +546,11 @@ class TestTrain:
 def hand_recipe(ds, cfg, hidden, bandwidth):
     """Init, train, then fit the density, each from its own stream of the seed."""
     net = MlpNetwork.initialize(
-        [sum(ds.dims), *hidden, 1], seed=langevin.derive_seed(cfg.seed, model._TAG_INIT)
+        [sum(ds.dims), *hidden, 1], seed=rules.derive_seed(cfg.seed, model._TAG_INIT)
     )
     m, losses = train(CdrmModel(net=net, input_bounds=ds.bounds, dims=ds.dims), ds, cfg)
     stats = kde.fit(
-        ds.inputs, bandwidth_rule=bandwidth, seed=langevin.derive_seed(cfg.seed, model._TAG_DENSITY)
+        ds.inputs, bandwidth_rule=bandwidth, seed=rules.derive_seed(cfg.seed, model._TAG_DENSITY)
     )
     return replace(m, kde_stats=stats), losses
 
@@ -583,7 +583,7 @@ class TestFit:
         cfg = TrainConfig(epochs=0)
         m, losses = model.fit(ds, cfg)
         assert m.net.layer_dims == [2, 64, 128, 64, 1] and losses == []
-        median = kde.fit(ds.inputs, seed=langevin.derive_seed(cfg.seed, model._TAG_DENSITY))
+        median = kde.fit(ds.inputs, seed=rules.derive_seed(cfg.seed, model._TAG_DENSITY))
         assert m.kde_stats.bandwidth == median.bandwidth
         assert TrainConfig().epochs == 100
 
@@ -608,12 +608,19 @@ class TestFit:
         assert counted.call_count == 0
 
 
+    @pytest.mark.parametrize("hidden", [None, True, 1.5, -1, float("nan"), object(), 2**70])
+    def test_hidden_takes_only_a_list_or_tuple(self, hidden):
+        # each once raised a raw TypeError from unpacking it into the widths
+        with pytest.raises(InvalidInputError, match="^hidden must be a list or tuple"):
+            model.fit(data.gen_toy(n_per_region=5, seed=1), TrainConfig(epochs=0), hidden)
+
+
 class TestConvergedSeparation:
     """A converged model pushes data tuples high and the empty gap low."""
 
     def test_held_in_vs_gap_mean_scores(self, toy_model_2):
         m, ds = toy_model_2.model, toy_model_2.dataset
-        r = langevin.sample_rng(langevin.derive_seed(2, 0x64), 0)
+        r = rules.sample_rng(rules.derive_seed(2, 0x64), 0)
         held = ds.tuples[r.choice(len(ds.tuples), 64, replace=False)]
         assert score_batch(m, held).mean() > 0.8
         gap = np.column_stack(

@@ -110,6 +110,8 @@ def test_constructor_validates_shapes():
         MlpNetwork([2, 3], [np.zeros((3, 2))], [np.zeros(3)])  # non-scalar output
     with pytest.raises(InvalidInputError):
         MlpNetwork([2], [], [])
+    with pytest.raises(InvalidInputError, match="^layer_dims must be an integer >= 1, got 0"):
+        MlpNetwork([2, 0, 1], [np.zeros((0, 2)), np.zeros((1, 0))], [np.zeros(0), np.zeros(1)])
 
 
 def test_constructor_rejects_nonfinite():

@@ -29,7 +29,7 @@ from functools import partial  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from cdrm import langevin  # noqa: E402
+from cdrm import langevin, rules  # noqa: E402
 from cdrm.nnet import AdamState, MlpNetwork, Workspace, adam_update  # noqa: E402
 
 BLOCKS = 7
@@ -92,7 +92,7 @@ def network_layers():
         ([3, 64, 128, 64, 1], 512, np.float32),
     ):
         net = MlpNetwork.initialize(layer_dims, seed=0).astype(dtype)
-        x = langevin.sample_rng(1).uniform(-1.0, 1.0, (rows, layer_dims[0])).astype(dtype)
+        x = rules.sample_rng(1).uniform(-1.0, 1.0, (rows, layer_dims[0])).astype(dtype)
         workspace = Workspace(layer_dims, rows, dtype)
         forward = partial(net.forward_batch, x, workspace)
         shape = f"{rows} rows {np.dtype(dtype).name} {layer_dims}"
@@ -109,7 +109,7 @@ def network_layers():
 def adam_steps(net: MlpNetwork):
     """One `adam_update` of net per call, at the next step index."""
     state, steps = AdamState.zeros_for(net), itertools.count(1)
-    grad = langevin.sample_rng(2).normal(0.0, 1e-3, net.n_params)
+    grad = rules.sample_rng(2).normal(0.0, 1e-3, net.n_params)
     return lambda: adam_update(net, grad, state, next(steps), 1e-3)
 
 
