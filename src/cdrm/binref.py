@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TransitionDataset
-from .errors import InvalidInputError, OutOfBoundsError
-from .inference import InferenceResult
-from .rules import checked_count, checked_query
+from .errors import OutOfBoundsError
+from .rules import checked_count, checked_instance, checked_query
 
 
 @dataclass
@@ -47,13 +46,11 @@ def _cell_indices(grid_b, bounds, points) -> np.ndarray:
 
 def build(dataset: TransitionDataset, b: int) -> BinGrid:
     """Count dataset tuples into the joint grid over the dataset's bounds."""
-    if not isinstance(dataset, TransitionDataset):
-        raise InvalidInputError(f"dataset must be a TransitionDataset, got {type(dataset)}")
+    checked_instance("dataset", dataset, TransitionDataset)
     b = checked_count("b", b)
     counts = np.zeros((b,) * sum(dataset.dims), dtype=np.int64)
-    tuples = np.asarray(dataset.tuples, dtype=np.float64)
-    if len(tuples):
-        idx = _cell_indices(b, dataset.bounds, tuples)
+    if len(dataset):
+        idx = _cell_indices(b, dataset.bounds, dataset.tuples)
         bad = np.flatnonzero(((idx < 0) | (idx >= b)).any(axis=1))
         if bad.size:
             raise OutOfBoundsError(f"tuple {int(bad[0])} lies outside the grid bounds")
@@ -82,7 +79,17 @@ def query(grid: BinGrid, s, a) -> list[np.ndarray]:
     return _occupied_cells(grid, s, a)[0]
 
 
-def bin_infer(grid: BinGrid, s, a) -> InferenceResult:
+@dataclass
+class BinResult:
+    """The grid's answer to a query, in fields named as `inference.InferenceResult`'s."""
+
+    prediction: np.ndarray | None
+    eu: float
+    au: float | None
+    valid_count: int
+
+
+def bin_infer(grid: BinGrid, s, a) -> BinResult:
     """Prediction and spread from occupied cells alone.
 
     The grid has no confidence analog, so EU is 0 whenever any cell is
@@ -91,13 +98,13 @@ def bin_infer(grid: BinGrid, s, a) -> InferenceResult:
     """
     centers, counts = _occupied_cells(grid, s, a)
     if not centers:
-        return InferenceResult(None, 1.0, None, 0, np.empty(0))
+        return BinResult(None, 1.0, None, 0)
     # Most-populated cell wins; first index wins ties for determinism.
     best = int(np.argmax(counts))
     # The per-cell rows and this stack are the work `cdrm bench` times per
     # occupied cell; C10 needs it to grow with b clearly above timing noise.
     au = float(np.sqrt(np.stack(centers).var(axis=0).sum()))
-    return InferenceResult(centers[best], 0.0, au, len(centers), np.empty(0))
+    return BinResult(centers[best], 0.0, au, len(centers))
 
 
 @dataclass

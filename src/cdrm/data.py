@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetFormatError, InvalidInputError, OutOfBoundsError
-from .rules import SeedLike, checked_count, checked_layout, checked_real, sample_rng
+from .rules import SeedLike, checked_array, checked_count, checked_instance, checked_layout
+from .rules import checked_real, sample_rng
 
 TOY_GAP = (-0.33, 0.33)  # input interval generating no samples at all
 ROOM_DIMS = (2, 0, 1)  # (x, y) state, no action, sensed temperature
@@ -26,8 +27,8 @@ class TransitionDataset:
     """Ordered tuples stored as rows of a joint (state|action|next) matrix.
 
     dims and bounds follow `rules.checked_layout`, which stores dims as a tuple
-    of ints; tuples must be an (n, d_total) array, finite and inside the
-    bounds. An empty input of any shape becomes (0, d_total).
+    of ints; tuples must pass `rules.checked_array` as an (n, d_total) array
+    inside the bounds. An empty list or array of any shape becomes (0, d_total).
     """
 
     tuples: np.ndarray  # (n, d_s + d_a + d_next)
@@ -37,15 +38,10 @@ class TransitionDataset:
     def __post_init__(self):
         self.dims, self.bounds = checked_layout(self.dims, self.bounds)
         d_total = sum(self.dims)
-        arr = np.asarray(self.tuples, dtype=np.float64)
-        if arr.size == 0:
-            arr = arr.reshape(0, d_total)
-        if arr.ndim != 2 or arr.shape[1] != d_total:
-            raise InvalidInputError(
-                f"tuples of shape {arr.shape} are not (n, {d_total}) for dims {self.dims}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("dataset tuples must be finite")
+        arr = self.tuples
+        if getattr(arr, "size", None) == 0 or (isinstance(arr, (list, tuple)) and not arr):
+            arr = np.empty((0, d_total))
+        arr = checked_array("tuples", arr, (None, d_total))
         low, high = self.bounds[:, 0], self.bounds[:, 1]
         if np.any(arr < low) or np.any(arr > high):
             raise OutOfBoundsError("dataset contains tuples outside bounds")
@@ -84,8 +80,7 @@ def gen_toy(
     """
     n_per_region = checked_count("n_per_region", n_per_region)
     checked_real("sigma_eta", sigma_eta, 0)
-    if not isinstance(multimodal, (bool, np.bool_)):
-        raise InvalidInputError(f"multimodal must be a bool, got {multimodal!r}")
+    checked_instance("multimodal", multimodal, (bool, np.bool_))
     rng = sample_rng(seed)
     x_clean = rng.uniform(-1.0, TOY_GAP[0], n_per_region)
     y_clean = np.sin(x_clean)
@@ -142,9 +137,7 @@ class RoomLayout:
 
     def __post_init__(self):
         for name in ("noisy_region", "hidden_region"):
-            r = getattr(self, name)
-            if not isinstance(r, Rect):
-                raise InvalidInputError(f"{name} must be a Rect, got {r!r}")
+            r = checked_instance(name, getattr(self, name), Rect)
             for corner in ("x_low", "y_low", "x_high", "y_high"):
                 checked_real(f"{name}.{corner}", getattr(r, corner))
             if not (

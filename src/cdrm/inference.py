@@ -161,7 +161,7 @@ def epistemic(valid: ValidSet, per_step_max: np.ndarray, kde_base: float) -> flo
     """Missing-data certainty in [0, 1]; exactly 1 when nothing was valid."""
     if len(valid) == 0:
         return 1.0
-    sigma_phi = float(np.asarray(per_step_max, dtype=np.float64).std())
+    sigma_phi = float(per_step_max.std())
     return (kde_base + (1.0 - float(valid.scores.max())) * sigma_phi) / 2.0
 
 

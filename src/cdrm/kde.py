@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DegenerateDatasetError, InvalidInputError
 from .nnet import sigmoid
-from .rules import SeedLike, checked_real, sample_rng
+from .rules import SeedLike, checked_array, checked_real, sample_rng
 
 MAX_REFERENCE_POINTS = 4096
 BANDWIDTH_SAMPLE = 1024
@@ -25,8 +25,8 @@ class KdeStats:
     standard deviation of the density over the reference points themselves.
 
     Construction refuses any field that would break `base_eu`: reference
-    points must be a finite, non-empty (n, d) array, the bandwidth and
-    sigma finite and positive, and mu finite.
+    points must pass `rules.checked_array` as a non-empty (n, d) array, the
+    bandwidth and sigma must be finite and positive, and mu finite.
     """
 
     reference_points: np.ndarray
@@ -35,34 +35,26 @@ class KdeStats:
     sigma: float
 
     def __post_init__(self):
-        self.reference_points = refs = np.asarray(self.reference_points, dtype=np.float64)
+        refs = checked_array("reference_points", self.reference_points, (None, None))
+        self.reference_points = refs
         checked_real("bandwidth", self.bandwidth, 0, strict=True)
         checked_real("sigma", self.sigma, 0, strict=True)
         checked_real("mu", self.mu)
-        if refs.ndim != 2 or refs.size == 0:
-            raise InvalidInputError(
-                f"kde reference points must be a non-empty (n, d) array, got shape {refs.shape}"
-            )
-        if not np.all(np.isfinite(refs)):
-            raise InvalidInputError("kde reference points must be finite")
+        if refs.size == 0:
+            raise InvalidInputError(f"reference_points must be non-empty, got shape {refs.shape}")
 
 
 def density(stats: KdeStats, query: np.ndarray) -> float:
-    """Average RBF kernel value between the query and every reference point."""
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != stats.reference_points.shape[1]:
-        raise InvalidInputError(
-            f"query width {q.shape} does not match reference width "
-            f"{stats.reference_points.shape[1]}"
-        )
+    """Average RBF kernel value between the query, a finite (d,) array of
+    the reference width, and every reference point."""
+    q = checked_array("query", query, (stats.reference_points.shape[1],))
     return float(density_batch(stats, q[None, :])[0])
 
 
 def density_batch(stats: KdeStats, queries: np.ndarray) -> np.ndarray:
+    """`density` of each row of queries, a finite (k, d) array."""
     refs = stats.reference_points
-    q = np.asarray(queries, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != refs.shape[1]:
-        raise InvalidInputError("queries must be (k, d) with d matching references")
+    q = checked_array("queries", queries, (None, refs.shape[1]))
     sq = (
         np.sum(q * q, axis=1)[:, None]
         + np.sum(refs * refs, axis=1)[None, :]
@@ -100,15 +92,14 @@ def fit(
     Reference sets beyond MAX_REFERENCE_POINTS are uniformly subsampled
     (seeded) to bound the per-query cost. A dataset whose points all see the
     same density (e.g. fully symmetric or coincident points) has zero spread
-    and cannot be standardized; that raises DegenerateDatasetError. A
-    non-finite input raises InvalidInputError. bandwidth_rule is "median",
-    the median-distance rule, or a bandwidth in (0, inf).
+    and cannot be standardized; that raises DegenerateDatasetError. Points
+    that fail `rules.checked_array` as an (n, d) array, or fewer than two,
+    raise InvalidInputError. bandwidth_rule is "median", the median-distance
+    rule, or a bandwidth in (0, inf).
     """
-    pts = np.asarray(dataset_inputs, dtype=np.float64)
-    if pts.ndim != 2 or len(pts) < 2:
-        raise InvalidInputError("need a (n, d) array with at least 2 points")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInputError("density inputs must be finite")
+    pts = checked_array("dataset_inputs", dataset_inputs, (None, None))
+    if len(pts) < 2:
+        raise InvalidInputError(f"dataset_inputs must have at least 2 points, got {len(pts)}")
     pts = _subsample(pts, MAX_REFERENCE_POINTS, seed)
     if isinstance(bandwidth_rule, str) and bandwidth_rule == "median":
         h = median_heuristic_bandwidth(pts, seed=seed)

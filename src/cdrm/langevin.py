@@ -29,7 +29,7 @@ import numpy as np
 
 from . import rules
 from .errors import InvalidInputError, SamplingFailureError
-from .rules import SeedLike, checked_count, checked_real, derive_seed
+from .rules import SeedLike, checked_array, checked_count, checked_real, derive_seed
 
 # score_fn(batch (n, d), with_grad) -> (scores (n,), gradients (n, d)); the
 # gradients may be None when with_grad is false.
@@ -228,10 +228,11 @@ def run(
     bounds is the (d, 2) box of a whole row. Each row is the 1-D prefix
     fixed, held for the whole chain, followed by the d - len(fixed)
     coordinates the chain moves inside bounds[len(fixed):]; training
-    passes an empty prefix. A bounds that is not (d, 2) with d > len(fixed)
-    raises InvalidInputError; the caller owns the box's values (the
-    model's input bounds). Initialization is uniform over the moved
-    block's bounds. Per-sample noise for the whole chain is drawn up front
+    passes an empty prefix. A fixed or bounds that fails `rules.checked_array`
+    (the prefix's rows of bounds may hold any value, the others must be
+    finite) or a bounds with d <= len(fixed) raises InvalidInputError; the
+    caller owns the box's values (the model's input bounds). Initialization
+    is uniform over the moved block's bounds. Per-sample noise for the whole chain is drawn up front
     from each sample's own stream, so traces are bit-reproducible for a
     given seed regardless of batch size changes elsewhere. Each step moves
     the block by step_size times its gradient, adds the noise and clips
@@ -239,15 +240,12 @@ def run(
     batch is scored without gradients (with_grad false), since no step
     reads them; with no steps that is the only pass.
     """
-    fixed = np.asarray(fixed, dtype=np.float64)
-    if fixed.ndim != 1:
-        raise InvalidInputError(f"fixed must be a 1-D prefix, got shape {fixed.shape}")
+    fixed = checked_array("fixed", fixed, (None,))
     n, L, k = cfg.n_samples, cfg.steps, fixed.size
-    bounds = np.asarray(bounds, dtype=np.float64)
-    if bounds.ndim != 2 or bounds.shape[1] != 2 or len(bounds) <= k:
-        raise InvalidInputError(
-            f"bounds must be (d, 2) with d > {k}, the prefix length; got shape {bounds.shape}"
-        )
+    bounds = checked_array("bounds", bounds, (None, 2), finite=False)  # a prefix row is never read
+    if len(bounds) <= k:
+        raise InvalidInputError(f"bounds must have more rows than fixed has entries ({k})")
+    checked_array(f"bounds[{k}:]", bounds[k:], (None, 2))  # the moved block's box is finite
     lows, highs = bounds[k:, 0], bounds[k:, 1]
     samples = np.empty((L + 1, n, len(bounds)))
     scores = np.empty((L + 1, n))

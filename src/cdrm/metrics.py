@@ -16,15 +16,14 @@ from .errors import InvalidInputError, UndefinedMetricError
 from .inference import DEFAULT_ALPHA, DEFAULT_CHAIN, infer
 from .langevin import LangevinConfig
 from .model import CdrmModel
-from .rules import SeedLike, checked_count, derive_seed
+from .rules import SeedLike, checked_array, checked_count, derive_seed
 
 
 def _split(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of the label-1 (positive) and label-0 (negative) probes."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.ndim != 1 or scores.shape != labels.shape:
-        raise InvalidInputError("scores and labels must be 1-D sequences of one length")
+    """Scores of the label-1 (positive) and label-0 (negative) probes; a
+    non-finite score leaves the ranking undefined (UndefinedMetricError)."""
+    scores = checked_array("scores", scores, (None,), finite=False)
+    labels = checked_array(f"labels of the {len(scores)} scores", labels, scores.shape)
     if not np.all(np.isfinite(scores)):
         raise UndefinedMetricError("scores must be finite")
     return scores[labels == 1], scores[labels == 0]
@@ -39,8 +38,8 @@ def auroc(scores, labels) -> float:
     pos, neg = _split(scores, labels)
     if len(pos) == 0 or len(neg) == 0:
         raise UndefinedMetricError("auroc needs at least one probe of each class")
-    diff = pos[:, None] - neg[None, :]
-    wins = np.count_nonzero(diff > 0) + 0.5 * np.count_nonzero(diff == 0)
+    # compared, not subtracted: the difference of two finite scores can overflow
+    wins = np.count_nonzero(pos[:, None] > neg) + 0.5 * np.count_nonzero(pos[:, None] == neg)
     return float(wins / (len(pos) * len(neg)))
 
 
@@ -59,7 +58,7 @@ def auprc(scores, labels) -> float:
     order = np.argsort(-scores, kind="stable")
     scores, labels = scores[order], labels[order]
     # Last index of each tie group in the descending order.
-    boundary = np.flatnonzero(np.diff(scores) != 0)
+    boundary = np.flatnonzero(scores[1:] != scores[:-1])
     last = np.concatenate([boundary, [len(scores) - 1]])
     tp = np.cumsum(labels)[last]
     n_admitted = last + 1.0

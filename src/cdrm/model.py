@@ -15,11 +15,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kde, langevin
+from .data import TransitionDataset
 from .errors import InvalidInputError, OutOfBoundsError, TrainingDivergenceError
 from .kde import KdeStats
 from .langevin import LangevinConfig, ScoreFn
 from .nnet import AdamState, MlpNetwork, Workspace, adam_update, sigmoid
-from .rules import SeedLike, checked_count, checked_layout, checked_real, derive_seed
+from .rules import SeedLike, checked_array, checked_count, checked_instance, checked_layout
+from .rules import checked_real, checked_widths, derive_seed
 
 # Pre-sigmoid clamp half-width: confines scores to [1e-6, 1 - 1e-6].
 LOGIT_CLIP = math.log((1.0 - 1e-6) / 1e-6)
@@ -56,10 +58,9 @@ class CdrmModel:
             raise InvalidInputError(
                 f"net expects {self.net.input_dim} inputs, dims {self.dims} give {self.d_total}"
             )
-        if self.kde_stats is not None and self.kde_stats.reference_points.shape[1] != d_s + d_a:
-            raise InvalidInputError(
-                f"kde reference points must be (n, {d_s + d_a}) for dims {self.dims}"
-            )
+        if self.kde_stats is not None:
+            refs = self.kde_stats.reference_points
+            checked_array("kde_stats.reference_points", refs, (None, d_s + d_a))
 
     @property
     def d_total(self) -> int:
@@ -130,9 +131,7 @@ def score_fn(model: CdrmModel, workspace: Workspace | None = None) -> ScoreFn:
 
 
 def contrastive_loss(rho_pos: np.ndarray, rho_neg: np.ndarray, eps: float) -> float:
-    """-mean(log(rho+ + eps)) - mean(log(1 - rho- + eps))."""
-    rho_pos = np.asarray(rho_pos, dtype=np.float64)
-    rho_neg = np.asarray(rho_neg, dtype=np.float64)
+    """-mean(log(rho+ + eps)) - mean(log(1 - rho- + eps)), over float64 arrays."""
     if rho_pos.size == 0 or rho_neg.size == 0:
         raise InvalidInputError("loss batches must be non-empty")
     return float(-np.mean(np.log(rho_pos + eps)) - np.mean(np.log(1.0 - rho_neg + eps)))
@@ -220,7 +219,7 @@ def _loss_and_gradient(
 
 def train(
     model: CdrmModel,
-    dataset,
+    dataset: TransitionDataset,
     cfg: TrainConfig,
 ) -> tuple[CdrmModel, list[float]]:
     """Contrastive training loop; returns the trained model and loss trace.
@@ -237,9 +236,10 @@ def train(
     dataset whose dims are not the model's raises InvalidInputError, and
     one with a tuple outside the model's input bounds OutOfBoundsError.
     """
+    checked_instance("dataset", dataset, TransitionDataset)
     if model.net.params.dtype != np.float64:
         raise InvalidInputError(f"training needs a float64 network, got {model.net.params.dtype}")
-    tuples = np.asarray(dataset.tuples, dtype=np.float64)
+    tuples = dataset.tuples
     if len(tuples) == 0:
         raise InvalidInputError("dataset is empty")
     if dataset.dims != model.dims:
@@ -275,7 +275,7 @@ def train(
 
 
 def fit(
-    dataset,
+    dataset: TransitionDataset,
     cfg: TrainConfig,
     hidden: tuple[int, ...] = (64, 128, 64),
     bandwidth: float | str = "median",
@@ -287,10 +287,10 @@ def fit(
     fit, the [d_total, *hidden, 1] init and `train` draw from separate
     streams of cfg.seed, so none moves another.
     """
+    checked_instance("dataset", dataset, TransitionDataset)
     if len(dataset) == 0:
         raise InvalidInputError("cannot train on an empty dataset")
-    if not isinstance(hidden, (list, tuple)):
-        raise InvalidInputError(f"hidden must be a list or tuple of counts, got {hidden!r}")
+    hidden = checked_widths("hidden", hidden)
     stats = kde.fit(dataset.inputs, bandwidth, seed=derive_seed(cfg.seed, _TAG_DENSITY))
     net = MlpNetwork.initialize(
         [sum(dataset.dims), *hidden, 1], seed=derive_seed(cfg.seed, _TAG_INIT)

@@ -36,10 +36,6 @@ def _check_probes(model: CdrmModel) -> np.ndarray:
     return rng.uniform(lows, highs, size=(N_CHECK_PROBES, model.d_total))
 
 
-def _nested(arr: np.ndarray):
-    return np.asarray(arr, dtype=np.float64).tolist()
-
-
 def provenance_for(cfg: TrainConfig) -> dict:
     """Training-run fingerprint stored inside the model file.
 
@@ -69,19 +65,19 @@ def save_model(path, model: CdrmModel) -> None:
         "dims": list(model.dims),
         "layer_dims": list(model.net.layer_dims),
         "logit_clip": LOGIT_CLIP,
-        "input_bounds": _nested(model.input_bounds),
-        "weights": [_nested(w) for w in model.net.weights],
-        "biases": [_nested(b) for b in model.net.biases],
+        "input_bounds": model.input_bounds.tolist(),
+        "weights": [w.tolist() for w in model.net.weights],
+        "biases": [b.tolist() for b in model.net.biases],
         "kde": None
         if model.kde_stats is None
         else {
-            "reference_points": _nested(model.kde_stats.reference_points),
+            "reference_points": model.kde_stats.reference_points.tolist(),
             "bandwidth": model.kde_stats.bandwidth,
             "mu": model.kde_stats.mu,
             "sigma": model.kde_stats.sigma,
         },
         "provenance": model.provenance,
-        "self_check": {"probes": _nested(probes), "scores": _nested(scores)},
+        "self_check": {"probes": probes.tolist(), "scores": scores.tolist()},
     }
     data.write_json(path, doc)
 
@@ -102,23 +98,19 @@ def load_model(path) -> CdrmModel:
     try:
         if doc["logit_clip"] != LOGIT_CLIP:
             raise ModelFormatError(f"logit_clip {doc['logit_clip']!r} is not {LOGIT_CLIP!r}")
-        net = MlpNetwork(
-            layer_dims=list(doc["layer_dims"]),
-            weights=[np.array(w, dtype=np.float64) for w in doc["weights"]],
-            biases=[np.array(b, dtype=np.float64) for b in doc["biases"]],
-        )
+        net = MlpNetwork(doc["layer_dims"], doc["weights"], doc["biases"])
         kde_doc = doc["kde"]
         kde_stats = None
         if kde_doc is not None:
             kde_stats = KdeStats(
-                reference_points=np.array(kde_doc["reference_points"], dtype=np.float64),
+                reference_points=kde_doc["reference_points"],
                 bandwidth=float(kde_doc["bandwidth"]),
                 mu=float(kde_doc["mu"]),
                 sigma=float(kde_doc["sigma"]),
             )
         model = CdrmModel(
             net=net,
-            input_bounds=np.array(doc["input_bounds"], dtype=np.float64),
+            input_bounds=doc["input_bounds"],
             dims=tuple(doc["dims"]),
             kde_stats=kde_stats,
             provenance=doc["provenance"],

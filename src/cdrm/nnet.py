@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergenceError
-from .rules import SeedLike, checked_count, sample_rng
+from .rules import SeedLike, checked_array, checked_count, checked_widths, sample_rng
 
 
 def sigmoid(x):
@@ -43,7 +43,7 @@ class MlpNetwork:
     weight matrix row-major, then its bias. The constructor copies into a
     float64 params; `astype` makes a copy of another float dtype, and every
     pass runs in the dtype of params. The final layer is linear and one
-    unit wide.
+    unit wide. layer_dims, a list or tuple of counts, is stored as a list.
     """
 
     layer_dims: list[int]
@@ -51,21 +51,15 @@ class MlpNetwork:
     biases: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        dims = self.layer_dims
-        for width in dims:
-            checked_count("layer_dims", width)
+        self.layer_dims = dims = checked_widths("layer_dims", self.layer_dims)
         if len(dims) < 2 or dims[-1] != 1:
             raise InvalidInputError(f"layer_dims must be 2 or more widths ending in 1, got {dims}")
         if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
             raise InvalidInputError("parameter count does not match layer_dims")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (dims[i + 1], dims[i]) or b.shape != (dims[i + 1],):
-                raise InvalidInputError(
-                    f"layer {i}: expected weight {(dims[i + 1], dims[i])} and "
-                    f"bias {(dims[i + 1],)}, got {w.shape} and {b.shape}"
-                )
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise InvalidInputError(f"layer {i}: non-finite parameters")
+        layers = [
+            (checked_array(f"weights[{i}]", w, (m, n)), checked_array(f"biases[{i}]", b, (m,)))
+            for i, (w, b, n, m) in enumerate(zip(self.weights, self.biases, dims, dims[1:]))
+        ]
         # (start, stop, shape) of each layer's weight and bias within params
         self._spans = []
         start = 0
@@ -74,14 +68,13 @@ class MlpNetwork:
                 stop = start + math.prod(shape)
                 self._spans.append((start, stop, shape))
                 start = stop
-        pairs = zip(self.weights, self.biases)
-        self.params = np.concatenate([a.ravel() for pair in pairs for a in pair], dtype=np.float64)
+        self.params = np.concatenate([a.ravel() for pair in layers for a in pair])
         self.weights, self.biases = self.layers(self.params)
 
     @classmethod
     def initialize(cls, layer_dims: list[int], seed: SeedLike) -> "MlpNetwork":
         """Xavier-uniform weights, zero biases, seeded for reproducibility."""
-        layer_dims = [checked_count("layer_dims", d) for d in layer_dims]
+        layer_dims = checked_widths("layer_dims", layer_dims)
         rng = sample_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):

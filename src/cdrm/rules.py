@@ -1,7 +1,8 @@
 """The boundary rules of cdrm: every argument check, the seed rule and the generator.
 
 Each rule checks one kind of argument where it enters the library: a
-count, a real-valued knob, a seed, a layout, a query or a dedup tolerance.
+count, a real-valued knob, an object, a list of widths, an array, a seed,
+a layout, a query or a dedup tolerance.
 This module imports no cdrm module but `errors`, so the network, the
 datasets and the density need not import the sampler.
 """
@@ -52,6 +53,44 @@ def checked_real(name: str, value, low=-math.inf, high=math.inf, strict=False):
     return value
 
 
+def checked_instance(name: str, value, kinds: type | tuple[type, ...]):
+    """value as given, after the one rule of an object argument (a dataset,
+    a region, a list of widths): an instance of kinds. Anything else raises
+    InvalidInputError naming the argument."""
+    if not isinstance(value, kinds):
+        names = kinds if isinstance(kinds, tuple) else (kinds,)
+        what = " or ".join(dict.fromkeys(kind.__name__ for kind in names))
+        raise InvalidInputError(f"{name} must be a {what}, got {type(value).__name__}")
+    return value
+
+
+def checked_widths(name: str, value) -> list[int]:
+    """value as a list of Python ints, after the rule of a list of layer
+    widths: a list or tuple of counts >= 1. Anything else raises
+    InvalidInputError naming the list."""
+    return [checked_count(name, width) for width in checked_instance(name, value, (list, tuple))]
+
+
+def checked_array(name: str, value, shape: tuple, finite: bool = True) -> np.ndarray:
+    """value as a float64 array, after the one array rule: a numeric array
+    (dtype kind i, u or f; no bools, text, objects or complex numbers) of
+    len(shape) dims, where each entry of shape is a fixed size or None for
+    any size, and every value finite when finite is true. Anything else,
+    ragged nesting included, raises InvalidInputError naming the array."""
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError) as exc:  # ragged nesting, for one
+        raise InvalidInputError(f"{name} must be a numeric array: {exc}") from None
+    if array.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{name} must be a numeric array, got dtype {array.dtype}")
+    if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
+        raise InvalidInputError(f"{name} must have shape {shape}, got {array.shape}")
+    array = array.astype(np.float64, copy=False)
+    if finite and not np.all(np.isfinite(array)):
+        raise InvalidInputError(f"{name} must be finite")
+    return array
+
+
 def derive_seed(seed: SeedLike, *tags: int) -> tuple[int, ...]:
     """The seed extended with context tags (epoch index, stream purpose, ...),
     as Python ints; the one check of a seed. A seed is an integer in
@@ -85,18 +124,11 @@ def checked_layout(dims, bounds, name: str = "bounds") -> tuple[tuple[int, int, 
     if not (integers and dims[0] >= 1 and dims[1] >= 0 and dims[2] >= 1):
         raise InvalidInputError(f"bad dims {dims}")
     dims = tuple(int(d) for d in dims)
-    d_total = sum(dims)
-    bounds = np.asarray(bounds, dtype=np.float64)
-    if bounds.shape != (d_total, 2):
-        raise InvalidInputError(f"{name} must be ({d_total}, 2)")
-    if not np.all(np.isfinite(bounds)):
-        raise InvalidInputError(f"{name} must be finite")
-    if np.any(bounds[:, 0] >= bounds[:, 1]):
-        raise InvalidInputError(f"{name} must satisfy low < high per dimension")
+    bounds = checked_array(name, bounds, (sum(dims), 2))
     with np.errstate(over="ignore"):
         width = bounds[:, 1] - bounds[:, 0]
-    if not np.all(np.isfinite(width)):
-        raise InvalidInputError(f"{name} must have a finite width")
+    if not np.all((width > 0) & (width < np.inf)):  # low < high, and a finite width
+        raise InvalidInputError(f"{name} must have a finite width and low < high per dimension")
     return dims, bounds
 
 
@@ -104,18 +136,12 @@ def checked_query(dims, bounds, s, a) -> np.ndarray:
     """The query (s, a) as one float64 row, after the one query rule of
     `inference.infer` and `binref`; dims and bounds are a checked layout.
 
-    s and a must be 1-D with d_s and d_a entries, all finite
-    (InvalidInputError), and the row must lie inside bounds[: d_s + d_a],
-    ends included (OutOfBoundsError).
+    s and a must pass `checked_array` as 1-D arrays of d_s and d_a
+    entries (InvalidInputError), and the row must lie inside
+    bounds[: d_s + d_a], ends included (OutOfBoundsError).
     """
-    s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64)) if np.size(a) else np.empty(0)
     d_s, d_a, _ = dims
-    if s.shape != (d_s,) or a.shape != (d_a,):
-        raise InvalidInputError(f"query shapes {s.shape}, {a.shape} are not ({d_s},), ({d_a},)")
-    query = np.concatenate([s, a])
-    if not np.all(np.isfinite(query)):
-        raise InvalidInputError("query must be finite")
+    query = np.concatenate([checked_array("s", s, (d_s,)), checked_array("a", a, (d_a,))])
     bounds = bounds[: d_s + d_a]
     if np.any(query < bounds[:, 0]) or np.any(query > bounds[:, 1]):
         raise OutOfBoundsError(
@@ -126,14 +152,13 @@ def checked_query(dims, bounds, s, a) -> np.ndarray:
 
 def checked_tolerance(dedup_tol, d: int) -> np.ndarray:
     """The (d,) float64 dedup tolerance of d-dim samples, after the one
-    tolerance rule: a finite non-negative real scalar, which applies to
-    every dim, or vector of d entries. Anything else raises
+    tolerance rule: a non-negative scalar, which applies to every dim, or
+    vector of d entries, each passing `checked_array`. Anything else raises
     InvalidInputError."""
-    tol = np.atleast_1d(np.asarray(dedup_tol))
-    # integer or float dtype only: text, bools and objects are not tolerances
-    finite = tol.dtype.kind in "iuf" and np.all(np.isfinite(tol))
-    if tol.ndim != 1 or not finite or np.any(tol < 0):
-        raise InvalidInputError("dedup_tol must be a finite non-negative real scalar or vector")
+    scalar = np.isscalar(dedup_tol) or getattr(dedup_tol, "shape", None) == ()
+    tol = checked_array("dedup_tol", [dedup_tol] if scalar else dedup_tol, (None,))
+    if np.any(tol < 0):
+        raise InvalidInputError("dedup_tol must be non-negative")
     if tol.size not in (1, d):
         raise InvalidInputError(f"dedup_tol has {tol.size} entries, samples have {d}")
-    return np.broadcast_to(tol.astype(np.float64, copy=False), (d,))
+    return np.broadcast_to(tol, (d,))

@@ -71,7 +71,7 @@ COUNTS = [
     count("probe_grid", "grid_resolution", 1, 3, lambda v: metrics.probe_grid(v).tobytes()),
     count("evaluate_room", "grid_resolution", 1, 2, evaluation),
     count("initialize", "layer_dims", 1, 3, lambda v: network(MlpNetwork.initialize([2, v, 1], 0))),
-    count("fit-hidden", "layer_dims", 1, 3, lambda v: network(fit(hidden=(v,)).net)),
+    count("fit", "hidden", 1, 3, lambda v: network(fit(hidden=(v,)).net)),
     count("adam_update", "step_index", 1, 2, adam_step),
 ]
 

@@ -52,7 +52,7 @@ class TestTransitionDataset:
     @pytest.mark.parametrize("shape", [(3, 1, 2), (3, 2, 1), (4,)], ids=["3x1x2", "3x2x1", "4"])
     def test_rejects_tuple_arrays_that_are_not_2d(self, shape):
         # a (3, 1, 2) array was once reshaped to (3, 2) and accepted
-        with pytest.raises(InvalidInputError, match=r"not \(n, 2\)"):
+        with pytest.raises(InvalidInputError, match=r"^tuples must have shape \(None, 2\), got "):
             TransitionDataset(np.full(shape, 0.5), dims=(1, 0, 1), bounds=[[0, 1], [0, 1]])
 
     @pytest.mark.parametrize("shape", [(0,), (0, 5), (2, 0, 3)], ids=["0", "0x5", "2x0x3"])

@@ -66,6 +66,18 @@ def writes_a_file(node: ast.AST) -> bool:
     return opens or _is(node, "json", "dump") or _imports_from(node, "json", "dump")
 
 
+CONVERSIONS = ("asarray", "asanyarray", "atleast_1d")
+
+
+def converts_an_array(node: ast.AST) -> bool:
+    """node reads numpy's `asarray`, `asanyarray` or `atleast_1d`, so an alias
+    of one is caught where it is made."""
+    return any(
+        _is(node, "np", name) or _is(node, "numpy", name) or _imports_from(node, "numpy", name)
+        for name in CONVERSIONS
+    )
+
+
 def defines_a_rule(node: ast.AST) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
         node.name.startswith("checked_") or node.name == "is_integer"
@@ -160,11 +172,26 @@ GUARDS = {
         each(defines_a_rule),
         MODULES,
         {f"rules.{name}" for name in ("is_integer", "checked_count", "checked_real")}
-        | {f"rules.checked_{name}" for name in ("layout", "query", "tolerance")},
+        | {f"rules.checked_{name}" for name in ("widths", "instance", "array", "layout")}
+        | {"rules.checked_query", "rules.checked_tolerance"},
         ["def checked_width(w):", "    return w", "class C:", "    def is_integer(self):"]
         + ["        return is_integer(self.n)", "async def checked_seed(s):", "    pass"]
         + ["def unchecked(v):", "    checked = checked_count('v', v)"],
         [1, 4, 6],
+    ),
+    # every argument array goes through rules.checked_array; the others cast
+    # arrays cdrm made itself: the network's per-pass checks and sigmoid, the
+    # score casts of the chain's per-step path, and the stream hash's words
+    "array conversions": Guard(
+        each(converts_an_array),
+        MODULES,
+        {"rules.checked_array", "nnet.sigmoid", "langevin._stream_words"}
+        | {f"nnet.MlpNetwork.{name}" for name in ("_check_batch", "grad_params_batch")}
+        | {"model.score_batch", "model.score_and_grad"},
+        ["import numpy as np", "x = np.asarray(v)", "y = numpy.asanyarray(v, dtype=float)"]
+        + ["from numpy import atleast_1d, zeros", "to_array = np.asarray", "z = np.array(v)"]
+        + ["def f(v):", "    return np.ascontiguousarray(np.atleast_1d(v))", "asarray(v)"],
+        [2, 3, 4, 5, 8],
     ),
     # the network, the datasets, the density and the grid do not depend on
     # the sampler; only the modules that run a chain import it
@@ -174,6 +201,14 @@ GUARDS = {
         {"cli", "inference", "metrics", "model"},
         IMPORTS,
         [1, 3, 5, 6],
+    ),
+    # the oracle checks the model, so it shares only the datasets and the rules
+    "oracle imports": Guard(
+        each(imports_cdrm(lambda name: name not in ("data", "errors", "rules"))),
+        [PACKAGE / "binref.py"],
+        set(),
+        IMPORTS + ["from .data import TransitionDataset", "from .inference import infer"],
+        [1, 3, 5, 6, 9],
     ),
     "rules imports": Guard(
         each(imports_cdrm(lambda name: name != "errors")),

@@ -195,14 +195,15 @@ _GOOD_FIELDS = {"reference_points": np.eye(2), "bandwidth": 0.5, "mu": 0.2, "sig
 )
 def test_stats_refuse_a_bad_field_on_construction(field, value):
     # each would make `base_eu` return NaN, crash, or give a meaningless EU
-    with pytest.raises(InvalidInputError, match=field.replace("_", " ")):
+    with pytest.raises(InvalidInputError, match=f"^{field} must"):
         kde.KdeStats(**{**_GOOD_FIELDS, field: value})
 
 
 @pytest.mark.parametrize("width", [1, 3])
 def test_model_refuses_reference_points_of_another_input_width(width):
     # dims (2, 0, 1): the density is queried on 2-wide (state, action) inputs
-    with pytest.raises(InvalidInputError, match="reference points"):
+    words = r"^kde_stats.reference_points must have shape \(None, 2\)"
+    with pytest.raises(InvalidInputError, match=words):
         model.CdrmModel(
             net=nnet.MlpNetwork.initialize([3, 4, 1], seed=0),
             input_bounds=np.tile([0.0, 1.0], (3, 1)),

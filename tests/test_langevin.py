@@ -151,7 +151,7 @@ def test_init_uniform_freezes_fixed_dims():
 def test_prefix_must_be_one_dimensional():
     cfg = full_cfg(steps=0)
     for fixed in (None, 0.5, [[0.1, 0.2]]):
-        with pytest.raises(InvalidInputError, match="1-D"):
+        with pytest.raises(InvalidInputError, match="^fixed must"):
             run(quadratic_score([0.0, 0.0, 0.0]), cfg, box(3), fixed, seed=0)
 
 

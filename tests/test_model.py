@@ -608,6 +608,14 @@ class TestFit:
         assert counted.call_count == 0
 
 
+    @pytest.mark.parametrize("dataset", [None, np.zeros((3, 2)), "ds"], ids=repr)
+    def test_fit_and_train_take_only_a_dataset(self, dataset):
+        # fit raised a raw TypeError or AttributeError, train an AttributeError
+        with pytest.raises(InvalidInputError, match="^dataset must be a TransitionDataset"):
+            model.fit(dataset, TrainConfig(epochs=0))
+        with pytest.raises(InvalidInputError, match="^dataset must be a TransitionDataset"):
+            model.train(tiny_model(), dataset, TrainConfig(epochs=0))
+
     @pytest.mark.parametrize("hidden", [None, True, 1.5, -1, float("nan"), object(), 2**70])
     def test_hidden_takes_only_a_list_or_tuple(self, hidden):
         # each once raised a raw TypeError from unpacking it into the widths

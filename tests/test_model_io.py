@@ -365,7 +365,7 @@ class TestKdeFields:
         path = tmp_path / "model.json"
         save_model(path, make_model())
         _edit_kde(path, "reference_points", refs)
-        with pytest.raises(ModelFormatError, match="reference points"):
+        with pytest.raises(ModelFormatError, match="reference_points must"):
             load_model(path)
 
 

@@ -103,6 +103,15 @@ def test_initialize_xavier_bounds():
     assert all(np.all(b == 0.0) for b in net.biases)
 
 
+@pytest.mark.parametrize("widths", [None, True, 1.5, -1, float("nan"), object(), 2**70])
+def test_layer_dims_take_only_a_list_or_tuple(widths):
+    # each once raised a raw TypeError from iterating over it
+    with pytest.raises(InvalidInputError, match="^layer_dims must be a list or tuple, got "):
+        MlpNetwork(widths, [], [])
+    with pytest.raises(InvalidInputError, match="^layer_dims must be a list or tuple, got "):
+        MlpNetwork.initialize(widths, 0)
+
+
 def test_constructor_validates_shapes():
     with pytest.raises(InvalidInputError):
         MlpNetwork([2, 1], [np.zeros((2, 2))], [np.zeros(1)])
