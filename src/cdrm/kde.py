@@ -13,10 +13,14 @@ import numpy as np
 
 from .errors import DegenerateDatasetError, InvalidInputError
 from .nnet import sigmoid
-from .rules import SeedLike, checked_array, checked_real, sample_rng
+from .rules import SeedLike, checked_array, checked_points, checked_real, sample_rng
 
 MAX_REFERENCE_POINTS = 4096
 BANDWIDTH_SAMPLE = 1024
+# Points and queries lie within MAX_NORM of the origin, so every squared
+# distance, and every |q|^2 + |r|^2 - 2 q.r that `density_batch` forms, is
+# at most 4 * MAX_NORM^2 = 2**1022, a quarter of the float64 range.
+MAX_NORM = 2.0**510
 
 
 @dataclass
@@ -46,15 +50,17 @@ class KdeStats:
 
 def density(stats: KdeStats, query: np.ndarray) -> float:
     """Average RBF kernel value between the query, a finite (d,) array of
-    the reference width, and every reference point."""
-    q = checked_array("query", query, (stats.reference_points.shape[1],))
+    the reference width within MAX_NORM of the origin, and every reference
+    point."""
+    q = checked_points("query", query, (stats.reference_points.shape[1],), MAX_NORM)
     return float(density_batch(stats, q[None, :])[0])
 
 
 def density_batch(stats: KdeStats, queries: np.ndarray) -> np.ndarray:
-    """`density` of each row of queries, a finite (k, d) array."""
+    """`density` of each row of queries, a finite (k, d) array whose rows
+    lie within MAX_NORM of the origin."""
     refs = stats.reference_points
-    q = checked_array("queries", queries, (None, refs.shape[1]))
+    q = checked_points("queries", queries, (None, refs.shape[1]), MAX_NORM)
     sq = (
         np.sum(q * q, axis=1)[:, None]
         + np.sum(refs * refs, axis=1)[None, :]
@@ -93,11 +99,11 @@ def fit(
     (seeded) to bound the per-query cost. A dataset whose points all see the
     same density (e.g. fully symmetric or coincident points) has zero spread
     and cannot be standardized; that raises DegenerateDatasetError. Points
-    that fail `rules.checked_array` as an (n, d) array, or fewer than two,
-    raise InvalidInputError. bandwidth_rule is "median", the median-distance
-    rule, or a bandwidth in (0, inf).
+    that fail `rules.checked_points` as an (n, d) array within MAX_NORM of
+    the origin, or fewer than two, raise InvalidInputError. bandwidth_rule
+    is "median", the median-distance rule, or a bandwidth in (0, inf).
     """
-    pts = checked_array("dataset_inputs", dataset_inputs, (None, None))
+    pts = checked_points("dataset_inputs", dataset_inputs, (None, None), MAX_NORM)
     if len(pts) < 2:
         raise InvalidInputError(f"dataset_inputs must have at least 2 points, got {len(pts)}")
     pts = _subsample(pts, MAX_REFERENCE_POINTS, seed)

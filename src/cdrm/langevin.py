@@ -29,7 +29,7 @@ import numpy as np
 
 from . import rules
 from .errors import InvalidInputError, SamplingFailureError
-from .rules import SeedLike, checked_array, checked_count, checked_real, derive_seed
+from .rules import SeedLike, checked_array, checked_box, checked_count, checked_real, derive_seed
 
 # score_fn(batch (n, d), with_grad) -> (scores (n,), gradients (n, d)); the
 # gradients may be None when with_grad is false.
@@ -228,11 +228,12 @@ def run(
     bounds is the (d, 2) box of a whole row. Each row is the 1-D prefix
     fixed, held for the whole chain, followed by the d - len(fixed)
     coordinates the chain moves inside bounds[len(fixed):]; training
-    passes an empty prefix. A fixed or bounds that fails `rules.checked_array`
-    (the prefix's rows of bounds may hold any value, the others must be
-    finite) or a bounds with d <= len(fixed) raises InvalidInputError; the
-    caller owns the box's values (the model's input bounds). Initialization
-    is uniform over the moved block's bounds. Per-sample noise for the whole chain is drawn up front
+    passes an empty prefix. A fixed that fails `rules.checked_array`, a
+    bounds of d <= len(fixed) rows, or one whose moved rows fail
+    `rules.checked_box` (finite rows, low <= high, a finite width; the
+    prefix's rows may hold any value) raises InvalidInputError.
+    Initialization is uniform over the moved block's bounds. Per-sample
+    noise for the whole chain is drawn up front
     from each sample's own stream, so traces are bit-reproducible for a
     given seed regardless of batch size changes elsewhere. Each step moves
     the block by step_size times its gradient, adds the noise and clips
@@ -245,7 +246,7 @@ def run(
     bounds = checked_array("bounds", bounds, (None, 2), finite=False)  # a prefix row is never read
     if len(bounds) <= k:
         raise InvalidInputError(f"bounds must have more rows than fixed has entries ({k})")
-    checked_array(f"bounds[{k}:]", bounds[k:], (None, 2))  # the moved block's box is finite
+    checked_box(f"bounds[{k}:]", bounds[k:], strict=False)  # a zero width pins a coordinate
     lows, highs = bounds[k:, 0], bounds[k:, 1]
     samples = np.empty((L + 1, n, len(bounds)))
     scores = np.empty((L + 1, n))

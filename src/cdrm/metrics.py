@@ -21,9 +21,13 @@ from .rules import SeedLike, checked_array, checked_count, derive_seed
 
 def _split(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     """Scores of the label-1 (positive) and label-0 (negative) probes; a
-    non-finite score leaves the ranking undefined (UndefinedMetricError)."""
+    label other than 0 or 1 raises InvalidInputError, and a non-finite
+    score leaves the ranking undefined (UndefinedMetricError)."""
     scores = checked_array("scores", scores, (None,), finite=False)
     labels = checked_array(f"labels of the {len(scores)} scores", labels, scores.shape)
+    other = np.unique(labels[(labels != 0) & (labels != 1)])
+    if other.size:
+        raise InvalidInputError(f"labels must be 0 or 1, got {other[:5].tolist()}")
     if not np.all(np.isfinite(scores)):
         raise UndefinedMetricError("scores must be finite")
     return scores[labels == 1], scores[labels == 0]

@@ -134,7 +134,10 @@ def contrastive_loss(rho_pos: np.ndarray, rho_neg: np.ndarray, eps: float) -> fl
     """-mean(log(rho+ + eps)) - mean(log(1 - rho- + eps)), over float64 arrays."""
     if rho_pos.size == 0 or rho_neg.size == 0:
         raise InvalidInputError("loss batches must be non-empty")
-    return float(-np.mean(np.log(rho_pos + eps)) - np.mean(np.log(1.0 - rho_neg + eps)))
+    # np.mean's own arithmetic, a sum divided by the count, without its wrapper
+    pos_term = np.add.reduce(np.log(rho_pos + eps)) / rho_pos.size
+    neg_term = np.add.reduce(np.log(1.0 - rho_neg + eps)) / rho_neg.size
+    return float(-pos_term - neg_term)
 
 
 @dataclass(frozen=True)
@@ -173,38 +176,42 @@ class TrainConfig:
         )
 
 
-def generate_negatives(model: CdrmModel, cfg: LangevinConfig, seed: SeedLike) -> Workspace:
+def generate_negatives(
+    model: CdrmModel, cfg: LangevinConfig, seed: SeedLike, workspace: Workspace | None = None
+) -> Workspace:
     """Final batch of an ascent chain from uniform initialization over the
     model's input bounds, every joint dimension moving, with the network's
     forward pass on it.
 
     cfg is the chain `TrainConfig.negative_chain` builds, which sets the
-    batch size. The returned workspace is the one the chain's
-    final, score-only pass ran in: its `inputs` are the negatives and its
-    buffers hold that pass's activations and logits, which the update
-    reads instead of scoring the batch again. The positions are constants
-    downstream; no gradient flows back through the chain that produced
-    them.
+    batch size. The chain runs in workspace, the one given (sized for the
+    network and batch, as `train` keeps one for its whole run) or a fresh
+    one, which is returned: its `inputs` are the negatives and its
+    buffers hold the chain's final, score-only pass, activations and
+    logits, which the update reads instead of scoring the batch again.
+    The positions are constants downstream; no gradient flows back
+    through the chain that produced them.
     """
-    workspace = Workspace(model.net.layer_dims, cfg.n_samples)
+    if workspace is None:
+        workspace = Workspace(model.net.layer_dims, cfg.n_samples)
     langevin.run(score_fn(model, workspace), cfg, model.input_bounds, np.empty(0), seed)
     return workspace
 
 
 def _loss_and_gradient(
-    model: CdrmModel, pos: np.ndarray, neg: Workspace, eps: float, grads: np.ndarray
+    model: CdrmModel, pos: Workspace, neg: Workspace, eps: float, grads: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Contrastive loss of one (pos, neg) batch pair and its gradient with
     respect to every network parameter; a non-finite loss raises
     TrainingDivergenceError before any gradient work.
 
-    neg holds a forward pass of the network on the negatives, as
-    `generate_negatives` returns it; the positives are forwarded once here.
-    grads takes the two batch gradients, one per row; the first, their sum, is returned.
+    pos and neg each hold a forward pass of the network on their batch:
+    pos a `forward_batch` on the positives, neg the chain's final pass as
+    `generate_negatives` returns it. grads takes the two batch gradients,
+    one per row; the first, their sum, is returned.
     """
     net = model.net
-    pos_pass = Workspace(net.layer_dims, len(pos))
-    rho_pos, in_pos = _clamped_scores(net.forward_batch(pos, pos_pass))
+    rho_pos, in_pos = _clamped_scores(pos.logits)
     rho_neg, in_neg = _clamped_scores(neg.logits)
     loss = contrastive_loss(rho_pos, rho_neg, eps)
     if not np.isfinite(loss):
@@ -212,7 +219,7 @@ def _loss_and_gradient(
     # dL/dlogit for each batch; the clamp zeroes samples beyond it.
     up_pos = -(1.0 / len(pos)) / (rho_pos + eps) * rho_pos * (1.0 - rho_pos) * in_pos
     up_neg = (1.0 / len(neg)) / (1.0 - rho_neg + eps) * rho_neg * (1.0 - rho_neg) * in_neg
-    grad = net.grad_params_batch(pos_pass, up_pos, grads[0])
+    grad = net.grad_params_batch(pos, up_pos, grads[0])
     grad += net.grad_params_batch(neg, up_neg, grads[1])
     return loss, grad
 
@@ -249,22 +256,30 @@ def train(
 
     net = MlpNetwork(model.net.layer_dims, model.net.weights, model.net.biases)  # Adam's copy
     trained = replace(model, net=net)
-    grads = np.empty((2, net.n_params))  # one gradient per batch, reused by every update
-    adam = AdamState.zeros_for(net)
+    # buffers every update reuses: one gradient per batch, the chain's
+    # workspace and one per positive batch size (a shorter last batch has its own)
+    grads = np.empty((2, net.n_params))
     chain = cfg.negative_chain
+    neg_pass = Workspace(net.layer_dims, chain.n_samples)
+    n, batch = len(tuples), cfg.positive_batch
+    sizes = {min(n, batch), n % batch or batch}
+    pos_passes = {rows: Workspace(net.layer_dims, rows) for rows in sizes}
+    adam = AdamState.zeros_for(net)
     step_index = 0  # Adam bias correction counts updates, not epochs
     losses: list[float] = []
     for epoch in range(cfg.epochs):
-        order = langevin.sample_rng(cfg.seed, _TAG_POSITIVE, epoch, 0).permutation(len(tuples))
+        order = langevin.sample_rng(cfg.seed, _TAG_POSITIVE, epoch, 0).permutation(n)
         epoch_losses = []
-        for update, start in enumerate(range(0, len(tuples), cfg.positive_batch)):
-            pos = tuples[order[start : start + cfg.positive_batch]]
+        for update, start in enumerate(range(0, n, batch)):
             neg = generate_negatives(
-                trained, chain, derive_seed(cfg.seed, _TAG_NEGATIVE, epoch, update)
+                trained, chain, derive_seed(cfg.seed, _TAG_NEGATIVE, epoch, update), neg_pass
             )
+            pos = tuples[order[start : start + batch]]
+            pos_pass = pos_passes[len(pos)]
+            net.forward_batch(pos, pos_pass)
             step_index += 1
             try:
-                loss, grad = _loss_and_gradient(trained, pos, neg, cfg.stability_eps, grads)
+                loss, grad = _loss_and_gradient(trained, pos_pass, neg, cfg.stability_eps, grads)
                 adam_update(net, grad, adam, step_index, cfg.learning_rate)
             except TrainingDivergenceError as exc:
                 raise TrainingDivergenceError(f"epoch {epoch}: {exc}") from None

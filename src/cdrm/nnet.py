@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergenceError
-from .rules import SeedLike, checked_array, checked_count, checked_widths, sample_rng
+from .rules import SeedLike, checked_array, checked_count, checked_instance, checked_widths
+from .rules import sample_rng
 
 
 def sigmoid(x):
@@ -43,7 +44,8 @@ class MlpNetwork:
     weight matrix row-major, then its bias. The constructor copies into a
     float64 params; `astype` makes a copy of another float dtype, and every
     pass runs in the dtype of params. The final layer is linear and one
-    unit wide. layer_dims, a list or tuple of counts, is stored as a list.
+    unit wide. layer_dims, a list or tuple of counts, is stored as a list;
+    weights and biases must be lists or tuples of one array per layer.
     """
 
     layer_dims: list[int]
@@ -54,11 +56,16 @@ class MlpNetwork:
         self.layer_dims = dims = checked_widths("layer_dims", self.layer_dims)
         if len(dims) < 2 or dims[-1] != 1:
             raise InvalidInputError(f"layer_dims must be 2 or more widths ending in 1, got {dims}")
-        if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
-            raise InvalidInputError("parameter count does not match layer_dims")
+        weights = checked_instance("weights", self.weights, (list, tuple))
+        biases = checked_instance("biases", self.biases, (list, tuple))
+        if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
+            raise InvalidInputError(
+                f"weights and biases must each hold one array per layer of {dims}, "
+                f"got {len(weights)} and {len(biases)}"
+            )
         layers = [
             (checked_array(f"weights[{i}]", w, (m, n)), checked_array(f"biases[{i}]", b, (m,)))
-            for i, (w, b, n, m) in enumerate(zip(self.weights, self.biases, dims, dims[1:]))
+            for i, (w, b, n, m) in enumerate(zip(weights, biases, dims, dims[1:]))
         ]
         # (start, stop, shape) of each layer's weight and bias within params
         self._spans = []
@@ -145,11 +152,9 @@ class MlpNetwork:
         workspace.inputs = x
         return workspace.logits
 
-    def _backward_step(self, g: np.ndarray | float, i: int, workspace: "Workspace") -> np.ndarray:
+    def _backward_step(self, g: np.ndarray, i: int, workspace: "Workspace") -> np.ndarray:
         """From g, the gradient at layer i's pre-activation, the one at layer
-        i-1's: g @ W[i] times 1 - a^2, written over a, that layer's output.
-        g is an array or, for the input-gradient pass out of the logit,
-        the scalar 1.0 (see `_matmul`)."""
+        i-1's: g @ W[i] times 1 - a^2, written over a, that layer's output."""
         a = workspace.acts[i - 1]
         prod = _matmul(g, self.weights[i], workspace.scratch(self.layer_dims[i]))
         np.square(a, out=a)
@@ -179,10 +184,20 @@ class MlpNetwork:
         x = self._check_batch(x)
         workspace = self._workspace(len(x), workspace)
         logits = self._forward(x, workspace)
-        workspace.inputs = None  # the backward pass below overwrites the activations
-        g = 1.0  # d logit / d logit
-        for i in range(len(self.weights) - 1, 0, -1):
-            g = self._backward_step(g, i, workspace)
+        workspace.inputs = None  # 1 - a^2 below overwrites the activations
+        # d logit / d (last hidden output) is the output layer's one row;
+        # adding 0.0 gives a gemm's bytes, as in `_matmul`
+        row = self.weights[-1][0]
+        if len(self.weights) == 1:  # a [d, 1] network: that row is the input gradient
+            return logits, np.add(row, 0.0, out=workspace.input_grad)
+        hidden = workspace.hidden
+        np.square(hidden, out=hidden)
+        np.subtract(1.0, hidden, out=hidden)
+        acts = workspace.acts
+        g = np.multiply(acts[-2], row + 0.0, out=acts[-2])
+        for i in range(len(self.weights) - 2, 0, -1):
+            prod = _matmul(g, self.weights[i], workspace.scratch(self.layer_dims[i]))
+            g = np.multiply(prod, acts[i - 1], out=acts[i - 1])
         return logits, _matmul(g, self.weights[0], workspace.input_grad)
 
     def grad_params_batch(
@@ -221,14 +236,13 @@ class MlpNetwork:
         return out
 
 
-def _matmul(g: np.ndarray | float, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _matmul(g: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """g @ w, written into out, for a gradient g of shape (rows, len(w)).
 
     Out of a one-unit layer (w has one row) that is an outer product, so it
-    is formed as the broadcast g * w instead of a gemm with K = 1, and g
-    may then be the scalar 1.0, the gradient of a logit with respect to
-    itself. A gemm sums from +0.0, which turns a -0.0 product into +0.0;
-    adding 0.0 does the same, so the bytes are the gemm's.
+    is formed as the broadcast g * w instead of a gemm with K = 1. A gemm
+    sums from +0.0, which turns a -0.0 product into +0.0; adding 0.0 does
+    the same, so the bytes are the gemm's.
     """
     if len(w) > 1:
         return np.matmul(g, w, out=out)
@@ -240,18 +254,23 @@ def _matmul(g: np.ndarray | float, w: np.ndarray, out: np.ndarray) -> np.ndarray
 class Workspace:
     """Buffers for one network's passes over batches of one size.
 
-    acts[i] is the output of layer i (tanh applied in place on hidden
-    layers), and the last one holds the logits. After `forward_batch` the
+    Every buffer is a C-contiguous view of one flat slab: acts[i], shape
+    (rows, layer_dims[i + 1]), is the output of layer i (tanh applied in
+    place on hidden layers), and the last one holds the logits. The hidden
+    outputs acts[:-1] lie one after another at the slab's start, so
+    `hidden` views them all as one flat segment. After `forward_batch` the
     buffers keep that pass's activations and `inputs` is the batch it ran
     on, which is what `grad_params_batch` reads. Both backward passes walk
     back through the buffers in place: each hidden output is overwritten
     with the gradient with respect to that layer's pre-activation, using
     one hidden-width scratch array for the product with the weights in
-    between (an outer product out of the one-unit output layer, see
-    `_matmul`), and the input-gradient pass writes d logit / d input to
-    input_grad. That pass starts from the scalar 1.0, so no buffer holds
-    the logit's gradient with respect to itself. Neither pass leaves a
-    forward to read, so both set `inputs` to None.
+    between. The input-gradient pass turns every hidden output into
+    1 - a^2 with two ufunc calls over `hidden` before it walks back, starts
+    from the output layer's one weight row (so no buffer holds the logit's
+    gradient with respect to itself), and writes d logit / d input to
+    input_grad. `grad_params_batch` reads each activation before it
+    overwrites it, so it forms 1 - a^2 layer by layer. Neither pass leaves
+    a forward to read, so both set `inputs` to None.
 
     Every buffer has the dtype of the network's params, which a network
     checks before it runs a pass in the workspace. A workspace belongs to
@@ -263,9 +282,20 @@ class Workspace:
         self.layer_dims = tuple(layer_dims)
         self.rows = rows
         self.dtype = np.dtype(dtype)
-        self.acts = [np.empty((rows, d), dtype) for d in layer_dims[1:]]
-        self.input_grad = np.empty((rows, layer_dims[0]), dtype)
-        self._scratch = np.empty(rows * max(layer_dims[1:-1], default=0), dtype)
+        hidden = layer_dims[1:-1]
+        # acts, then the scratch, then input_grad, each rows * width long
+        widths = [*layer_dims[1:], max(hidden, default=0), layer_dims[0]]
+        # a 2-D shape, so that a slab past the address space raises numpy's
+        # "array is too big", which the CLI reports as an allocation failure
+        slab = np.empty((sum(widths), rows), self.dtype).reshape(-1)
+        segments, start = [], 0
+        for width in widths:
+            segments.append(slab[start : start + rows * width])
+            start += rows * width
+        *acts, self._scratch, input_grad = segments
+        self.acts = [a.reshape(rows, d) for a, d in zip(acts, layer_dims[1:])]
+        self.input_grad = input_grad.reshape(rows, layer_dims[0])
+        self.hidden = slab[: rows * sum(hidden)]
         self.inputs: np.ndarray | None = None
 
     def __len__(self) -> int:

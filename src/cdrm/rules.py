@@ -1,8 +1,8 @@
 """The boundary rules of cdrm: every argument check, the seed rule and the generator.
 
 Each rule checks one kind of argument where it enters the library: a
-count, a real-valued knob, an object, a list of widths, an array, a seed,
-a layout, a query or a dedup tolerance.
+count, a real-valued knob, an object, a list of widths, an array, a set
+of points, a seed, a box, a layout, a query or a dedup tolerance.
 This module imports no cdrm module but `errors`, so the network, the
 datasets and the density need not import the sampler.
 """
@@ -91,6 +91,22 @@ def checked_array(name: str, value, shape: tuple, finite: bool = True) -> np.nda
     return array
 
 
+def checked_points(name: str, value, shape: tuple, max_norm: float) -> np.ndarray:
+    """value as `checked_array(name, value, shape)` returns it, with every
+    row (the last axis) within max_norm of the origin, so that sums of
+    squares over it stay finite. Anything else raises InvalidInputError
+    naming the points."""
+    points = checked_array(name, value, shape)
+    with np.errstate(over="ignore"):
+        sq_norms = np.sum(points * points, axis=-1)
+    if np.any(sq_norms > max_norm * max_norm):
+        raise InvalidInputError(
+            f"{name} must lie within {max_norm:.3g} of the origin, so that squared "
+            "distances stay finite"
+        )
+    return points
+
+
 def derive_seed(seed: SeedLike, *tags: int) -> tuple[int, ...]:
     """The seed extended with context tags (epoch index, stream purpose, ...),
     as Python ints; the one check of a seed. A seed is an integer in
@@ -110,26 +126,38 @@ def sample_rng(seed: SeedLike, *tags: int) -> np.random.Generator:
     return np.random.default_rng(list(derive_seed(seed, *tags)))
 
 
+def checked_box(name: str, bounds, rows: int | None = None, strict: bool = True) -> np.ndarray:
+    """bounds as a float64 array, after the one box rule: rows (any number
+    for None) of finite (low, high) pairs, each with low < high (low <= high
+    when not strict) and a finite width high - low, since chains draw
+    uniformly over the box. Anything else raises InvalidInputError naming
+    the box."""
+    bounds = checked_array(name, bounds, (rows, 2))
+    low, high = bounds[:, 0], bounds[:, 1]
+    with np.errstate(over="ignore"):
+        finite_width = high - low < np.inf
+    if not (finite_width & (low < high if strict else low <= high)).all():
+        order = "<" if strict else "<="
+        raise InvalidInputError(
+            f"{name} must have a finite width and low {order} high per dimension"
+        )
+    return bounds
+
+
 def checked_layout(dims, bounds, name: str = "bounds") -> tuple[tuple[int, int, int], np.ndarray]:
     """dims as a tuple of Python ints and bounds as a float64 array, after
     the layout rules datasets and models share; name is the bounds field
     the errors name.
 
     dims must be a list or tuple of three integers (d_s, d_a, d_next) with
-    d_s, d_next >= 1 and d_a >= 0, and bounds one finite (low, high) row
-    per joint dim with low < high and a finite width, since chains draw
-    uniformly over it. Anything else raises InvalidInputError.
+    d_s, d_next >= 1 and d_a >= 0, and bounds a box of one row per joint
+    dim that passes `checked_box`. Anything else raises InvalidInputError.
     """
     integers = isinstance(dims, (list, tuple)) and len(dims) == 3 and all(map(is_integer, dims))
     if not (integers and dims[0] >= 1 and dims[1] >= 0 and dims[2] >= 1):
         raise InvalidInputError(f"bad dims {dims}")
     dims = tuple(int(d) for d in dims)
-    bounds = checked_array(name, bounds, (sum(dims), 2))
-    with np.errstate(over="ignore"):
-        width = bounds[:, 1] - bounds[:, 0]
-    if not np.all((width > 0) & (width < np.inf)):  # low < high, and a finite width
-        raise InvalidInputError(f"{name} must have a finite width and low < high per dimension")
-    return dims, bounds
+    return dims, checked_box(name, bounds, sum(dims))
 
 
 def checked_query(dims, bounds, s, a) -> np.ndarray:

@@ -172,7 +172,8 @@ GUARDS = {
         each(defines_a_rule),
         MODULES,
         {f"rules.{name}" for name in ("is_integer", "checked_count", "checked_real")}
-        | {f"rules.checked_{name}" for name in ("widths", "instance", "array", "layout")}
+        | {f"rules.checked_{name}" for name in ("widths", "instance", "array", "layout", "box")}
+        | {"rules.checked_points"}
         | {"rules.checked_query", "rules.checked_tolerance"},
         ["def checked_width(w):", "    return w", "class C:", "    def is_integer(self):"]
         + ["        return is_integer(self.n)", "async def checked_seed(s):", "    pass"]

@@ -87,6 +87,27 @@ def test_fit_rejects_non_finite_points(bad):
         kde.fit(pts)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_points_beyond_the_norm_limit_are_refused_naming_the_argument():
+    # finite, but their squared distances overflow; fit once blamed the
+    # bandwidth, which the caller never passed
+    with pytest.raises(InvalidInputError, match="^dataset_inputs must lie within"):
+        kde.fit([[1e200], [-1e200], [0.0]])
+    stats = kde.fit([[0.0], [0.5], [2.0]])
+    with pytest.raises(InvalidInputError, match="^query must lie within"):
+        kde.density(stats, [1e200])
+    with pytest.raises(InvalidInputError, match="^queries must lie within"):
+        kde.density_batch(stats, [[0.0], [-1e200]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_points_at_the_norm_limit_fit_without_overflow():
+    edge = kde.MAX_NORM
+    stats = kde.fit([[-edge], [0.0], [edge]])
+    assert np.isfinite(stats.bandwidth) and stats.sigma > 0.0
+    assert 0.0 < kde.base_eu(stats, [edge]) < 1.0
+
+
 def test_fit_subsamples_beyond_cap():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(kde.MAX_REFERENCE_POINTS + 100, 2))

@@ -131,6 +131,24 @@ def test_bounds_must_be_a_box_wider_than_the_prefix(bounds, fixed):
         run(quadratic_score(np.zeros(2)), full_cfg(steps=0), bounds, fixed, seed=0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "bounds, fixed, words",
+    [
+        ([[-1e308, 1e308]], NO_PREFIX, "finite width"),  # finite ends, an overflowing width
+        ([[np.nan, np.nan], [-1e308, 1e308]], [0.5], "finite width"),  # prefix rows aren't read
+        ([[-1.0, 1.0], [1.0, -1.0]], NO_PREFIX, "low <= high"),
+    ],
+    ids=["overflowing-width", "overflowing-width-after-a-prefix", "inverted"],
+)
+def test_the_moved_box_keeps_the_box_rule(bounds, fixed, words):
+    # rules.checked_box, as models and datasets keep it, with zero widths
+    # admitted; an overflowing width once ran every sample to 1e308
+    k = len(fixed)
+    with pytest.raises(InvalidInputError, match=rf"^bounds\[{k}:\] must have a .*{words}"):
+        run(quadratic_score(np.zeros(len(bounds))), full_cfg(steps=1), bounds, fixed, seed=0)
+
+
 def test_init_uniform_within_bounds_and_deterministic():
     cfg = full_cfg(n_samples=32, steps=0)
     a = run(quadratic_score([0.0, 0.0]), cfg, box(), NO_PREFIX, seed=3).samples[0]

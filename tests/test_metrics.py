@@ -61,6 +61,14 @@ class TestAuroc:
         with pytest.raises(InvalidInputError):
             metric([0.5, 0.6, 0.7], [1, 0])
 
+    @pytest.mark.parametrize("metric", [auroc, auprc])
+    @pytest.mark.parametrize("label", [2, -1, 0.5])
+    def test_a_label_other_than_0_or_1_is_refused(self, metric, label):
+        # such a probe was once dropped without a word: auroc read 1.0 here
+        with pytest.raises(InvalidInputError, match=rf"^labels must be 0 or 1, got \[{label}"):
+            metric([0.9, 0.1, 0.95], [1, 0, label])
+        assert metric([0.9, 0.1, 0.95], [1.0, 0.0, 1.0]) == 1.0  # float labels of 0 and 1 count
+
 
 class TestAuprc:
     def test_hand_example_interleaved(self):

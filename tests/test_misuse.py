@@ -25,7 +25,8 @@ from hypothesis.extra import numpy as hnp
 DIMS = (1, 0, 1)
 BOUNDS = [[-1.0, 1.0], [-1.0, 1.0]]
 DATASET = data.gen_toy(n_per_region=5, seed=1)
-NET = nnet.MlpNetwork.initialize([2, 4, 1], seed=0)
+LAYERS = [2, 4, 1]
+NET = nnet.MlpNetwork.initialize(LAYERS, seed=0)
 MODEL = model.CdrmModel(NET, np.array(BOUNDS), DIMS, kde.fit(DATASET.inputs, seed=0))
 STATS = MODEL.kde_stats
 GRID = binref.build(DATASET, 4)
@@ -80,6 +81,8 @@ ENTRIES = [
     Entry("model.fit", "hidden", [4], lambda v: model.fit(DATASET, TRAIN, v), True),
     Entry("model.train", "dataset", DATASET, lambda v: model.train(MODEL, v, TRAIN)),
     Entry("MlpNetwork", "layer_dims", [2, 1], lambda v: nnet.MlpNetwork.initialize(v, 0), True),
+    Entry("MlpNetwork", "weights", NET.weights, lambda v: nnet.MlpNetwork(LAYERS, v, NET.biases)),
+    Entry("MlpNetwork", "biases", NET.biases, lambda v: nnet.MlpNetwork(LAYERS, NET.weights, v)),
 ]
 
 IDS = [f"{entry.name}-{entry.argument}" for entry in ENTRIES]

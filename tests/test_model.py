@@ -28,7 +28,7 @@ from cdrm.model import (
     score_fn,
     train,
 )
-from cdrm.nnet import MlpNetwork, sigmoid
+from cdrm.nnet import AdamState, MlpNetwork, Workspace, adam_update, sigmoid
 
 
 def tiny_model(seed=0, dims=(1, 0, 1), layers=None, bounds=None):
@@ -250,7 +250,9 @@ class TestContrastiveLoss:
             return contrastive_loss(score_batch(mm, pos), score_batch(mm, neg), eps)
 
         grads = np.empty((2, m.net.n_params))
-        loss, grad = _loss_and_gradient(m, pos, forward_pass(m.net, neg), eps, grads)
+        loss, grad = _loss_and_gradient(
+            m, forward_pass(m.net, pos), forward_pass(m.net, neg), eps, grads
+        )
         assert loss == loss_of(m.net)
         grad_weights, grad_biases = m.net.layers(grad)
 
@@ -384,7 +386,8 @@ class TestGenerateNegatives:
         up_pos = -(1.0 / 16) / (rho_pos + eps) * rho_pos * (1.0 - rho_pos) * in_pos
         want = reference_param_grad(m.net, pos, up_pos)
         want += want_neg
-        loss, grad = _loss_and_gradient(m, pos, neg, eps, np.empty((2, m.net.n_params)))
+        grads = np.empty((2, m.net.n_params))
+        loss, grad = _loss_and_gradient(m, forward_pass(m.net, pos), neg, eps, grads)
         assert loss == contrastive_loss(rho_pos, score_batch(m, x), eps)
         assert same_bytes(grad, want)
 
@@ -456,6 +459,39 @@ class TestTrain:
         cfg = TrainConfig(epochs=1, positive_batch=16, langevin_steps=10)
         train(m, tiny_dataset(n=16), cfg)
         assert counts == {"forward": 12, "input_grad": 10, "param_grad": 2}
+
+    def test_kept_workspaces_train_as_fresh_ones_would(self):
+        # 40 tuples at positive batch 16: two full batches and a short one of
+        # 8 per epoch, on the toy net at the tier-1 chain (32 negatives, L = 10)
+        m = tiny_model(seed=4, layers=[2, 64, 128, 64, 1])
+        ds = tiny_dataset(n=40)
+        cfg = TrainConfig(epochs=2, positive_batch=16, seed=5)
+        with mock.patch.object(model, "Workspace", wraps=Workspace) as made:
+            trained, losses = train(m, ds, cfg)
+        rows = sorted(call.args[1] for call in made.call_args_list)
+        assert rows == [8, 16, 32]  # one per batch size, for the whole run
+
+        # The same updates, each building fresh workspaces and gradients.
+        net = MlpNetwork(m.net.layer_dims, m.net.weights, m.net.biases)
+        fresh = replace(m, net=net)
+        adam = AdamState.zeros_for(net)
+        step_index = 0
+        want_losses = []
+        for epoch in range(cfg.epochs):
+            order = rules.sample_rng(cfg.seed, model._TAG_POSITIVE, epoch, 0).permutation(len(ds))
+            epoch_losses = []
+            for update, start in enumerate(range(0, len(ds), cfg.positive_batch)):
+                seed = rules.derive_seed(cfg.seed, model._TAG_NEGATIVE, epoch, update)
+                neg = generate_negatives(fresh, cfg.negative_chain, seed)
+                pos = forward_pass(net, ds.tuples[order[start : start + cfg.positive_batch]])
+                grads = np.empty((2, net.n_params))
+                loss, grad = _loss_and_gradient(fresh, pos, neg, cfg.stability_eps, grads)
+                step_index += 1
+                adam_update(net, grad, adam, step_index, cfg.learning_rate)
+                epoch_losses.append(loss)
+            want_losses.append(float(np.mean(epoch_losses)))
+        assert same_bytes(trained.net.params, net.params)
+        assert losses == want_losses
 
     def test_seed_changes_trajectory(self):
         ds = tiny_dataset(n=10)

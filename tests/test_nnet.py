@@ -123,6 +123,17 @@ def test_constructor_validates_shapes():
         MlpNetwork([2, 0, 1], [np.zeros((0, 2)), np.zeros((1, 0))], [np.zeros(0), np.zeros(1)])
 
 
+@pytest.mark.parametrize("field", ["weights", "biases"])
+@pytest.mark.parametrize("value", [None, 1.0, "w", {"0": [[1.0, 1.0]]}, np.zeros((1, 2))])
+def test_weights_and_biases_take_only_a_list_or_tuple(field, value):
+    # None once raised a raw TypeError from taking its length
+    params = {"weights": [np.zeros((1, 2))], "biases": [np.zeros(1)], field: value}
+    with pytest.raises(InvalidInputError, match=f"^{field} must be a list or tuple, got "):
+        MlpNetwork([2, 1], **params)
+    with pytest.raises(InvalidInputError, match="^weights and biases must each hold one array"):
+        MlpNetwork([2, 1], **{**params, field: []})
+
+
 def test_constructor_rejects_nonfinite():
     w = [np.full((1, 2), np.nan)]
     with pytest.raises(InvalidInputError):
@@ -176,6 +187,22 @@ def test_workspace_matches_fresh_path_bit_for_bit(rows):
         assert got_logits.tobytes() == want_logits.tobytes()
         assert got_grads.tobytes() == want_grads.tobytes()
         assert np.shares_memory(got_grads, ws.input_grad)
+
+
+@pytest.mark.parametrize("layer_dims", [[2, 64, 128, 64, 1], [3, 5, 1], [2, 1, 3, 1], [4, 1]])
+def test_workspace_buffers_are_views_of_one_slab(layer_dims):
+    ws = Workspace(layer_dims, 7)
+    assert [a.shape for a in ws.acts] == [(7, d) for d in layer_dims[1:]]
+    assert ws.input_grad.shape == (7, layer_dims[0])
+    scratch = ws.scratch(max(layer_dims[1:-1], default=0))
+    buffers = [*ws.acts, ws.input_grad, scratch]
+    assert all(b.flags.c_contiguous and b.base is ws.hidden.base for b in buffers)
+    # the hidden segment is acts[:-1], in order, and shares no other buffer
+    ws.hidden[:] = np.arange(ws.hidden.size)
+    hidden = [a.ravel() for a in ws.acts[:-1]]
+    assert np.array_equal(np.concatenate([np.empty(0), *hidden]), np.arange(ws.hidden.size))
+    for other in (ws.acts[-1], ws.input_grad, scratch):
+        assert not np.shares_memory(ws.hidden, other)
 
 
 def test_workspace_single_layer_network():

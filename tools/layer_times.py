@@ -9,8 +9,13 @@ Times the chain's stream draw (`langevin._stream_words` and
 forward+input-grad, param-grad and `adam_update`) at the shapes a
 training update and an `infer` query use: 32 rows in float64 on the toy
 net [2,64,128,64,1] and the room net [3,64,128,64,1], and 512 rows in
-float32, as the inference chain runs them. Each line is the median and
-the interquartile range, in microseconds per call, of 7 blocks of calls
+float32, as the inference chain runs them. The "training update" lines
+time whole contrastive updates at the tier-1 recipe (positive batch 16,
+negative batch 32, L = 10) on the toy and the room net: each call is one
+`model.train` epoch over a 400-tuple set (`gen_toy`, `gen_room`), 25
+updates from the same initial network, and the line divides by 25. Each
+line is the median and the interquartile range, in microseconds per call
+(per update on the "training update" lines), of 7 blocks of calls
 after one warm-up block. The first line records nproc, numpy, BLAS and
 the thread environment. BLAS is capped at one thread before numpy is
 imported, as in `perfbench/run.py`. Compare two source trees by pointing
@@ -24,12 +29,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import itertools  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import time  # noqa: E402
 from functools import partial  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from cdrm import langevin, rules  # noqa: E402
+from cdrm import data, langevin, model, rules  # noqa: E402
 from cdrm.nnet import AdamState, MlpNetwork, Workspace, adam_update  # noqa: E402
 
 BLOCKS = 7
@@ -113,12 +119,33 @@ def adam_steps(net: MlpNetwork):
     return lambda: adam_update(net, grad, state, next(steps), 1e-3)
 
 
+def training_updates():
+    """(shape, call, updates per call): one `model.train` epoch per call,
+    at the tier-1 recipe, on the toy and the room net."""
+    cfg = model.TrainConfig(epochs=1, positive_batch=16, negative_batch=32, langevin_steps=10)
+    for layer_dims, dataset in (
+        ([2, 64, 128, 64, 1], data.gen_toy(seed=1)),
+        ([3, 64, 128, 64, 1], data.gen_room(400, seed=1)),
+    ):
+        net = MlpNetwork.initialize(layer_dims, seed=0)
+        initial = model.CdrmModel(net, dataset.bounds, dataset.dims)  # `train` trains a copy
+        shape = f"16+32 rows L=10 {layer_dims}"
+        updates = math.ceil(len(dataset) / cfg.positive_batch)
+        yield shape, partial(model.train, initial, dataset, cfg), updates
+
+
+def row(name: str, shape: str, median: float, iqr: float) -> str:
+    return f"{name:<20} {shape:<36} {median:>10.1f} {iqr:>8.1f}"
+
+
 def main() -> None:
     print(json.dumps(environment(), sort_keys=True))
     print(f"{'layer':<20} {'shape':<36} {'median_us':>10} {'iqr_us':>8}")
     for name, shape, call, prepare in (*stream_layers(), *network_layers()):
-        median, iqr = per_call_us(call, prepare)
-        print(f"{name:<20} {shape:<36} {median:>10.1f} {iqr:>8.1f}")
+        print(row(name, shape, *per_call_us(call, prepare)))
+    for shape, call, updates in training_updates():
+        median, iqr = per_call_us(call)
+        print(row("training update", shape, median / updates, iqr / updates))
 
 
 if __name__ == "__main__":
