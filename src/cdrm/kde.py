@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DegenerateDatasetError, InvalidInputError
 from .nnet import sigmoid
-from .rules import SeedLike, checked_array, checked_points, checked_real, sample_rng
+from .rules import SeedLike, checked_points, checked_real, sample_rng
 
 MAX_REFERENCE_POINTS = 4096
 BANDWIDTH_SAMPLE = 1024
@@ -21,6 +21,9 @@ BANDWIDTH_SAMPLE = 1024
 # distance, and every |q|^2 + |r|^2 - 2 q.r that `density_batch` forms, is
 # at most 4 * MAX_NORM^2 = 2**1022, a quarter of the float64 range.
 MAX_NORM = 2.0**510
+# The kernel divides by 2 h^2, which is a normal float (at least
+# np.finfo(float).tiny) from this bandwidth on, about 1.05e-154.
+MIN_BANDWIDTH = float(np.sqrt(np.finfo(np.float64).tiny / 2))
 
 
 @dataclass
@@ -29,8 +32,9 @@ class KdeStats:
     standard deviation of the density over the reference points themselves.
 
     Construction refuses any field that would break `base_eu`: reference
-    points must pass `rules.checked_array` as a non-empty (n, d) array, the
-    bandwidth and sigma must be finite and positive, and mu finite.
+    points must pass `rules.checked_points` as a non-empty (n, d) array
+    within MAX_NORM of the origin, the bandwidth must be finite and at
+    least MIN_BANDWIDTH, sigma finite and positive, and mu finite.
     """
 
     reference_points: np.ndarray
@@ -39,9 +43,13 @@ class KdeStats:
     sigma: float
 
     def __post_init__(self):
-        refs = checked_array("reference_points", self.reference_points, (None, None))
+        refs = checked_points("reference_points", self.reference_points, (None, None), MAX_NORM)
         self.reference_points = refs
         checked_real("bandwidth", self.bandwidth, 0, strict=True)
+        if self.bandwidth < MIN_BANDWIDTH:
+            raise InvalidInputError(
+                f"bandwidth must be at least {MIN_BANDWIDTH:.3g}, got {self.bandwidth!r}"
+            )
         checked_real("sigma", self.sigma, 0, strict=True)
         checked_real("mu", self.mu)
         if refs.size == 0:
@@ -58,7 +66,8 @@ def density(stats: KdeStats, query: np.ndarray) -> float:
 
 def density_batch(stats: KdeStats, queries: np.ndarray) -> np.ndarray:
     """`density` of each row of queries, a finite (k, d) array whose rows
-    lie within MAX_NORM of the origin."""
+    lie within MAX_NORM of the origin. A pair whose exponent passes the
+    float range contributes exactly 0."""
     refs = stats.reference_points
     q = checked_points("queries", queries, (None, refs.shape[1]), MAX_NORM)
     sq = (
@@ -67,7 +76,8 @@ def density_batch(stats: KdeStats, queries: np.ndarray) -> np.ndarray:
         - 2.0 * (q @ refs.T)
     )
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * stats.bandwidth**2)).mean(axis=1)
+    with np.errstate(over="ignore"):  # an exponent past the float range is -inf, whose exp is 0
+        return np.exp(-sq / (2.0 * stats.bandwidth**2)).mean(axis=1)
 
 
 def _subsample(pts: np.ndarray, k: int, seed: SeedLike) -> np.ndarray:
@@ -77,15 +87,18 @@ def _subsample(pts: np.ndarray, k: int, seed: SeedLike) -> np.ndarray:
 
 
 def median_heuristic_bandwidth(points: np.ndarray, seed: SeedLike = 0) -> float:
-    """Median pairwise distance over a bounded subsample, divided by sqrt(2)."""
+    """Median pairwise distance over a bounded subsample, divided by sqrt(2);
+    DegenerateDatasetError when that is 0 or below MIN_BANDWIDTH."""
     pts = _subsample(points, BANDWIDTH_SAMPLE, seed)
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     iu = np.triu_indices(len(pts), k=1)
-    med = float(np.median(dist[iu]))
-    if med <= 0.0:
+    h = float(np.median(dist[iu])) / np.sqrt(2.0)
+    if h <= 0.0:
         raise DegenerateDatasetError("all subsampled points coincide; bandwidth undefined")
-    return med / np.sqrt(2.0)
+    if h < MIN_BANDWIDTH:
+        raise DegenerateDatasetError("subsampled points lie too close together for a bandwidth")
+    return h
 
 
 def fit(
@@ -101,7 +114,8 @@ def fit(
     and cannot be standardized; that raises DegenerateDatasetError. Points
     that fail `rules.checked_points` as an (n, d) array within MAX_NORM of
     the origin, or fewer than two, raise InvalidInputError. bandwidth_rule
-    is "median", the median-distance rule, or a bandwidth in (0, inf).
+    is "median", the median-distance rule, or a finite bandwidth of at least
+    MIN_BANDWIDTH.
     """
     pts = checked_points("dataset_inputs", dataset_inputs, (None, None), MAX_NORM)
     if len(pts) < 2:

@@ -195,21 +195,19 @@ def _draw_streams(
     is the arithmetic `uniform` applies to its draws. Each sample draws
     standard normals straight into its own contiguous (L, d) row of one
     buffer, and the buffer is then scaled once: `normal(0.0, s)` is
-    `0.0 + s * z`, and the `+ 0.0` turns a -0.0 product into +0.0. The
-    noise returned is a view of that buffer.
+    `0.0 + s * z`, and the `+ 0.0` turns a -0.0 product (a zero s
+    included) into +0.0. The noise returned is a view of that buffer.
     """
     n, L, d = cfg.n_samples, cfg.steps, len(bounds)
     lows, highs = bounds[:, 0], bounds[:, 1]
     unit = np.empty((n, d))
-    noise = np.zeros((n, L, d))
+    noise = np.empty((n, L, d))
     for i, row in enumerate(_stream_words(seed, n)):
         rng = np.random.Generator(np.random.PCG64(_Words(row)))
         rng.random(out=unit[i])
-        if cfg.noise_scale > 0:
-            rng.standard_normal(out=noise[i])
-    if cfg.noise_scale > 0:
-        noise *= cfg.noise_scale
-        noise += 0.0
+        rng.standard_normal(out=noise[i])
+    noise *= cfg.noise_scale
+    noise += 0.0
     init[:] = lows + (highs - lows) * unit
     return noise.transpose(1, 0, 2)
 
@@ -229,9 +227,8 @@ def run(
     fixed, held for the whole chain, followed by the d - len(fixed)
     coordinates the chain moves inside bounds[len(fixed):]; training
     passes an empty prefix. A fixed that fails `rules.checked_array`, a
-    bounds of d <= len(fixed) rows, or one whose moved rows fail
-    `rules.checked_box` (finite rows, low <= high, a finite width; the
-    prefix's rows may hold any value) raises InvalidInputError.
+    bounds that fails `rules.checked_box` (finite rows, low <= high, a
+    finite width) or has d <= len(fixed) rows raises InvalidInputError.
     Initialization is uniform over the moved block's bounds. Per-sample
     noise for the whole chain is drawn up front
     from each sample's own stream, so traces are bit-reproducible for a
@@ -243,10 +240,9 @@ def run(
     """
     fixed = checked_array("fixed", fixed, (None,))
     n, L, k = cfg.n_samples, cfg.steps, fixed.size
-    bounds = checked_array("bounds", bounds, (None, 2), finite=False)  # a prefix row is never read
+    bounds = checked_box("bounds", bounds, strict=False)  # a zero width pins a coordinate
     if len(bounds) <= k:
         raise InvalidInputError(f"bounds must have more rows than fixed has entries ({k})")
-    checked_box(f"bounds[{k}:]", bounds[k:], strict=False)  # a zero width pins a coordinate
     lows, highs = bounds[k:, 0], bounds[k:, 1]
     samples = np.empty((L + 1, n, len(bounds)))
     scores = np.empty((L + 1, n))

@@ -177,23 +177,21 @@ class TrainConfig:
 
 
 def generate_negatives(
-    model: CdrmModel, cfg: LangevinConfig, seed: SeedLike, workspace: Workspace | None = None
+    model: CdrmModel, cfg: LangevinConfig, seed: SeedLike, workspace: Workspace
 ) -> Workspace:
     """Final batch of an ascent chain from uniform initialization over the
     model's input bounds, every joint dimension moving, with the network's
     forward pass on it.
 
     cfg is the chain `TrainConfig.negative_chain` builds, which sets the
-    batch size. The chain runs in workspace, the one given (sized for the
-    network and batch, as `train` keeps one for its whole run) or a fresh
-    one, which is returned: its `inputs` are the negatives and its
-    buffers hold the chain's final, score-only pass, activations and
-    logits, which the update reads instead of scoring the batch again.
+    batch size. The chain runs in workspace, sized for the network and
+    batch (`train` keeps one for its whole run), which is returned: its
+    `inputs` are the negatives and its buffers hold the chain's final,
+    score-only pass, activations and logits, which the update reads
+    instead of scoring the batch again.
     The positions are constants downstream; no gradient flows back
     through the chain that produced them.
     """
-    if workspace is None:
-        workspace = Workspace(model.net.layer_dims, cfg.n_samples)
     langevin.run(score_fn(model, workspace), cfg, model.input_bounds, np.empty(0), seed)
     return workspace
 

@@ -156,7 +156,7 @@ class MlpNetwork:
         """From g, the gradient at layer i's pre-activation, the one at layer
         i-1's: g @ W[i] times 1 - a^2, written over a, that layer's output."""
         a = workspace.acts[i - 1]
-        prod = _matmul(g, self.weights[i], workspace.scratch(self.layer_dims[i]))
+        prod = np.matmul(g, self.weights[i], out=workspace.scratch(self.layer_dims[i]))
         np.square(a, out=a)
         np.subtract(1.0, a, out=a)
         return np.multiply(prod, a, out=a)
@@ -186,7 +186,8 @@ class MlpNetwork:
         logits = self._forward(x, workspace)
         workspace.inputs = None  # 1 - a^2 below overwrites the activations
         # d logit / d (last hidden output) is the output layer's one row;
-        # adding 0.0 gives a gemm's bytes, as in `_matmul`
+        # adding 0.0 turns a -0.0 weight into +0.0, as a gemm summing from
+        # +0.0 would
         row = self.weights[-1][0]
         if len(self.weights) == 1:  # a [d, 1] network: that row is the input gradient
             return logits, np.add(row, 0.0, out=workspace.input_grad)
@@ -196,9 +197,9 @@ class MlpNetwork:
         acts = workspace.acts
         g = np.multiply(acts[-2], row + 0.0, out=acts[-2])
         for i in range(len(self.weights) - 2, 0, -1):
-            prod = _matmul(g, self.weights[i], workspace.scratch(self.layer_dims[i]))
+            prod = np.matmul(g, self.weights[i], out=workspace.scratch(self.layer_dims[i]))
             g = np.multiply(prod, acts[i - 1], out=acts[i - 1])
-        return logits, _matmul(g, self.weights[0], workspace.input_grad)
+        return logits, np.matmul(g, self.weights[0], out=workspace.input_grad)
 
     def grad_params_batch(
         self, forward: "Workspace", upstream: np.ndarray, out: np.ndarray
@@ -236,21 +237,6 @@ class MlpNetwork:
         return out
 
 
-def _matmul(g: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """g @ w, written into out, for a gradient g of shape (rows, len(w)).
-
-    Out of a one-unit layer (w has one row) that is an outer product, so it
-    is formed as the broadcast g * w instead of a gemm with K = 1. A gemm
-    sums from +0.0, which turns a -0.0 product into +0.0; adding 0.0 does
-    the same, so the bytes are the gemm's.
-    """
-    if len(w) > 1:
-        return np.matmul(g, w, out=out)
-    np.multiply(g, w, out=out)
-    out += 0.0
-    return out
-
-
 class Workspace:
     """Buffers for one network's passes over batches of one size.
 
@@ -263,8 +249,8 @@ class Workspace:
     on, which is what `grad_params_batch` reads. Both backward passes walk
     back through the buffers in place: each hidden output is overwritten
     with the gradient with respect to that layer's pre-activation, using
-    one hidden-width scratch array for the product with the weights in
-    between. The input-gradient pass turns every hidden output into
+    one hidden-width scratch array for the `np.matmul` with the weights
+    in between. The input-gradient pass turns every hidden output into
     1 - a^2 with two ufunc calls over `hidden` before it walks back, starts
     from the output layer's one weight row (so no buffer holds the logit's
     gradient with respect to itself), and writes d logit / d input to

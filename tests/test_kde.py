@@ -108,6 +108,44 @@ def test_points_at_the_norm_limit_fit_without_overflow():
     assert 0.0 < kde.base_eu(stats, [edge]) < 1.0
 
 
+def test_min_bandwidth_is_the_least_whose_kernel_denominator_is_normal():
+    tiny = np.finfo(np.float64).tiny
+    h = kde.MIN_BANDWIDTH
+    assert 2.0 * h * h >= tiny and 2.0 * h**2 >= tiny
+    below = float(np.nextafter(h, 0))
+    assert 2.0 * below * below < tiny
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bandwidth", [1e-200, 1e-160])
+def test_a_fit_bandwidth_below_the_floor_is_refused_naming_it(bandwidth):
+    # 2 h^2 underflowed and the density divided by zero or overflowed
+    with pytest.raises(InvalidInputError, match="^bandwidth must be at least 1.05e-154"):
+        kde.fit([[0.0], [0.5], [2.0]], bandwidth_rule=bandwidth)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_exponent_past_the_float_range_contributes_zero():
+    # -d^2 / (2 h^2) overflows to -inf, whose exp is exactly 0
+    for h in (1e-150, kde.MIN_BANDWIDTH):
+        for points in ([[0.0], [0.5], [2.0]], [[0.0], [1e10], [3e10]]):
+            with pytest.raises(DegenerateDatasetError, match="constant"):
+                kde.fit(points, bandwidth_rule=h)
+            stats = kde.KdeStats(points, h, 0.2, 0.1)
+            assert kde.density_batch(stats, points).tolist() == [1 / 3] * 3
+    stats = kde.KdeStats([[0.0], [0.5]], kde.MIN_BANDWIDTH, 0.2, 0.1)
+    assert kde.density(stats, [kde.MAX_NORM]) == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_points_too_close_for_the_bandwidth_floor_are_degenerate():
+    # the median rule's bandwidth would fall below MIN_BANDWIDTH, which the
+    # caller never passed
+    pts = [[0.0], [1e-160], [2e-160]]
+    with pytest.raises(DegenerateDatasetError, match="too close together"):
+        kde.fit(pts)
+
+
 def test_fit_subsamples_beyond_cap():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(kde.MAX_REFERENCE_POINTS + 100, 2))
@@ -212,6 +250,9 @@ _GOOD_FIELDS = {"reference_points": np.eye(2), "bandwidth": 0.5, "mu": 0.2, "sig
         ("reference_points", np.zeros(3)),
         ("reference_points", np.zeros((0, 2))),
         ("reference_points", np.zeros((2, 0))),
+        ("reference_points", [[1e200, 0.0]]),  # beyond MAX_NORM: the density overflowed
+        ("bandwidth", 1e-200),  # 2 h^2 underflows to 0: the density divided by zero
+        ("bandwidth", np.nextafter(kde.MIN_BANDWIDTH, 0)),  # 2 h^2 is subnormal
     ],
 )
 def test_stats_refuse_a_bad_field_on_construction(field, value):

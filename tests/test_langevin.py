@@ -135,17 +135,18 @@ def test_bounds_must_be_a_box_wider_than_the_prefix(bounds, fixed):
 @pytest.mark.parametrize(
     "bounds, fixed, words",
     [
-        ([[-1e308, 1e308]], NO_PREFIX, "finite width"),  # finite ends, an overflowing width
-        ([[np.nan, np.nan], [-1e308, 1e308]], [0.5], "finite width"),  # prefix rows aren't read
-        ([[-1.0, 1.0], [1.0, -1.0]], NO_PREFIX, "low <= high"),
+        ([[-1e308, 1e308]], NO_PREFIX, "have a finite width"),  # finite ends, too wide
+        ([[0.0, 1.0], [-1e308, 1e308]], [0.5], "have a finite width"),
+        ([[np.nan, np.nan], [-1.0, 1.0]], [0.5], "be finite"),  # a prefix row is a box row
+        ([[-1.0, 1.0], [1.0, -1.0]], NO_PREFIX, "have a .*low <= high"),
     ],
-    ids=["overflowing-width", "overflowing-width-after-a-prefix", "inverted"],
+    ids=["overflowing-width", "overflowing-width-after-a-prefix", "nan-prefix-row", "inverted"],
 )
 def test_the_moved_box_keeps_the_box_rule(bounds, fixed, words):
-    # rules.checked_box, as models and datasets keep it, with zero widths
-    # admitted; an overflowing width once ran every sample to 1e308
-    k = len(fixed)
-    with pytest.raises(InvalidInputError, match=rf"^bounds\[{k}:\] must have a .*{words}"):
+    # rules.checked_box over the whole row, as models and datasets keep it,
+    # with zero widths admitted; an overflowing width once ran every sample
+    # to 1e308
+    with pytest.raises(InvalidInputError, match=rf"^bounds must {words}"):
         run(quadratic_score(np.zeros(len(bounds))), full_cfg(steps=1), bounds, fixed, seed=0)
 
 
@@ -308,8 +309,7 @@ def test_run_streams_follow_sample_rng():
     fixed = np.array([0.75])
     fn = quadratic_score([0.1, 0.4, -9.0])
 
-    # the prefix's row of the box is not read
-    trace = run(fn, cfg, np.vstack([[np.nan, np.nan], bounds]), fixed, seed=(4, 2**63 + 5))
+    trace = run(fn, cfg, np.vstack([[0.0, 1.0], bounds]), fixed, seed=(4, 2**63 + 5))
     for i in range(cfg.n_samples):
         rng = sample_rng((4, 2**63 + 5), i)
         x = np.concatenate([fixed, rng.uniform(bounds[:, 0], bounds[:, 1])])

@@ -40,6 +40,11 @@ def tiny_model(seed=0, dims=(1, 0, 1), layers=None, bounds=None):
     return CdrmModel(net=net, input_bounds=bounds, dims=dims)
 
 
+def negatives(m, cfg, seed):
+    """`generate_negatives` in a workspace of its own."""
+    return generate_negatives(m, cfg, seed, Workspace(m.net.layer_dims, cfg.n_samples))
+
+
 def tiny_dataset(n=24, seed=3, dims=(1, 0, 1)):
     rng = np.random.default_rng(seed)
     d_total = sum(dims)
@@ -331,7 +336,7 @@ class TestTrainConfig:
         assert cfg.negative_chain == LangevinConfig(7, 3, 0.2, 0.05)
         assert "negative_chain" not in asdict(cfg)  # the model file's config hash cannot see it
         with mock.patch.object(langevin, "run", wraps=langevin.run) as run:
-            generate_negatives(m, cfg.negative_chain, seed=1)
+            negatives(m, cfg.negative_chain, seed=1)
         _, _, bounds, fixed, _ = run.call_args.args
         assert bounds is m.input_bounds and fixed.size == 0  # the whole box, every dim moving
 
@@ -340,15 +345,15 @@ class TestGenerateNegatives:
     def test_shape_count_and_bounds(self):
         m = tiny_model(seed=2)
         cfg = TrainConfig(epochs=1, negative_batch=9).negative_chain
-        neg = generate_negatives(m, cfg, seed=5).inputs
+        neg = negatives(m, cfg, seed=5).inputs
         assert neg.shape == (9, 2)
         assert np.all(neg >= m.input_bounds[:, 0]) and np.all(neg <= m.input_bounds[:, 1])
 
     def test_deterministic_and_matches_chain_tail(self):
         m = tiny_model(seed=2)
         cfg = TrainConfig(epochs=1, negative_batch=6).negative_chain
-        a = generate_negatives(m, cfg, seed=8).inputs
-        b = generate_negatives(m, cfg, seed=8).inputs
+        a = negatives(m, cfg, seed=8).inputs
+        b = negatives(m, cfg, seed=8).inputs
         np.testing.assert_array_equal(a, b)
         trace = langevin.run(score_fn(m), cfg, m.input_bounds, np.empty(0), 8)
         np.testing.assert_array_equal(a, trace.samples[-1])
@@ -364,7 +369,7 @@ class TestGenerateNegatives:
         m = CdrmModel(net=net, input_bounds=np.tile([-1.0, 1.0], (2, 1)), dims=(1, 0, 1))
         cfg = TrainConfig(epochs=1, langevin_steps=steps).negative_chain
         seed = rules.derive_seed(7, steps)
-        neg = generate_negatives(m, cfg, seed)
+        neg = negatives(m, cfg, seed)
         x = langevin.run(score_fn(m), cfg, m.input_bounds, np.empty(0), seed).samples[-1]
         assert neg.inputs.tobytes() == x.tobytes()
 
@@ -380,7 +385,7 @@ class TestGenerateNegatives:
 
         # The whole update against fresh forwards of both batches; the
         # gradient above consumed the chain's final pass, so run it again.
-        neg = generate_negatives(m, cfg, seed)
+        neg = negatives(m, cfg, seed)
         pos = np.random.default_rng(steps).uniform(-1, 1, (16, 2))
         rho_pos, in_pos = _clamped_scores(m.net.forward_batch(pos))
         up_pos = -(1.0 / 16) / (rho_pos + eps) * rho_pos * (1.0 - rho_pos) * in_pos
@@ -482,7 +487,7 @@ class TestTrain:
             epoch_losses = []
             for update, start in enumerate(range(0, len(ds), cfg.positive_batch)):
                 seed = rules.derive_seed(cfg.seed, model._TAG_NEGATIVE, epoch, update)
-                neg = generate_negatives(fresh, cfg.negative_chain, seed)
+                neg = negatives(fresh, cfg.negative_chain, seed)
                 pos = forward_pass(net, ds.tuples[order[start : start + cfg.positive_batch]])
                 grads = np.empty((2, net.n_params))
                 loss, grad = _loss_and_gradient(fresh, pos, neg, cfg.stability_eps, grads)

@@ -97,9 +97,13 @@ def models(draw):
     widths = _arrays(draw, (sum(dims),), _floats(min_value=1e-9, max_value=1e6))
     stats = None
     if draw(st.booleans()):
+        width = dims[0] + dims[1]  # rows within MAX_NORM of the origin, as KdeStats asks
+        edge = kde.MAX_NORM / width
         stats = KdeStats(
-            reference_points=_arrays(draw, (draw(st.integers(1, 4)), dims[0] + dims[1]), _floats()),
-            bandwidth=draw(_floats(min_value=1e-300)),
+            reference_points=_arrays(
+                draw, (draw(st.integers(1, 4)), width), _floats(min_value=-edge, max_value=edge)
+            ),
+            bandwidth=draw(_floats(min_value=kde.MIN_BANDWIDTH)),
             mu=draw(_floats()),
             sigma=draw(_floats(min_value=1e-300)),
         )
@@ -332,6 +336,7 @@ class TestKdeFields:
             ("bandwidth", -0.5),
             ("bandwidth", float("nan")),
             ("bandwidth", float("inf")),
+            ("bandwidth", 1e-200),
             ("sigma", 0.0),
             ("sigma", -1.0),
             ("sigma", float("nan")),
@@ -355,6 +360,15 @@ class TestKdeFields:
         refs[3][0] = bad
         _edit_kde(path, "reference_points", refs)
         with pytest.raises(ModelFormatError, match="finite"):
+            load_model(path)
+
+    def test_reference_point_beyond_the_norm_limit_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, make_model())
+        refs = make_model().kde_stats.reference_points.tolist()
+        refs[3][0] = 1e200
+        _edit_kde(path, "reference_points", refs)
+        with pytest.raises(ModelFormatError, match="reference_points must lie within"):
             load_model(path)
 
     @pytest.mark.parametrize(

@@ -13,13 +13,19 @@ float32, as the inference chain runs them. The "training update" lines
 time whole contrastive updates at the tier-1 recipe (positive batch 16,
 negative batch 32, L = 10) on the toy and the room net: each call is one
 `model.train` epoch over a 400-tuple set (`gen_toy`, `gen_room`), 25
-updates from the same initial network, and the line divides by 25. Each
-line is the median and the interquartile range, in microseconds per call
-(per update on the "training update" lines), of 7 blocks of calls
-after one warm-up block. The first line records nproc, numpy, BLAS and
-the thread environment. BLAS is capped at one thread before numpy is
-imported, as in `perfbench/run.py`. Compare two source trees by pointing
-PYTHONPATH at each in turn, alternating runs.
+updates from the same initial network, and the line divides by 25. The
+query lines time `inference.collect_valid` and `kde.base_eu` on one
+`infer` query at x = 0.7: the toy model is fitted once at the tier-1
+recipe (`gen_toy(seed=1)`, batches 16/32, L = 10, 40 epochs), and one
+512x50 chain (`inference.DEFAULT_CHAIN`) runs there on its float32 copy,
+as `infer` runs it; `collect_valid` filters that trace at the default
+alpha and tolerance. Each line is the median and the interquartile
+range, in microseconds per call (per update on the "training update"
+lines), of 7 blocks of calls after one warm-up block. The first line
+records nproc, numpy, BLAS and the thread environment. BLAS is capped at
+one thread before numpy is imported, as in `perfbench/run.py`. Compare
+two source trees by pointing PYTHONPATH at each in turn, alternating
+runs.
 """
 
 import os
@@ -31,17 +37,20 @@ import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import time  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from functools import partial  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from cdrm import data, langevin, model, rules  # noqa: E402
+from cdrm import data, inference, kde, langevin, model, rules  # noqa: E402
 from cdrm.nnet import AdamState, MlpNetwork, Workspace, adam_update  # noqa: E402
 
 BLOCKS = 7
 CALLS_PER_BLOCK = 20
 TRAIN_SEED = (1, 2, 0, 3)  # four words before the index, as every update's negatives
 QUERY_SEED = 0  # one word before the index, as an `infer` query
+FIT_EPOCHS = 40  # the toy model the query lines run on
+QUERY_X = 0.7
 
 
 def environment() -> dict:
@@ -134,6 +143,30 @@ def training_updates():
         yield shape, partial(model.train, initial, dataset, cfg), updates
 
 
+def query_layers():
+    """`collect_valid` on one `infer` query's chain trace, and `base_eu`
+    on that query, with the toy model fitted at the tier-1 recipe."""
+    cfg = model.TrainConfig(
+        epochs=FIT_EPOCHS, positive_batch=16, negative_batch=32, langevin_steps=10
+    )
+    fitted, _ = model.fit(data.gen_toy(seed=1), cfg)
+    query = np.array([QUERY_X])
+    chain_model = replace(fitted, net=fitted.net.astype(np.float32))
+    chain = inference.DEFAULT_CHAIN
+    trace = langevin.run(model.score_fn(chain_model), chain, fitted.input_bounds, query, QUERY_SEED)
+    collect = partial(
+        inference.collect_valid,
+        trace,
+        inference.DEFAULT_ALPHA,
+        inference.default_dedup_tol(fitted),
+    )
+    kept = len(collect())
+    shape = f"{chain.n_samples}x{chain.steps} x={QUERY_X} {kept} kept"
+    yield "collect_valid", shape, collect, None
+    refs = len(fitted.kde_stats.reference_points)
+    yield "base_eu", f"{refs} refs x={QUERY_X}", partial(kde.base_eu, fitted.kde_stats, query), None
+
+
 def row(name: str, shape: str, median: float, iqr: float) -> str:
     return f"{name:<20} {shape:<36} {median:>10.1f} {iqr:>8.1f}"
 
@@ -141,7 +174,7 @@ def row(name: str, shape: str, median: float, iqr: float) -> str:
 def main() -> None:
     print(json.dumps(environment(), sort_keys=True))
     print(f"{'layer':<20} {'shape':<36} {'median_us':>10} {'iqr_us':>8}")
-    for name, shape, call, prepare in (*stream_layers(), *network_layers()):
+    for name, shape, call, prepare in (*stream_layers(), *network_layers(), *query_layers()):
         print(row(name, shape, *per_call_us(call, prepare)))
     for shape, call, updates in training_updates():
         median, iqr = per_call_us(call)
